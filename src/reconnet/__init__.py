@@ -13,6 +13,7 @@ from .ensemble import (
     expected_metrics,
     generate_ensemble,
     sample_network,
+    sample_networks,
     z_score,
 )
 from .estimation import (
@@ -65,6 +66,7 @@ from .spectral import (
     fgrm_tau,
     leading_eigenvalue,
     rescale_matrix,
+    spectral_radius,
     tau_matrix,
 )
 from .validation import (

@@ -26,7 +26,7 @@ from .ensemble import (
     derive_subseed,
     expected_metrics,
     generate_ensemble,
-    sample_network,
+    sample_networks,
 )
 from .errors import (
     ConfigurationError,
@@ -220,7 +220,7 @@ def _cmd_aggregate(cfg, out):
                      m.d, m.r if m.r is not None else float("nan")])
     metrics = out / "metrics.csv"
     write_csv(metrics, ["delta_t", "window_index", "n", "links", "recip_links",
-                        "density", "reciprocity"], rows)
+                        "density", "reciprocity"], list(zip(*rows)))
     paths.append(metrics)
     return paths, {"windows": len(windows)}
 
@@ -245,8 +245,7 @@ def _cmd_fit(cfg, out):
     keep = tau.defined[iu, ju]
     tau_path = out / "tau.csv"
     write_csv(tau_path, ["i", "j", "tau"],
-              [[int(a), int(b), float(t)] for a, b, t in
-               zip(iu[keep], ju[keep], tau.values[iu[keep], ju[keep]])])
+              [iu[keep], ju[keep], tau.values[iu[keep], ju[keep]]])
     paths.append(tau_path)
     paths.extend(figures.emit_figures(tau.defined_values(), "tau_histogram", out))
     report = model.report
@@ -290,13 +289,16 @@ def _cmd_sample(cfg, out):
         fitted = sample_dir / "fitted.json"
         write_model(fitted, model)
         paths.extend([nodes, fitted])
-        for k in range(min(n_write, samples)):
-            net = sample_network(model, derive_subseed(seed, k))
+        seeds = [derive_subseed(seed, k) for k in range(min(n_write, samples))]
+        for k, net in enumerate(sample_networks(model, seeds)):
             p = sample_dir / f"sample_{k:05d}.csv"
             write_network(p, net)
             paths.append(p)
+    # lambda_fallbacks says how lambda_max was computed, not what it is, so
+    # it goes to the manifest and not to ensemble.json
     return paths, {"mean_density": summary.mean_density,
-                   "mean_lambda_max": summary.mean_lambda_max}
+                   "mean_lambda_max": summary.mean_lambda_max,
+                   "lambda_fallbacks": summary.lambda_fallbacks}
 
 
 def _cmd_spectra(cfg, out):
@@ -333,13 +335,10 @@ def _cmd_spectra(cfg, out):
     else:
         spectra = [spectrum_of(p) for p in files]
 
-    rows = []
-    for path, spec in zip(files, spectra):
-        stem = path.stem
-        for lam in spec.values:
-            rows.append([stem, float(lam.real), float(lam.imag)])
+    values = np.concatenate([spec.values for spec in spectra])
+    stems = np.repeat([path.stem for path in files], [spec.n for spec in spectra])
     paths = [out / "spectra.csv"]
-    write_csv(paths[0], ["sample_id", "re", "im"], rows)
+    write_csv(paths[0], ["sample_id", "re", "im"], [stems, values.real, values.imag])
 
     shape = bulk_shape(spectra, mean_tau=mean_tau)
     bulk_path = out / "bulk.json"
@@ -357,13 +356,9 @@ def _cmd_spectra(cfg, out):
     return paths, {"axis_ratio": shape.axis_ratio, "spectra": len(files)}
 
 
-def _scan_rows(result):
-    rows = []
-    for row in result.rows:
-        rows.append([row.delta_t, row.window_count, row.skipped_windows,
-                     row.mean_density, row.mean_reciprocity, row.mean_r_fdcm,
-                     row.mean_rho])
-    return rows
+def _field_columns(records, fields):
+    """One column per attribute name in ``fields``, across ``records``."""
+    return [[getattr(r, name) for r in records] for name in fields]
 
 
 def _cmd_scan(cfg, out):
@@ -376,13 +371,11 @@ def _cmd_scan(cfg, out):
     result = scan_aggregations(records, year, delta_ts, fitness=fitness,
                                solver_config=_solver_config(cfg))
     paths = [out / "rho_scan.csv", out / "rho_windows.csv", out / "scan.json"]
-    write_csv(paths[0], ["delta_t", "window_count", "skipped_windows", "mean_density",
-                         "mean_reciprocity", "mean_r_fdcm", "mean_rho"],
-              _scan_rows(result))
-    write_csv(paths[1], ["delta_t", "window_index", "density", "reciprocity",
-                         "r_fdcm", "rho"],
-              [[w.delta_t, w.window_index, w.density, w.reciprocity, w.r_fdcm, w.rho]
-               for w in result.windows])
+    scan_fields = ["delta_t", "window_count", "skipped_windows", "mean_density",
+                   "mean_reciprocity", "mean_r_fdcm", "mean_rho"]
+    write_csv(paths[0], scan_fields, _field_columns(result.rows, scan_fields))
+    window_fields = ["delta_t", "window_index", "density", "reciprocity", "r_fdcm", "rho"]
+    write_csv(paths[1], window_fields, _field_columns(result.windows, window_fields))
     landmarks = {"t_min": result.t_min, "t_0": result.t_0, "t_max": result.t_max,
                  "rho_min": result.rho_min, "rho_max": result.rho_max}
     write_json(paths[2], landmarks)
@@ -427,8 +420,7 @@ def _cmd_validate(cfg, out):
         "rho": rho_value,
     }
     paths = [out / "roc.csv", out / "validation.json"]
-    write_csv(paths[0], ["threshold", "fpr", "tpr"],
-              [[t, f, tp] for t, f, tp in zip(roc.thresholds, roc.fpr, roc.tpr)])
+    write_csv(paths[0], ["threshold", "fpr", "tpr"], [roc.thresholds, roc.fpr, roc.tpr])
     write_json(paths[1], summary)
     paths.extend(figures.emit_figures(roc, "roc_curve", out))
     return paths, summary

@@ -11,6 +11,7 @@ number of worker threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,7 +55,8 @@ class EnsembleSummary:
 
     Reciprocity of a sample with no links is recorded as NaN and skipped
     in the aggregates; lambda_max is None per sample when spectra were not
-    requested.
+    requested. ``lambda_fallbacks`` counts the samples whose lambda_max
+    came from the dense eigensolver (see ``spectral.spectral_radius``).
     """
 
     sample_count: int
@@ -67,6 +69,7 @@ class EnsembleSummary:
     std_reciprocity: float = float("nan")
     mean_lambda_max: float | None = None
     std_lambda_max: float | None = None
+    lambda_fallbacks: int | None = None
 
 
 class _DyadSampler:
@@ -96,9 +99,16 @@ class _DyadSampler:
         return a
 
 
+def sample_networks(model: FittedModel, seeds) -> Iterator[DirectedNetwork]:
+    """One network realization of ``model`` per seed, from one shared sampler."""
+    sampler = _DyadSampler(model)
+    for seed in seeds:
+        yield DirectedNetwork(sampler.sample_adjacency(seed))
+
+
 def sample_network(model: FittedModel, seed: int) -> DirectedNetwork:
     """One network realization of ``model``, deterministic in ``seed``."""
-    return DirectedNetwork(_DyadSampler(model).sample_adjacency(seed))
+    return next(sample_networks(model, [seed]))
 
 
 def generate_ensemble(model: FittedModel, config: EnsembleConfig,
@@ -121,8 +131,8 @@ def generate_ensemble(model: FittedModel, config: EnsembleConfig,
         r = recip / links if links > 0 else float("nan")
         # sampler output is a valid adjacency by construction; skip the
         # DirectedNetwork re-validation in this hot loop
-        lam = float(spectral.eigenvalues(a).leading.real) if compute_lambda else None
-        return d, r, lam
+        lam, fell_back = spectral.spectral_radius(a) if compute_lambda else (None, False)
+        return d, r, lam, fell_back
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -148,6 +158,7 @@ def generate_ensemble(model: FittedModel, config: EnsembleConfig,
     if compute_lambda:
         summary.mean_lambda_max = float(lambdas.mean())
         summary.std_lambda_max = float(lambdas.std(ddof=1)) if m > 1 else 0.0
+        summary.lambda_fallbacks = sum(x[3] for x in results)
     return summary
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,8 +36,8 @@ class TransactionRecord:
     maturity: str | None = None
 
     def __post_init__(self):
-        if self.amount <= 0:
-            raise DataValidationError(f"amount must be positive, got {self.amount}")
+        if not 0 < self.amount < math.inf:  # NaN fails both comparisons
+            raise DataValidationError(f"amount must be positive and finite, got {self.amount}")
         if self.lender == self.borrower:
             raise DataValidationError(f"self-loop transaction for {self.lender!r}")
 
@@ -89,7 +90,8 @@ def parse_transactions(source) -> list[TransactionRecord]:
 
     ``source`` may be a path, a text stream, or a bytes stream (UTF-8).
     Raises ParseError with the offending line number on malformed rows and
-    DataValidationError on semantic violations (amount <= 0, self-loops).
+    DataValidationError on semantic violations (an amount that is not
+    positive and finite, self-loops).
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:

@@ -19,18 +19,29 @@ from .ingest import FitnessData
 from .models import FittedModel, ModelKind
 
 
+_FLOAT17 = "{:.17g}".format
+
+
 def fmt(x) -> str:
     """17-significant-digit decimal form of a float (lossless round trip)."""
-    return format(float(x), ".17g")
+    return _FLOAT17(float(x))
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, columns) -> None:
+    """A header row, then row k holding item k of every column.
+
+    Columns are arrays or sequences of equal length. A float column is
+    written through ``fmt``, any other column as ``str`` of its items.
+    """
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        items = column.tolist()
+        cells.append(list(map(_FLOAT17, items)) if column.dtype.kind == "f" else items)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(c) if isinstance(c, (float, np.floating)) else c
-                             for c in row])
+        writer.writerows(zip(*cells, strict=True))
 
 
 def _jsonable(obj):
@@ -107,7 +118,7 @@ def read_model(path) -> FittedModel:
 
 
 def write_nodes(path, labels) -> None:
-    write_csv(path, ["index", "label"], list(enumerate(labels)))
+    write_csv(path, ["index", "label"], [range(len(labels)), labels])
 
 
 def read_nodes(path) -> list[str]:
@@ -124,27 +135,54 @@ def read_nodes(path) -> list[str]:
 
 
 def write_network(path, net: DirectedNetwork) -> None:
-    rows = []
     src, dst = np.nonzero(net.adjacency)
     w = net.weights if net.weights is not None else net.adjacency
-    for i, j in zip(src.tolist(), dst.tolist()):
-        rows.append([i, j, float(w[i, j])])
-    write_csv(path, ["source", "target", "weight"], rows)
+    write_csv(path, ["source", "target", "weight"], [src, dst, w[src, dst].astype(float)])
+
+
+def _line_of_row(path, k: int) -> int:
+    """Line number of the k-th nonempty row after the header, for error messages."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for m, _ in enumerate(row for row in reader if row):
+            if m == k:
+                return reader.line_num
 
 
 def read_network(path, n: int, labels=None) -> DirectedNetwork:
-    w = np.zeros((n, n))
+    """Edge list (header source,target,weight) on nodes 0..n-1; repeated links add up.
+
+    A row that is not two integer node indices and a weight, a node index
+    outside 0..n-1 and a weight that is not a positive finite number are
+    ParseErrors with the line number: none may wrap onto another node or
+    drop a link unnoticed.
+    """
+    src, dst, weights = [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["source", "target", "weight"]:
             raise ParseError(f"bad edge-list header in {path}", line=1)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                i, j, weight = int(row[0]), int(row[1]), float(row[2])
-            except (ValueError, IndexError):
-                raise ParseError(f"bad edge row {row!r}", line=reader.line_num) from None
-            w[i, j] += weight
+        row = None
+        try:
+            for row in filter(None, reader):
+                i, j, weight = row
+                src.append(int(i))
+                dst.append(int(j))
+                weights.append(float(weight))
+        except (ValueError, csv.Error):
+            raise ParseError(f"bad edge row {row!r}", line=reader.line_num) from None
+    i, j, weight = np.array(src), np.array(dst), np.array(weights, dtype=float)
+    for bad, message in (((i < 0) | (i >= n) | (j < 0) | (j >= n),
+                          f"node index outside 0..{n - 1}"),
+                         (~(np.isfinite(weight) & (weight > 0)),
+                          "weight must be positive and finite")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ParseError(f"{message} in row {src[k]},{dst[k]},{weights[k]!r}",
+                             line=_line_of_row(path, k))
+    # bincount adds repeated links in file order, as a running sum would
+    cell = i.astype(np.intp) * n + j.astype(np.intp)
+    w = np.bincount(cell, weights=weight, minlength=n * n).reshape(n, n)
     return DirectedNetwork.from_weight_matrix(w, labels=labels)

@@ -193,24 +193,37 @@ def roc_auc(link_probabilities, observed) -> RocResult:
     tpr = np.concatenate([[0.0], cum_tp / n_pos])
     fpr = np.concatenate([[0.0], cum_fp / n_neg])
     thresholds = np.concatenate([[np.inf], sorted_scores[block_ends]])
-    auc = float(np.trapezoid(tpr, fpr))
+    # the trapezoid rule written out: np.trapezoid needs numpy >= 2.0
+    auc = float((np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
     return RocResult(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc)
 
 
 def mann_whitney_auc(link_probabilities, observed) -> float:
     """Fraction of (positive, negative) pairs ranked correctly, ties at 1/2.
 
-    Independent pairwise route to the same quantity as the ROC integral.
+    The Mann-Whitney U statistic from mid-ranks (Hanley & McNeil 1982), in
+    O(D log D) time and O(D) memory for D scores: U = R - P(P+1)/2, with R
+    the rank sum of the P positives. A route to the same quantity as the
+    ROC integral that does not build the curve. Twice every mid-rank is an
+    integer, so U is exact and equals the pairwise count bit for bit.
     """
     scores = np.asarray(link_probabilities, dtype=float).ravel()
     labels = np.asarray(observed).ravel().astype(bool)
-    pos = scores[labels]
-    neg = scores[~labels]
-    if len(pos) == 0 or len(neg) == 0:
+    if scores.shape != labels.shape:
+        raise DomainError("probabilities and observations differ in length")
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    if n_pos == 0 or n_neg == 0:
         raise UndefinedAUCError("need both classes for a pairwise ranking statistic")
-    diff = pos[:, None] - neg[None, :]
-    wins = np.count_nonzero(diff > 0) + 0.5 * np.count_nonzero(diff == 0)
-    return float(wins) / (len(pos) * len(neg))
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    # tie block k covers sorted positions starts[k]..ends[k]-1, 1-based ranks
+    # starts[k]+1..ends[k], so twice its mid-rank is starts[k] + ends[k] + 1
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    twice_ranks = np.repeat(starts + ends + 1, ends - starts)
+    twice_u = int(twice_ranks[labels[order]].sum()) - n_pos * (n_pos + 1)
+    return (twice_u / 2) / (n_pos * n_neg)
 
 
 def cross_entropy(model: FittedModel, observed: DirectedNetwork) -> float:

@@ -68,3 +68,14 @@ def dyad_moment_errors(arrs, target_d, target_r, m_samples):
     var_ratio = (var_recip - 2 * target_r * cov + target_r**2 * var_links) / e_links**2
     se_reciprocity = np.sqrt(var_ratio / m_samples)
     return se_density, se_reciprocity
+
+
+def pairwise_auc(scores, labels):
+    """Mann-Whitney AUC from every (positive, negative) pair: wins plus half the ties."""
+    scores = np.asarray(scores, dtype=float).ravel()
+    labels = np.asarray(labels).ravel().astype(bool)
+    pos = scores[labels]
+    neg = scores[~labels]
+    diff = pos[:, None] - neg[None, :]
+    wins = np.count_nonzero(diff > 0) + 0.5 * np.count_nonzero(diff == 0)
+    return float(wins) / (len(pos) * len(neg))

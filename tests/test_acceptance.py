@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from oracles import char_poly_roots_4x4, dyad_moment_errors, match_sets
+from oracles import char_poly_roots_4x4, dyad_moment_errors, match_sets, pairwise_auc
 
 import reconnet as rn
 from reconnet.cli import main as cli_main
@@ -264,14 +264,16 @@ def test_criterion_09_eigen_oracle():
 def test_criterion_10_validation_metrics():
     rng = np.random.default_rng(110)
     worst_auc = 0.0
+    rank_exact = True
     for _ in range(100):
         n = int(rng.integers(4, 21))
         scores = rng.integers(0, 8, n) / 7.0
         labels = rng.integers(0, 2, n)
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
-        worst_auc = max(worst_auc, abs(rn.roc_auc(scores, labels).auc
-                                       - rn.mann_whitney_auc(scores, labels)))
+        pairwise = pairwise_auc(scores, labels)
+        worst_auc = max(worst_auc, abs(rn.roc_auc(scores, labels).auc - pairwise))
+        rank_exact &= rn.mann_whitney_auc(scores, labels) == pairwise
 
     unit = rn.FitnessData(np.ones(8), np.ones(8))
     uniform = rn.FittedModel(rn.ModelKind.FGRM, {"u": 1.0, "v": 1.0}, fitness=unit)
@@ -287,8 +289,9 @@ def test_criterion_10_validation_metrics():
         sample = rn.sample_network(truth, rn.derive_subseed(1010, k))
         gaps.append(rn.cross_entropy(rival, sample) - rn.cross_entropy(truth, sample))
     mean_gap = float(np.mean(gaps))
-    report(10, "AUC == pairwise statistic to 1e-12; ln4 uniform loss; truth beats rival",
-           worst_auc <= 1e-12 and ce_dev <= 1e-12 and mean_gap > 0,
+    report(10, "AUC == pairwise statistic to 1e-12 (rank statistic exactly); ln4 uniform "
+           "loss; truth beats rival",
+           worst_auc <= 1e-12 and rank_exact and ce_dev <= 1e-12 and mean_gap > 0,
            f"AUC dev {worst_auc:.2e}, ln4 dev {ce_dev:.2e}, CE gap {mean_gap:.4f}")
 
 

@@ -5,10 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reconnet import DirectedNetwork
 from reconnet.cli import main, parse_delta_ts
-from reconnet.errors import ConfigurationError
+from reconnet.errors import ConfigurationError, ParseError
 from reconnet.ingest import FitnessData, write_fitness_csv
-from reconnet.serialize import fmt, read_model
+from reconnet.serialize import (
+    fmt,
+    read_model,
+    read_network,
+    write_csv,
+    write_network,
+    write_nodes,
+)
 
 
 def tree_digest(root, skip=("manifest.json",)):
@@ -41,6 +49,60 @@ class TestFloatFormat:
         rng = np.random.default_rng(seed)
         for x in rng.lognormal(0, 40, 50):
             assert float(fmt(x)) == x
+
+
+class TestCsvLayer:
+    def test_columns_written_by_type(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["id", "count", "x"],
+                  [["a", "b,c", "d"], np.array([1, 2, 3]),
+                   [0.1, float("nan"), -np.inf]])
+        assert path.read_bytes() == (b"id,count,x\r\n"
+                                     b"a,1,0.10000000000000001\r\n"
+                                     b'"b,c",2,nan\r\n'
+                                     b"d,3,-inf\r\n")
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1.0]])
+
+    def test_weighted_edge_list_round_trips(self, tmp_path):
+        rng = np.random.default_rng(4)
+        w = (rng.random((6, 6)) < 0.4) * rng.lognormal(0, 2, (6, 6))
+        np.fill_diagonal(w, 0.0)
+        net = DirectedNetwork.from_weight_matrix(w)
+        write_network(tmp_path / "e.csv", net)
+        back = read_network(tmp_path / "e.csv", 6)
+        np.testing.assert_array_equal(back.weights, net.weights)
+
+
+class TestReadNetworkRejects:
+    @pytest.mark.parametrize("row", [
+        "-1,0,1",         # would wrap onto node n-1
+        "0,3,1",          # past the last node
+        "0,1,nan",
+        "0,1,inf",
+        "0,1,-2.5",
+        "0,1,0",          # a zero weight would drop the link
+        "0,1",
+        "0,1,1,1",
+        "0,x,1",
+    ])
+    def test_bad_row_is_parse_error_with_line(self, tmp_path, row):
+        path = tmp_path / "e.csv"
+        path.write_text(f"source,target,weight\n1,2,1\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            read_network(path, 3)
+        assert err.value.line == 3
+
+    def test_spectra_exits_with_data_error(self, tmp_path, capsys):
+        net_dir = tmp_path / "nets"
+        net_dir.mkdir()
+        write_nodes(net_dir / "nodes.csv", ["B0", "B1", "B2"])
+        (net_dir / "s.csv").write_text("source,target,weight\n0,5,1\n")
+        rc = main(["spectra", "--networks", str(net_dir), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +167,11 @@ class TestPipeline:
         assert data["sample_count"] == 40
         assert len(data["densities"]) == 40
         assert len(data["lambda_max"]) == 40
+
+    def test_lambda_fallbacks_in_manifest_only(self, pipeline):
+        manifest = json.loads((pipeline / "ens/manifest.json").read_text())
+        assert isinstance(manifest["result"]["lambda_fallbacks"], int)
+        assert "lambda_fallbacks" not in json.loads((pipeline / "ens/ensemble.json").read_text())
 
     def test_report_regenerates_figures(self, pipeline, tmp_path):
         rc = main(["report", "--in", str(pipeline / "spec"), "--out", str(tmp_path)])

@@ -10,9 +10,13 @@ from reconnet import (
     ModelKind,
     derive_subseed,
     dyad_probability_arrays,
+    eigenvalues,
     expected_metrics,
+    fit_fgrm,
     generate_ensemble,
     sample_network,
+    sample_networks,
+    spectral_radius,
     z_score,
 )
 from reconnet.ensemble import _DyadSampler
@@ -107,6 +111,23 @@ class TestGenerateEnsemble:
         summary = generate_ensemble(fgrm(1, 1), EnsembleConfig(3, 1), compute_lambda=False)
         assert summary.lambda_max is None
         assert summary.mean_lambda_max is None
+        assert summary.lambda_fallbacks is None
+
+    def test_lambda_max_and_fallback_count_per_sample(self):
+        # sparse samples often hold a cycle reachable only from a larger
+        # one, where the power iteration hands over to the dense solver
+        n = 20
+        rng = np.random.default_rng(8)
+        model = fit_fgrm(FitnessData(rng.lognormal(0, 1, n), rng.lognormal(0, 1, n)),
+                         0.1, 0.3)
+        summary = generate_ensemble(model, EnsembleConfig(60, 4), threads=3)
+        nets = list(sample_networks(model, [derive_subseed(4, k) for k in range(60)]))
+        results = [spectral_radius(net.adjacency) for net in nets]
+        assert summary.lambda_max.tolist() == [lam for lam, _ in results]
+        assert summary.lambda_fallbacks == sum(flag for _, flag in results) > 0
+        for lam, net in zip(summary.lambda_max, nets):
+            ref = eigenvalues(net.adjacency).leading.real
+            assert abs(lam - ref) <= 1e-10 * max(ref, 1.0)
 
 
 class TestDyadSamplingLaw:

@@ -45,6 +45,12 @@ class TestParsing:
             parse("date,lender,borrower,amount\n2007-03-01,B1,B2,-3\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("amount", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_amount_rejected_with_line(self, amount):
+        with pytest.raises(DataValidationError) as err:
+            parse(f"date,lender,borrower,amount\n2007-03-01,B1,B2,5\n2007-03-02,B2,B1,{amount}\n")
+        assert err.value.line == 3
+
     def test_missing_column_is_parse_error(self):
         with pytest.raises(ParseError) as err:
             parse("date,lender,borrower,amount\n2007-03-01,B1,5.0\n")

@@ -16,9 +16,15 @@ from reconnet import (
     leading_eigenvalue,
     rescale_matrix,
     sample_network,
+    spectral_radius,
     tau_matrix,
 )
-from reconnet.errors import DegenerateEnsembleError, InsufficientDataError, NumericalError
+from reconnet.errors import (
+    DegenerateEnsembleError,
+    DomainError,
+    InsufficientDataError,
+    NumericalError,
+)
 
 
 class TestEigenvalues:
@@ -71,6 +77,110 @@ class TestLeadingEigenvalue:
         lam = leading_eigenvalue(DirectedNetwork(a))
         sums = a.sum(axis=1)
         assert sums.min() - 1e-8 <= lam <= sums.max() + 1e-8
+
+
+def dense_radius(a):
+    """The dgeev oracle: leading eigenvalue of the full spectrum."""
+    return eigenvalues(np.asarray(a, dtype=float)).leading.real
+
+
+def assert_matches_dgeev(a, fell_back=False):
+    lam, flag = spectral_radius(a)
+    ref = dense_radius(a)
+    assert abs(lam - ref) <= 1e-10 * ref
+    assert flag is fell_back
+    return lam
+
+
+def random_digraph(rng, n, p):
+    a = (rng.random((n, n)) < p).astype(np.int8)
+    np.fill_diagonal(a, 0)
+    return a
+
+
+def cycle(k):
+    return np.roll(np.eye(k, dtype=np.int8), 1, axis=1)
+
+
+class TestSpectralRadius:
+    @pytest.mark.parametrize("n", [10, 25, 60, 120, 200])
+    def test_random_graphs_match_dgeev(self, n):
+        rng = np.random.default_rng(300 + n)
+        for p in (0.05, 0.2, 0.5):
+            a = random_digraph(rng, n, p)
+            lam, _ = spectral_radius(a)
+            ref = dense_radius(a)
+            assert abs(lam - ref) <= 1e-10 * ref
+
+    def test_weighted_matrix_matches_dgeev(self):
+        rng = np.random.default_rng(5)
+        a = random_digraph(rng, 80, 0.3) * rng.lognormal(0, 1, (80, 80))
+        assert_matches_dgeev(a)
+
+    def test_sinks_and_sources_are_peeled(self):
+        # a strongly connected core plus a source feeding it, a sink fed by
+        # it and a path leaving it: without peeling, the sink's ratio stays
+        # at 1 and the bracket never closes
+        rng = np.random.default_rng(6)
+        a = np.zeros((40, 40), dtype=np.int8)
+        a[:30, :30] = random_digraph(rng, 30, 0.3)
+        a[30, :5] = 1      # source -> core
+        a[:5, 31] = 1      # core -> sink
+        a[32, 33] = a[33, 34] = 1  # a path off the core
+        a[10, 32] = 1
+        assert_matches_dgeev(a)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 17, 50])
+    def test_directed_cycles(self, k):
+        # periodic: A has k eigenvalues of modulus 1, A + I only one
+        assert assert_matches_dgeev(cycle(k)) == 1.0
+
+    def test_periodic_irregular_graphs(self):
+        # reciprocated bipartite graphs have -rho next to rho, and x = 1 is
+        # not their Perron vector, so only the shift makes the iteration settle
+        star = np.zeros((6, 6), dtype=np.int8)
+        star[0, 1:] = star[1:, 0] = 1
+        assert assert_matches_dgeev(star) == pytest.approx(np.sqrt(5.0), rel=1e-12)
+        rng = np.random.default_rng(9)
+        half = (rng.random((15, 25)) < 0.3).astype(np.int8)
+        bipartite = np.zeros((40, 40), dtype=np.int8)
+        bipartite[:15, 15:] = half
+        bipartite[15:, :15] = half.T
+        assert_matches_dgeev(bipartite)
+
+    def test_smaller_component_reachable_from_larger_falls_back(self):
+        # a 3-cycle (radius 1) only reachable from a complete digraph on 4
+        # nodes (radius 3): the Perron vector vanishes on the 3-cycle
+        a = np.zeros((7, 7), dtype=np.int8)
+        a[:4, :4] = 1 - np.eye(4, dtype=np.int8)
+        a[4:, 4:] = cycle(3)
+        a[0, 4] = 1
+        assert assert_matches_dgeev(a, fell_back=True) == pytest.approx(3.0, rel=1e-12)
+
+    def test_larger_component_reachable_from_smaller_converges(self):
+        a = np.zeros((7, 7), dtype=np.int8)
+        a[:4, :4] = 1 - np.eye(4, dtype=np.int8)
+        a[4:, 4:] = cycle(3)
+        a[4, 0] = 1
+        assert assert_matches_dgeev(a) == pytest.approx(3.0, rel=1e-12)
+
+    def test_acyclic_and_empty_graphs_have_radius_zero(self):
+        dag = np.triu(np.ones((6, 6), dtype=np.int8), k=1)
+        assert spectral_radius(dag) == (0.0, False)
+        assert spectral_radius(np.zeros((4, 4))) == (0.0, False)
+        assert spectral_radius(np.zeros((0, 0))) == (0.0, False)
+
+    def test_single_reciprocated_dyad(self):
+        a = DirectedNetwork.from_links(5, [(1, 3), (3, 1)]).adjacency
+        assert assert_matches_dgeev(a) == 1.0
+
+    def test_rejects_matrices_outside_its_domain(self):
+        with pytest.raises(DomainError):
+            spectral_radius(np.ones((2, 3)))
+        with pytest.raises(DomainError):
+            spectral_radius(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        with pytest.raises(NumericalError):
+            spectral_radius(np.array([[0.0, np.nan], [1.0, 0.0]]))
 
 
 class TestSpectralIdentities:

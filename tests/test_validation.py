@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import pairwise_auc
 
 from reconnet import (
     DirectedNetwork,
@@ -80,6 +81,23 @@ class TestRocAuc:
         auc = roc_auc(scores, labels).auc
         mw = mann_whitney_auc(scores, labels)
         assert auc == pytest.approx(mw, abs=1e-12)
+
+    @pytest.mark.parametrize("levels", [1, 2, 5, 1000])
+    def test_rank_statistic_equals_pairwise_count_exactly(self, levels):
+        # few score levels make long tie blocks; one level ties every pair
+        rng = np.random.default_rng(levels)
+        for n in (2, 7, 300):
+            scores = rng.integers(0, levels, n) / levels
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            assert mann_whitney_auc(scores, labels) == pairwise_auc(scores, labels)
+        assert mann_whitney_auc(np.full(6, 0.3), [0, 1, 0, 1, 1, 0]) == 0.5
+
+    def test_rank_statistic_rejects_single_class_and_length_mismatch(self):
+        with pytest.raises(UndefinedAUCError):
+            mann_whitney_auc([0.1, 0.2], [0, 0])
+        with pytest.raises(DomainError):
+            mann_whitney_auc([0.1, 0.2, 0.3], [0, 1])
 
 
 def _unit_fgrm(n, u=1.0, v=1.0):

@@ -48,6 +48,7 @@ from .graph import degrees_strengths
 from .ingest import (
     aggregate,
     build_windows,
+    index_year,
     parse_transactions,
     read_fitness_csv,
     synth_fitness,
@@ -202,13 +203,14 @@ def _cmd_aggregate(cfg, out):
     records = parse_transactions(_need_path(cfg, "transactions"))
     year = _need(cfg, "year", int)
     delta_t = _need(cfg, "delta_t", int)
-    windows = build_windows(records, year, delta_t)
+    index = index_year(records, year)
+    windows = build_windows(index, year, delta_t)
     net_dir = out / "networks"
     net_dir.mkdir(exist_ok=True)
     paths = []
     rows = []
     for window in windows:
-        net = aggregate(records, window)
+        net = aggregate(index, window)
         if not paths:
             paths.append(net_dir / "nodes.csv")
             write_nodes(paths[0], net.labels)
@@ -314,18 +316,19 @@ def _cmd_spectra(cfg, out):
     if not files:
         raise ConfigurationError(f"no network files in {net_dir}")
     rescale = bool(cfg.get("rescale", False))
-    model = None
+    model = link = None
     if rescale:
         model_path = cfg.get("model_file") or net_dir / "fitted.json"
         if not Path(model_path).exists():
             raise ConfigurationError(
                 "rescaling needs --model-file (no fitted.json next to the networks)")
         model = read_model(model_path)
+        link = dyad_probability_arrays(model).link
     mean_tau = tau_matrix(model).mean_tau if rescale else float("nan")
 
     def spectrum_of(path):
         net = read_network(path, n)
-        matrix = rescale_matrix(net, model) if rescale else net.adjacency.astype(float)
+        matrix = rescale_matrix(net, model, link) if rescale else net.adjacency.astype(float)
         return eigenvalues(matrix)
 
     workers = _threads(cfg)

@@ -9,17 +9,19 @@ the year), which keeps density comparable across window lengths.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import io
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ensemble import derive_subseed, sample_network
+from .ensemble import derive_subseed, sample_networks
 from .errors import ConfigurationError, DataValidationError, ParseError
 from .graph import DirectedNetwork
 from .models import FittedModel
@@ -85,6 +87,16 @@ class FitnessData:
 _HEADER = ["date", "lender", "borrower", "amount"]
 
 
+@contextmanager
+def csv_reader(stream):
+    """A csv reader of ``stream``; in the block, a line it cannot split is a ParseError."""
+    reader = csv.reader(stream)
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def parse_transactions(source) -> list[TransactionRecord]:
     """Parse a transactions CSV (header date,lender,borrower,amount[,maturity]).
 
@@ -101,42 +113,42 @@ def parse_transactions(source) -> list[TransactionRecord]:
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8")
 
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file, expected a header row", line=1) from None
-    header = [h.strip().lower() for h in header]
-    if header != _HEADER and header != _HEADER + ["maturity"]:
-        raise ParseError(
-            f"bad header {header!r}, expected date,lender,borrower,amount[,maturity]", line=1
-        )
-    has_maturity = len(header) == 5
+    with csv_reader(source) as reader:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file, expected a header row", line=1) from None
+        header = [h.strip().lower() for h in header]
+        if header != _HEADER and header != _HEADER + ["maturity"]:
+            raise ParseError(
+                f"bad header {header!r}, expected date,lender,borrower,amount[,maturity]", line=1
+            )
+        has_maturity = len(header) == 5
 
-    records = []
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
-        try:
-            date = dt.date.fromisoformat(row[0].strip())
-        except ValueError:
-            raise ParseError(f"bad ISO-8601 date {row[0]!r}", line=line) from None
-        lender = row[1].strip()
-        borrower = row[2].strip()
-        if not lender or not borrower:
-            raise ParseError("empty lender or borrower field", line=line)
-        try:
-            amount = float(row[3])
-        except ValueError:
-            raise ParseError(f"bad amount {row[3]!r}", line=line) from None
-        maturity = row[4].strip() if has_maturity and row[4].strip() else None
-        try:
-            records.append(TransactionRecord(date, lender, borrower, amount, maturity))
-        except DataValidationError as exc:
-            raise DataValidationError(str(exc), line=line) from None
+        records = []
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
+            try:
+                date = dt.date.fromisoformat(row[0].strip())
+            except ValueError:
+                raise ParseError(f"bad ISO-8601 date {row[0]!r}", line=line) from None
+            lender = row[1].strip()
+            borrower = row[2].strip()
+            if not lender or not borrower:
+                raise ParseError("empty lender or borrower field", line=line)
+            try:
+                amount = float(row[3])
+            except ValueError:
+                raise ParseError(f"bad amount {row[3]!r}", line=line) from None
+            maturity = row[4].strip() if has_maturity and row[4].strip() else None
+            try:
+                records.append(TransactionRecord(date, lender, borrower, amount, maturity))
+            except DataValidationError as exc:
+                raise DataValidationError(str(exc), line=line) from None
     return records
 
 
@@ -145,44 +157,105 @@ def trading_calendar(records) -> list[dt.date]:
     return sorted({r.date for r in records})
 
 
-def build_windows(records, year: int, delta_t: int) -> list[AggregationWindow]:
-    """All complete delta_t-day windows of one year, in chronological order."""
-    if delta_t < 1:
-        raise ConfigurationError(f"delta_t must be >= 1, got {delta_t}")
-    days = [d for d in trading_calendar(records) if d.year == year]
-    windows = []
-    for k in range(len(days) // delta_t):
-        chunk = tuple(days[k * delta_t:(k + 1) * delta_t])
-        windows.append(AggregationWindow(year=year, delta_t=delta_t, window_index=k, days=chunk))
-    return windows
+@dataclass(frozen=True)
+class YearIndex:
+    """The records of one year as arrays, indexed once and cut into windows.
+
+    ``labels`` are the banks active anywhere in the year and ``days`` the
+    trading days the index covers. Record k (file order, other years and
+    days left out) puts ``amount[k]`` on the cell ``lender * n + borrower``
+    of the flattened N x N matrix. ``order`` lists the records stably by
+    day, and the records of day t are ``order[bounds[t]:bounds[t + 1]]``.
+    """
+
+    year: int
+    labels: tuple[str, ...]
+    days: tuple[dt.date, ...]
+    cell: np.ndarray
+    amount: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
+
+    def network(self, window: AggregationWindow) -> DirectedNetwork:
+        """The window's snapshot: the records of its days summed per cell."""
+        first = bisect.bisect_left(self.days, window.days[0]) if window.days else 0
+        stop = first + len(window.days)
+        if window.year != self.year or self.days[first:stop] != window.days:
+            raise ConfigurationError(
+                f"window {window.window_index} (delta_t={window.delta_t}) is not a run of "
+                f"consecutive trading days of the {self.year} index")
+        # back into file order: each cell then adds its amounts in the order a
+        # running sum over the file would, so the weights match it bit for bit
+        rows = np.sort(self.order[self.bounds[first]:self.bounds[stop]])
+        n = len(self.labels)
+        w = np.bincount(self.cell[rows], weights=self.amount[rows], minlength=n * n)
+        return DirectedNetwork.from_weight_matrix(w.reshape(n, n), labels=self.labels)
 
 
-def active_labels(records, year: int) -> list[str]:
-    """Banks active (as lender or borrower) anywhere in the year, sorted."""
-    names = set()
+def index_year(records, year: int, days=None) -> YearIndex:
+    """Index the records of ``year`` for cutting windows from them.
+
+    The node set is every bank active anywhere in the year. The index covers
+    the year's trading calendar, or only ``days`` (sorted, distinct days of
+    the year) when given: a caller that needs one window then indexes only
+    its records.
+    """
+    if days is None:
+        days = [d for d in trading_calendar(records) if d.year == year]
+    elif any(d.year != year for d in days) or any(b <= a for a, b in zip(days, days[1:])):
+        raise ConfigurationError(f"index days must be sorted, distinct days of {year}")
+    position = {d: k for k, d in enumerate(days)}
+    # one pass: the year's banks, and the records of the indexed days in file order
+    banks, recs = set(), []
     for r in records:
         if r.date.year == year:
-            names.add(r.lender)
-            names.add(r.borrower)
-    return sorted(names)
+            banks.add(r.lender)
+            banks.add(r.borrower)
+            if r.date in position:
+                recs.append(r)
+    labels = tuple(sorted(banks))
+    node = {name: k for k, name in enumerate(labels)}
+    n = len(labels)
+    day = np.array([position[r.date] for r in recs], dtype=np.intp)
+    order = np.argsort(day, kind="stable")
+    return YearIndex(
+        year=year, labels=labels, days=tuple(days),
+        cell=np.array([node[r.lender] * n + node[r.borrower] for r in recs], dtype=np.intp),
+        amount=np.array([r.amount for r in recs], dtype=float),
+        order=order, bounds=np.searchsorted(day[order], np.arange(len(days) + 1)))
+
+
+def build_windows(records, year: int, delta_t: int) -> list[AggregationWindow]:
+    """All complete delta_t-day windows of one year, in chronological order.
+
+    ``records`` may be a ``YearIndex`` of the year, whose days are then the
+    calendar.
+    """
+    if delta_t < 1:
+        raise ConfigurationError(f"delta_t must be >= 1, got {delta_t}")
+    if isinstance(records, YearIndex):
+        if records.year != year:
+            raise ConfigurationError(f"index covers {records.year}, not {year}")
+        days = records.days
+    else:
+        days = [d for d in trading_calendar(records) if d.year == year]
+    return [AggregationWindow(year=year, delta_t=delta_t, window_index=k,
+                              days=tuple(days[k * delta_t:(k + 1) * delta_t]))
+            for k in range(len(days) // delta_t)]
 
 
 def aggregate(records, window: AggregationWindow) -> DirectedNetwork:
     """Collapse the window's transactions into one weighted snapshot.
 
     a_ij = 1 iff at least one loan i -> j falls inside the window; weights
-    are summed amounts. The node set covers the whole year, so windows of
-    one year share a common N.
+    are the amounts summed in file order. The node set covers the whole
+    year, so windows of one year share a common N. ``records`` may be a
+    ``YearIndex`` of the window's year, built once for many windows;
+    otherwise only the window's records are indexed.
     """
-    labels = active_labels(records, window.year)
-    index = {name: k for k, name in enumerate(labels)}
-    n = len(labels)
-    w = np.zeros((n, n))
-    day_set = set(window.days)
-    for r in records:
-        if r.date in day_set:
-            w[index[r.lender], index[r.borrower]] += r.amount
-    return DirectedNetwork.from_weight_matrix(w, labels=tuple(labels))
+    if not isinstance(records, YearIndex):
+        records = index_year(records, window.year, window.days)
+    return records.network(window)
 
 
 def fitness_from_strengths(net: DirectedNetwork) -> FitnessData:
@@ -263,9 +336,9 @@ def synth_transactions(model: FittedModel, year: int, n_days: int, seed: int,
     days = trading_days(year, n_days)
     n = model.n
     labels = [f"B{k:04d}" for k in range(n)]
+    nets = sample_networks(model, [derive_subseed(seed, k) for k in range(n_days)])
     records = []
-    for k, day in enumerate(days):
-        net = sample_network(model, derive_subseed(seed, k))
+    for k, (day, net) in enumerate(zip(days, nets)):
         rows, cols = np.nonzero(net.adjacency)
         if amount_sigma > 0.0:
             rng = np.random.Generator(np.random.PCG64(derive_subseed(seed, n_days + k)))
@@ -302,8 +375,7 @@ def write_fitness_csv(path, fitness: FitnessData, labels=None) -> None:
 
 def read_fitness_csv(path) -> tuple[FitnessData, list[str]]:
     labels, assets, liabilities = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh) as reader:
         try:
             header = [h.strip().lower() for h in next(reader)]
         except StopIteration:
@@ -319,6 +391,9 @@ def read_fitness_csv(path) -> tuple[FitnessData, list[str]]:
                 a, l = float(row[1]), float(row[2])
             except ValueError:
                 raise ParseError(f"bad fitness values {row[1:]!r}", line=reader.line_num) from None
+            if not (0 <= a < math.inf and 0 <= l < math.inf):  # NaN fails both
+                raise DataValidationError(f"fitness values must be finite and nonnegative, "
+                                          f"got {row[1:]!r}", line=reader.line_num)
             labels.append(row[0].strip())
             assets.append(a)
             liabilities.append(l)

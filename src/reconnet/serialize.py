@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParseError
 from .graph import DirectedNetwork
-from .ingest import FitnessData
+from .ingest import FitnessData, csv_reader
 from .models import FittedModel, ModelKind
 
 
@@ -35,9 +35,12 @@ def write_csv(path, header, columns) -> None:
     """
     cells = []
     for column in columns:
-        column = np.asarray(column)
-        items = column.tolist()
-        cells.append(list(map(_FLOAT17, items)) if column.dtype.kind == "f" else items)
+        array = np.asarray(column)
+        if array.dtype.kind == "f":
+            cells.append(list(map(_FLOAT17, array.tolist())))
+        else:
+            # items of a sequence as they are: a numpy str array drops trailing NULs
+            cells.append(array.tolist() if isinstance(column, np.ndarray) else list(column))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -122,15 +125,22 @@ def write_nodes(path, labels) -> None:
 
 
 def read_nodes(path) -> list[str]:
+    """Node labels from rows ``index,label`` whose indices run 0, 1, ... in order.
+
+    Any other row is a ParseError with its line number.
+    """
     labels = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh) as reader:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["index", "label"]:
             raise ParseError(f"bad nodes header in {path}", line=1)
-        for row in reader:
-            if row:
-                labels.append(row[1])
+        for row in filter(None, reader):
+            if len(row) != 2:
+                raise ParseError(f"expected 2 fields, got {len(row)}", line=reader.line_num)
+            if row[0].strip() != str(len(labels)):
+                raise ParseError(f"node index {row[0]!r} out of order, expected {len(labels)}",
+                                 line=reader.line_num)
+            labels.append(row[1])
     return labels
 
 

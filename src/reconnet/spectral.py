@@ -167,13 +167,16 @@ def leading_eigenvalue(net: DirectedNetwork) -> float:
     return spectral_radius(net.adjacency)[0]
 
 
-def rescale_matrix(net: DirectedNetwork, model: FittedModel) -> np.ndarray:
+def rescale_matrix(net: DirectedNetwork, model: FittedModel,
+                   link: np.ndarray | None = None) -> np.ndarray:
     """Entrywise standardization (a_ij - p_ij) / sqrt(N p_ij (1 - p_ij)).
 
     Entries whose model probability is exactly 0 or 1 are deterministic
-    and set to 0, as is the diagonal.
+    and set to 0, as is the diagonal. ``link`` is the model's link
+    probability matrix, for a caller that rescales many networks of one
+    model and computes it once; by default it is computed here.
     """
-    p = dyad_probability_arrays(model).link
+    p = dyad_probability_arrays(model).link if link is None else link
     a = net.adjacency
     if a.shape != p.shape:
         raise DomainError(f"network has {a.shape[0]} nodes, model has {p.shape[0]}")

@@ -11,7 +11,7 @@ from .ensemble import expected_metrics
 from .errors import DomainError, SingularityError, UndefinedAUCError
 from .estimation import SolverConfig, fit_fdcm
 from .graph import DirectedNetwork, degrees_strengths
-from .ingest import FitnessData, aggregate, build_windows, fitness_from_strengths
+from .ingest import FitnessData, aggregate, build_windows, fitness_from_strengths, index_year
 from .models import FittedModel, dyad_probability_arrays
 
 log = logging.getLogger(__name__)
@@ -108,19 +108,21 @@ def scan_aggregations(records, year: int, delta_t_list,
     the observed one. Windows without links are skipped and counted; a
     delta_t where every window was skipped is kept as a missing row.
     Fitness defaults to the strengths realized in the window itself;
-    passing ``fitness`` pins one external vector for all windows.
+    passing ``fitness`` pins one external vector for all windows. The
+    year's records are indexed once and every window is cut from the index.
     """
     delta_t_list = list(delta_t_list)
     if any(b <= a for a, b in zip(delta_t_list, delta_t_list[1:])):
         raise DomainError("delta_t values must be strictly increasing")
     rows: list[ScanRow] = []
     window_rows: list[WindowRow] = []
+    index = index_year(records, year)
     for delta_t in delta_t_list:
-        windows = build_windows(records, year, delta_t)
+        windows = build_windows(index, year, delta_t)
         skipped = 0
         per_window: list[WindowRow] = []
         for window in windows:
-            net = aggregate(records, window)
+            net = aggregate(index, window)
             metrics = degrees_strengths(net)
             if metrics.link_count == 0 or metrics.r is None:
                 skipped += 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from reconnet import DirectedNetwork
+
 
 def char_poly_roots_4x4(a):
     """Eigenvalue oracle for a 4x4 matrix: characteristic-polynomial
@@ -79,3 +81,24 @@ def pairwise_auc(scores, labels):
     diff = pos[:, None] - neg[None, :]
     wins = np.count_nonzero(diff > 0) + 0.5 * np.count_nonzero(diff == 0)
     return float(wins) / (len(pos) * len(neg))
+
+
+def aggregate_record_loop(records, window):
+    """Window snapshot by a running sum over the records in file order.
+
+    The node set is every bank active in the window's year. This is the
+    record-by-record aggregation the indexed one must match bit for bit.
+    """
+    names = set()
+    for r in records:
+        if r.date.year == window.year:
+            names.add(r.lender)
+            names.add(r.borrower)
+    labels = sorted(names)
+    index = {name: k for k, name in enumerate(labels)}
+    w = np.zeros((len(labels), len(labels)))
+    day_set = set(window.days)
+    for r in records:
+        if r.date in day_set:
+            w[index[r.lender], index[r.borrower]] += r.amount
+    return DirectedNetwork.from_weight_matrix(w, labels=tuple(labels))

@@ -13,6 +13,7 @@ from reconnet.serialize import (
     fmt,
     read_model,
     read_network,
+    read_nodes,
     write_csv,
     write_network,
     write_nodes,
@@ -103,6 +104,36 @@ class TestReadNetworkRejects:
         rc = main(["spectra", "--networks", str(net_dir), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+
+class TestReadNodes:
+    def test_round_trip(self, tmp_path):
+        write_nodes(tmp_path / "nodes.csv", ["B0", "b,1", " B2 "])
+        assert read_nodes(tmp_path / "nodes.csv") == ["B0", "b,1", " B2 "]
+
+    @pytest.mark.parametrize("row", [
+        "1",              # one field
+        "1,B1,x",         # three fields
+        "2,B2",           # index skips 1
+        "0,B0",           # index repeats
+        "x,B1",           # index not an integer
+        "-1,B1",
+    ])
+    def test_bad_row_is_parse_error_with_line(self, tmp_path, row):
+        path = tmp_path / "nodes.csv"
+        path.write_text(f"index,label\n0,B0\n{row}\n2,B2\n")
+        with pytest.raises(ParseError) as err:
+            read_nodes(path)
+        assert err.value.line == 3
+
+    def test_spectra_exits_with_data_error(self, tmp_path, capsys):
+        net_dir = tmp_path / "nets"
+        net_dir.mkdir()
+        (net_dir / "nodes.csv").write_text("index,label\n0,B0\n1\n")
+        (net_dir / "s.csv").write_text("source,target,weight\n0,1,1\n")
+        rc = main(["spectra", "--networks", str(net_dir), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -3,21 +3,34 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import aggregate_record_loop
 
 from reconnet import (
+    AggregationWindow,
     FitnessData,
     FittedModel,
     ModelKind,
     aggregate,
     build_windows,
+    derive_subseed,
     fitness_from_strengths,
     parse_transactions,
+    sample_network,
     synth_fitness,
     synth_transactions,
     trading_calendar,
 )
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
-from reconnet.ingest import TransactionRecord, read_fitness_csv, write_fitness_csv
+from reconnet.ingest import (
+    TransactionRecord,
+    YearIndex,
+    index_year,
+    read_fitness_csv,
+    trading_days,
+    write_fitness_csv,
+)
 
 FIXTURE = """date,lender,borrower,amount
 2007-03-01,B1,B2,10.5
@@ -153,6 +166,109 @@ class TestAggregate:
         np.testing.assert_array_equal(part1.weights + part2.weights, whole.weights)
 
 
+def assert_same_network(got, want):
+    """Labels, adjacency and weights equal bit for bit."""
+    assert got.labels == want.labels
+    assert got.adjacency.tobytes() == want.adjacency.tobytes()
+    assert got.weights.dtype == want.weights.dtype
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+# trading days straddling a year end, so streams span two years
+_DAYS = [dt.date(2006, 12, 27) + dt.timedelta(days=k) for k in range(12)]
+
+
+@st.composite
+def streams(draw, max_records=60):
+    """Records in arbitrary (not day) order, several loans per cell, mixed magnitudes."""
+    banks = [f"B{k}" for k in range(draw(st.integers(2, 6)))]
+    count = draw(st.integers(0, max_records))
+    records = []
+    for _ in range(count):
+        lender, borrower = draw(st.permutations(banks))[:2]
+        amount = draw(st.floats(1e-3, 1e9, allow_nan=False, allow_infinity=False)
+                      | st.sampled_from([0.1, 0.2, 0.3, 1.0]))
+        records.append(TransactionRecord(draw(st.sampled_from(_DAYS)), lender, borrower,
+                                         amount))
+    return records
+
+
+class TestIndexedAggregation:
+    """The indexed aggregation against the record-loop oracle, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(streams(), st.sampled_from([2006, 2007]), st.integers(1, 9), st.data())
+    def test_every_window_matches_the_record_loop(self, records, year, delta_t, data):
+        index = index_year(records, year)
+        windows = build_windows(records, year, delta_t)
+        assert build_windows(index, year, delta_t) == windows
+        # a single window over the whole year as well
+        days = index.days
+        if days:
+            windows.append(AggregationWindow(year, len(days), 0, days))
+        cut = data.draw(st.integers(0, len(records)))
+        for window in windows:
+            want = aggregate_record_loop(records, window)
+            assert_same_network(aggregate(index, window), want)
+            assert_same_network(aggregate(records, window), want)
+            # a subset of the records on a window built from all of them
+            assert_same_network(aggregate(records[:cut], window),
+                                aggregate_record_loop(records[:cut], window))
+
+    def test_shuffled_stream_sums_in_file_order(self):
+        # in floating point, (1 + 1) + 1e16 is 1e16 + 2 but (1e16 + 1) + 1 is 1e16
+        recs = [TransactionRecord(dt.date(2007, 1, 3), "A", "B", 1.0),
+                TransactionRecord(dt.date(2007, 1, 3), "A", "B", 1.0),
+                TransactionRecord(dt.date(2007, 1, 2), "A", "B", 1e16),
+                TransactionRecord(dt.date(2007, 1, 2), "B", "A", 2.0)]
+        window = build_windows(recs, 2007, 2)[0]
+        net = aggregate(index_year(recs, 2007), window)
+        assert net.weights[0, 1] == 1e16 + 2.0 != (1e16 + 1.0) + 1.0
+        assert_same_network(net, aggregate_record_loop(recs, window))
+
+    def test_index_arrays(self):
+        recs = parse(FIXTURE)
+        index = index_year(recs, 2007)
+        assert index.labels == ("B1", "B2", "B3")
+        assert index.days == tuple(trading_calendar(recs))
+        np.testing.assert_array_equal(index.cell, [0 * 3 + 1, 1 * 3 + 2, 1, 2 * 3 + 0, 3])
+        np.testing.assert_array_equal(index.amount, [10.5, 4.0, 2.5, 7.0, 1.0])
+        np.testing.assert_array_equal(index.bounds, [0, 2, 4, 5])
+
+    def test_window_index_covers_only_its_days(self):
+        recs = parse(FIXTURE)
+        window = build_windows(recs, 2007, 1)[1]
+        index = index_year(recs, 2007, window.days)
+        assert index.labels == ("B1", "B2", "B3")  # still the year's banks
+        assert index.days == window.days
+        np.testing.assert_array_equal(index.amount, [2.5, 7.0])
+
+    def test_other_years_left_out(self):
+        recs = parse(FIXTURE + "2008-01-02,B4,B1,3.0\n")
+        index = index_year(recs, 2007)
+        assert "B4" not in index.labels and len(index.amount) == 5
+        assert build_windows(index, 2007, 1) == build_windows(recs, 2007, 1)
+
+    def test_window_outside_the_index_rejected(self):
+        recs = parse(FIXTURE)
+        windows = build_windows(recs, 2007, 1)
+        index = index_year(recs, 2007, windows[0].days)
+        with pytest.raises(ConfigurationError):
+            aggregate(index, windows[1])
+        with pytest.raises(ConfigurationError):
+            build_windows(index, 2008, 1)
+
+    def test_unsorted_days_rejected(self):
+        recs = parse(FIXTURE)
+        with pytest.raises(ConfigurationError):
+            index_year(recs, 2007, [dt.date(2007, 3, 2), dt.date(2007, 3, 1)])
+
+    def test_empty_stream_gives_an_empty_index(self):
+        index = index_year([], 2007)
+        assert isinstance(index, YearIndex) and index.labels == index.days == ()
+        assert build_windows(index, 2007, 1) == []
+
+
 class TestFitness:
     def test_single_loan(self):
         recs = parse("date,lender,borrower,amount\n2007-03-01,B1,B2,5\n")
@@ -221,6 +337,17 @@ class TestSynthTransactions:
                [(r.date, r.lender, r.borrower, r.amount) for r in recs2]
         assert all(r.date.year == 2010 and r.date.weekday() < 5 for r in recs1)
         assert len({r.date for r in recs1}) <= 10
+
+    def test_day_k_is_the_network_drawn_with_sub_seed_k(self):
+        fitness = FitnessData(np.linspace(0.5, 2.0, 6), np.linspace(2.0, 0.5, 6))
+        model = FittedModel(ModelKind.FDCM, {"z": 0.4}, fitness=fitness)
+        recs = synth_transactions(model, 2010, 8, seed=11)
+        for k, day in enumerate(trading_days(2010, 8)):
+            a = np.zeros((6, 6), dtype=np.int8)
+            for r in recs:
+                if r.date == day:
+                    a[int(r.lender[1:]), int(r.borrower[1:])] = 1
+            np.testing.assert_array_equal(a, sample_network(model, derive_subseed(11, k)).adjacency)
 
     def test_record_validation(self):
         with pytest.raises(DataValidationError):

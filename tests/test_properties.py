@@ -1,0 +1,295 @@
+"""Property tests of the CSV readers and writers.
+
+Writing then reading transactions, fitness, edge lists and node lists
+gives back what was written, bit for bit. A valid file with one malformed
+row inserted anywhere must end in a ParseError or DataValidationError that
+names that row's line, and in CLI exit code 2.
+"""
+
+import datetime as dt
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from reconnet import DirectedNetwork
+from reconnet.cli import main
+from reconnet.errors import DataValidationError, ParseError
+from reconnet.ingest import (
+    FitnessData,
+    TransactionRecord,
+    parse_transactions,
+    read_fitness_csv,
+    write_fitness_csv,
+    write_transactions_csv,
+)
+from reconnet.serialize import read_network, read_nodes, write_network, write_nodes
+
+FUZZ = settings(max_examples=60, deadline=None)
+CLI_FUZZ = settings(max_examples=10, deadline=None)
+
+# any text without surrogates; the readers strip names, so these are stripped too
+text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+names = text.map(str.strip).filter(bool)
+positive = st.floats(min_value=5e-324, max_value=1.7e308)
+nonnegative = st.floats(min_value=0.0, max_value=1.7e308)
+
+
+def _tmp():
+    return tempfile.TemporaryDirectory()
+
+
+# ---------------------------------------------------------------------------
+# round trips
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def transaction_records(draw):
+    lender, borrower = draw(st.lists(names, min_size=2, max_size=2, unique=True))
+    return TransactionRecord(draw(st.dates()), lender, borrower, draw(positive),
+                             draw(st.none() | names))
+
+
+@FUZZ
+@given(st.lists(transaction_records(), max_size=20))
+def test_transactions_round_trip(records):
+    with _tmp() as tmp:
+        path = Path(tmp) / "transactions.csv"
+        write_transactions_csv(path, records)
+        assert parse_transactions(path) == records
+
+
+@FUZZ
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(names, min_size=n, max_size=n, unique=True),
+    st.lists(nonnegative, min_size=n, max_size=n),
+    st.lists(nonnegative, min_size=n, max_size=n))))
+def test_fitness_round_trip(drawn):
+    labels, assets, liabilities = drawn
+    assume(max(assets) > 0 and max(liabilities) > 0)
+    fitness = FitnessData(np.array(assets), np.array(liabilities))
+    with _tmp() as tmp:
+        path = Path(tmp) / "fitness.csv"
+        write_fitness_csv(path, fitness, labels=labels)
+        back, back_labels = read_fitness_csv(path)
+    assert back_labels == labels
+    assert back.assets.tobytes() == fitness.assets.tobytes()
+    assert back.liabilities.tobytes() == fitness.liabilities.tobytes()
+
+
+@FUZZ
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), positive), max_size=30),
+    st.just(n))))
+def test_edge_list_round_trip(drawn):
+    links, n = drawn
+    w = np.zeros((n, n))
+    for i, j, weight in links:
+        if i != j:
+            w[i, j] = weight
+    net = DirectedNetwork.from_weight_matrix(w)
+    with _tmp() as tmp:
+        path = Path(tmp) / "edges.csv"
+        write_network(path, net)
+        back = read_network(path, n)
+    assert back.adjacency.tobytes() == net.adjacency.tobytes()
+    assert back.weights.tobytes() == net.weights.tobytes()
+
+
+@FUZZ
+@given(st.lists(text, max_size=12, unique=True))
+def test_nodes_round_trip(labels):
+    with _tmp() as tmp:
+        path = Path(tmp) / "nodes.csv"
+        write_nodes(path, labels)
+        assert read_nodes(path) == labels
+
+
+# ---------------------------------------------------------------------------
+# malformed rows
+# ---------------------------------------------------------------------------
+
+# single-line tokens: no delimiter, quote or line break, so one row is one line
+token = st.text(st.sampled_from("abxyz0123456789-.+eE :_"), max_size=8)
+nonblank = token.filter(str.strip)
+
+
+def _fails(parse):
+    def check(value):
+        try:
+            parse(value)
+        except ValueError:
+            return True
+        return False
+    return check
+
+
+def wrong_arity(arities):
+    return st.sampled_from(arities).flatmap(
+        lambda k: st.lists(nonblank, min_size=k, max_size=k))
+
+
+bad_float = token.filter(_fails(float)) | st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "0", "-0", "-2.5"])
+bad_nonnegative = token.filter(_fails(float)) | st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "-2.5", "-1e-300"])
+
+
+def _bad_date(value):
+    try:
+        dt.date.fromisoformat(value.strip())
+    except ValueError:
+        return True
+    return False
+
+
+GOOD_TX = ["2007-03-01", "B1", "B2", "5.0"]
+bad_transaction = st.one_of(
+    wrong_arity([1, 2, 3, 5, 6]),
+    token.filter(_bad_date).map(lambda d: [d, "B1", "B2", "5.0"]),
+    bad_float.map(lambda a: ["2007-03-01", "B1", "B2", a]),
+    st.sampled_from(["", " "]).map(lambda name: ["2007-03-01", name, "B2", "5.0"]),
+    st.sampled_from(["", " "]).map(lambda name: ["2007-03-01", "B1", name, "5.0"]),
+    st.just(["2007-03-01", "B1", "B1", "5.0"]),
+)
+
+GOOD_EDGE = ["0", "1", "2.5"]
+bad_edge = st.one_of(
+    wrong_arity([1, 2, 4, 5]),
+    token.filter(_fails(int)).map(lambda i: [i, "1", "1.0"]),
+    token.filter(_fails(int)).map(lambda j: ["1", j, "1.0"]),
+    (st.integers(max_value=-1) | st.integers(min_value=4)).map(lambda i: [str(i), "1", "1"]),
+    (st.integers(max_value=-1) | st.integers(min_value=4)).map(lambda j: ["1", str(j), "1"]),
+    bad_float.map(lambda w: ["0", "1", w]),
+)
+
+GOOD_FITNESS = ["B1", "1.5", "2.0"]
+bad_fitness = st.one_of(
+    wrong_arity([1, 2, 4, 5]),
+    bad_nonnegative.map(lambda a: ["B9", a, "1.0"]),
+    bad_nonnegative.map(lambda l: ["B9", "1.0", l]),
+)
+
+
+def _file(header, good_row, rows_before, bad_row, rows_after):
+    rows = [header] + [good_row] * rows_before + [bad_row] + [good_row] * rows_after
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+placement = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+def _assert_rejected_at(read, content, line):
+    with _tmp() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_text(content, encoding="utf-8")
+        try:
+            read(path)
+        except (ParseError, DataValidationError) as exc:
+            assert exc.line == line, f"{exc} (expected line {line})"
+        else:
+            raise AssertionError(f"accepted a malformed row on line {line}:\n{content}")
+
+
+@FUZZ
+@given(bad_transaction, placement)
+def test_malformed_transaction_row_names_its_line(bad, where):
+    content = _file(["date", "lender", "borrower", "amount"], GOOD_TX, where[0], bad, where[1])
+    _assert_rejected_at(parse_transactions, content, 2 + where[0])
+
+
+@FUZZ
+@given(bad_edge, placement)
+def test_malformed_edge_row_names_its_line(bad, where):
+    content = _file(["source", "target", "weight"], GOOD_EDGE, where[0], bad, where[1])
+    _assert_rejected_at(lambda path: read_network(path, 4), content, 2 + where[0])
+
+
+@FUZZ
+@given(bad_fitness, placement)
+def test_malformed_fitness_row_names_its_line(bad, where):
+    content = _file(["node", "assets", "liabilities"], GOOD_FITNESS, where[0], bad, where[1])
+    _assert_rejected_at(read_fitness_csv, content, 2 + where[0])
+
+
+@st.composite
+def nodes_with_bad_row(draw):
+    """A nodes file whose row ``before`` breaks the 0, 1, 2, ... index order or arity."""
+    before, after = draw(placement)
+    bad = draw(st.one_of(
+        wrong_arity([1, 3, 4]),
+        token.filter(_fails(int)).map(lambda i: [i, "X"]),
+        st.integers().filter(lambda i: i != before).map(lambda i: [str(i), "X"]),
+    ))
+    rows = [["index", "label"]] + [[str(k), f"B{k}"] for k in range(before)] + [bad]
+    rows += [[str(before + 1 + k), f"B{before + 1 + k}"] for k in range(after)]
+    return "".join(",".join(row) + "\n" for row in rows), 2 + before
+
+
+@FUZZ
+@given(nodes_with_bad_row())
+def test_malformed_nodes_row_names_its_line(drawn):
+    content, line = drawn
+    _assert_rejected_at(read_nodes, content, line)
+
+
+@pytest.mark.parametrize("content,read", [
+    ("date,lender,borrower,amount\n2007-03-01,B1,B2,5.0\n2007-03-01,B1,{},5.0\n",
+     parse_transactions),
+    ("source,target,weight\n0,1,2.5\n0,2,{}\n", lambda path: read_network(path, 4)),
+    ("node,assets,liabilities\nB1,1.0,1.0\n{},1.0,1.0\n", read_fitness_csv),
+    ("index,label\n0,B0\n1,{}\n", read_nodes),
+])
+def test_field_past_the_csv_limit_is_parse_error_with_line(content, read):
+    huge = "x" * 200_000  # the csv module refuses fields over 131 072 characters
+    _assert_rejected_at(read, content.format(huge), 3)
+
+
+# ---------------------------------------------------------------------------
+# the same rows through the CLI: exit code 2
+# ---------------------------------------------------------------------------
+
+
+@CLI_FUZZ
+@given(bad_transaction, placement)
+def test_cli_scan_exits_2_on_a_malformed_transaction(bad, where):
+    with _tmp() as tmp:
+        path = Path(tmp) / "tx.csv"
+        path.write_text(_file(["date", "lender", "borrower", "amount"], GOOD_TX,
+                              where[0], bad, where[1]), encoding="utf-8")
+        assert main(["scan", "--transactions", str(path), "--year", "2007",
+                     "--delta-t", "1", "--out", str(Path(tmp) / "out")]) == 2
+
+
+@CLI_FUZZ
+@given(bad_fitness, placement)
+def test_cli_fit_exits_2_on_a_malformed_fitness_row(bad, where):
+    with _tmp() as tmp:
+        path = Path(tmp) / "fitness.csv"
+        path.write_text(_file(["node", "assets", "liabilities"], GOOD_FITNESS,
+                              where[0], bad, where[1]), encoding="utf-8")
+        assert main(["fit", "--fitness", str(path), "--model", "fdcm", "--density", "0.5",
+                     "--out", str(Path(tmp) / "out")]) == 2
+
+
+@CLI_FUZZ
+@given(st.one_of(nodes_with_bad_row().map(lambda drawn: (drawn[0], None)),
+                 bad_edge.map(lambda row: (None, row))))
+def test_cli_spectra_exits_2_on_a_malformed_nodes_or_edge_row(drawn):
+    nodes, bad_edge_row = drawn
+    with _tmp() as tmp:
+        net_dir = Path(tmp) / "nets"
+        net_dir.mkdir()
+        if nodes is None:
+            write_nodes(net_dir / "nodes.csv", ["B0", "B1", "B2", "B3"])
+            edges = _file(["source", "target", "weight"], GOOD_EDGE, 1, bad_edge_row, 1)
+        else:
+            (net_dir / "nodes.csv").write_text(nodes, encoding="utf-8")
+            edges = "source,target,weight\n0,1,1.0\n"
+        (net_dir / "s.csv").write_text(edges, encoding="utf-8")
+        assert main(["spectra", "--networks", str(net_dir),
+                     "--out", str(Path(tmp) / "out")]) == 2

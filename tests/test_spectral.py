@@ -9,6 +9,7 @@ from reconnet import (
     ModelKind,
     bulk_shape,
     derive_subseed,
+    dyad_probability_arrays,
     eigenvalues,
     fgrm_tau,
     fit_fdcm,
@@ -25,6 +26,7 @@ from reconnet.errors import (
     InsufficientDataError,
     NumericalError,
 )
+from reconnet.serialize import write_model, write_network, write_nodes
 
 
 class TestEigenvalues:
@@ -211,6 +213,40 @@ class TestRescale:
         a = net.adjacency.astype(float)
         off = ~np.eye(n, dtype=bool)
         np.testing.assert_allclose(j[off], (2 * a[off] - 1) / np.sqrt(n))
+
+    def test_precomputed_link_matrix_gives_the_same_bits(self):
+        rng = np.random.default_rng(5)
+        fitness = FitnessData(rng.lognormal(0, 1, 30), rng.lognormal(0, 1, 30))
+        model = fit_fgrm(fitness, 0.2, 0.35)
+        link = dyad_probability_arrays(model).link
+        for seed in range(3):
+            net = sample_network(model, seed)
+            assert rescale_matrix(net, model, link).tobytes() == \
+                rescale_matrix(net, model).tobytes()
+
+    def test_spectra_computes_link_probabilities_once(self, tmp_path, monkeypatch):
+        from reconnet import cli, models, spectral
+        from reconnet.cli import main
+
+        fitness = FitnessData(np.ones(6), np.ones(6))
+        model = FittedModel(ModelKind.FDCM, {"z": 0.5}, fitness=fitness)
+        net_dir = tmp_path / "nets"
+        net_dir.mkdir()
+        write_nodes(net_dir / "nodes.csv", [f"B{k}" for k in range(6)])
+        write_model(net_dir / "fitted.json", model)
+        for k in range(5):
+            write_network(net_dir / f"s{k}.csv", sample_network(model, k))
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return models.dyad_probability_arrays(m)
+
+        monkeypatch.setattr(cli, "dyad_probability_arrays", counted)
+        monkeypatch.setattr(spectral, "dyad_probability_arrays", counted)
+        assert main(["spectra", "--networks", str(net_dir), "--rescale", "--threads", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2  # the link matrix once, and once for tau
 
     def test_masked_entries_zero(self):
         fitness = FitnessData(np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0]))

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from oracles import pairwise_auc
+from oracles import aggregate_record_loop, pairwise_auc
 
 from reconnet import (
     DirectedNetwork,
     FitnessData,
     FittedModel,
     ModelKind,
+    TransactionRecord,
+    build_windows,
     cross_entropy,
+    degrees_strengths,
     derive_subseed,
     expected_metrics,
     extract_rho_landmarks,
     fit_fdcm,
+    fitness_from_strengths,
     mann_whitney_auc,
     rho,
     roc_auc,
@@ -22,6 +26,7 @@ from reconnet import (
     synth_transactions,
 )
 from reconnet.errors import DomainError, SingularityError, UndefinedAUCError
+from reconnet.ingest import trading_days
 
 
 class TestRho:
@@ -201,6 +206,32 @@ class TestScan:
         row = result.rows[0]
         assert row.window_count + row.skipped_windows == 4  # 30 // 7
         assert len(result.windows) == row.window_count
+
+    def test_windows_match_the_record_loop_bit_for_bit(self):
+        # a stream out of day order with spread-out amounts: each window's
+        # weights, hence its fitness and r_fdcm, depend on the summation order
+        rng = np.random.default_rng(3)
+        days = trading_days(2003, 20)
+        banks = [f"B{k}" for k in range(12)]
+        records = []
+        for _ in range(1000):
+            i, j = rng.choice(12, 2, replace=False)
+            records.append(TransactionRecord(days[rng.integers(20)], banks[i], banks[j],
+                                             float(rng.lognormal(0.0, 2.0))))
+        result = scan_aggregations(records, 2003, [1, 5, 10])
+        want = []
+        for delta_t in (1, 5, 10):
+            for window in build_windows(records, 2003, delta_t):
+                net = aggregate_record_loop(records, window)
+                m = degrees_strengths(net)
+                if m.link_count == 0:
+                    continue
+                _, r_fdcm = expected_metrics(fit_fdcm(fitness_from_strengths(net), m.d))
+                want.append((delta_t, window.window_index, m.d, m.r, r_fdcm, rho(m.r, r_fdcm)))
+        got = [(w.delta_t, w.window_index, w.density, w.reciprocity, w.r_fdcm, w.rho)
+               for w in result.windows]
+        assert got == want
+        assert [row.window_count for row in result.rows] == [20, 4, 2]
 
     def test_relabeling_invariance_of_rho(self):
         # rho depends only on the two scalar reciprocities

@@ -36,10 +36,12 @@ from .ingest import (
     AggregationWindow,
     FitnessData,
     TransactionRecord,
+    TransactionTable,
     aggregate,
     build_windows,
     fitness_from_strengths,
     parse_transactions,
+    read_transactions,
     synth_fitness,
     synth_transactions,
     trading_calendar,

@@ -10,8 +10,8 @@ timings aside), independent of the thread count.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
+import math
 import os
 import sys
 import time
@@ -49,8 +49,8 @@ from .ingest import (
     aggregate,
     build_windows,
     index_year,
-    parse_transactions,
     read_fitness_csv,
+    read_transactions,
     synth_fitness,
     synth_transactions,
     write_fitness_csv,
@@ -58,6 +58,8 @@ from .ingest import (
 )
 from .models import ModelKind, dyad_probability_arrays
 from .serialize import (
+    finite_float,
+    read_csv,
     read_json,
     read_model,
     read_network,
@@ -92,9 +94,14 @@ def _threads(cfg) -> int:
             return max(1, int(env))
         except ValueError:
             raise ConfigurationError(f"RECON_NET_THREADS={env!r} is not an integer") from None
-    if cfg.get("threads") is not None:
-        return max(1, int(cfg["threads"]))
-    return os.cpu_count() or 1
+    return max(1, _option(cfg, "threads", int, os.cpu_count() or 1))
+
+
+def _text(value) -> str:
+    """``value`` if it is a string: a number or a list is not a path or a name."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
 
 
 def _need(cfg, field, kind=None):
@@ -104,14 +111,19 @@ def _need(cfg, field, kind=None):
     if kind is not None:
         try:
             value = kind(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(f"field '{field}' has invalid value {value!r}") from None
     return value
 
 
+def _option(cfg, field, kind, default):
+    """An optional field through ``kind``, or ``default`` when it is absent."""
+    return default if cfg.get(field) is None else _need(cfg, field, kind)
+
+
 def _need_path(cfg, field) -> Path:
-    path = Path(_need(cfg, field))
-    if not path.exists():
+    path = Path(_need(cfg, field, _text))
+    if not path.is_file():
         raise ConfigurationError(f"field '{field}': no such file {path}")
     return path
 
@@ -128,7 +140,7 @@ def _fraction(cfg, field, lo, hi, lo_open=True, hi_open=True):
 
 
 def _out_dir(cfg) -> Path:
-    out = Path(_need(cfg, "out"))
+    out = Path(_need(cfg, "out", _text))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -137,11 +149,24 @@ def _solver_config(cfg) -> SolverConfig | None:
     overrides = cfg.get("solver")
     if not overrides:
         return None
+    if not isinstance(overrides, dict):
+        raise ConfigurationError("field 'solver' must be an object")
     known = {"residual_tolerance", "step_tolerance", "max_iterations", "lower_bound"}
     bad = set(overrides) - known
     if bad:
         raise ConfigurationError(f"unknown solver fields {sorted(bad)}")
+    for key, value in overrides.items():
+        if not _finite_number(value) or (key == "max_iterations" and not isinstance(value, int)):
+            raise ConfigurationError(f"field 'solver.{key}' has invalid value {value!r}")
     return SolverConfig(**overrides)
+
+
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a number (not a bool) with a finite float value."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def parse_delta_ts(text) -> list[int]:
@@ -176,8 +201,8 @@ def parse_delta_ts(text) -> list[int]:
 
 def _cmd_synth(cfg, out):
     n = _need(cfg, "nodes", int)
-    dist = _need(cfg, "fitness_dist")
-    kind = ModelKind(_need(cfg, "model"))
+    dist = _need(cfg, "fitness_dist", _text)
+    kind = _need(cfg, "model", ModelKind)
     d = _fraction(cfg, "density", 0.0, 1.0)
     seed = _need(cfg, "seed", int)
     fitness = synth_fitness(n, dist, derive_subseed(seed, 0))
@@ -191,7 +216,7 @@ def _cmd_synth(cfg, out):
         raise ConfigurationError(f"field 'model' must be fdcm or fgrm, got {kind.value}")
     records = synth_transactions(model, _need(cfg, "year", int), _need(cfg, "days", int),
                                  derive_subseed(seed, 1),
-                                 amount_sigma=float(cfg.get("amount_sigma") or 0.0))
+                                 amount_sigma=_option(cfg, "amount_sigma", float, 0.0))
     paths = [out / "fitness.csv", out / "transactions.csv", out / "truth.json"]
     write_fitness_csv(paths[0], fitness)
     write_transactions_csv(paths[1], records)
@@ -200,10 +225,10 @@ def _cmd_synth(cfg, out):
 
 
 def _cmd_aggregate(cfg, out):
-    records = parse_transactions(_need_path(cfg, "transactions"))
+    table = read_transactions(_need_path(cfg, "transactions"))
     year = _need(cfg, "year", int)
     delta_t = _need(cfg, "delta_t", int)
-    index = index_year(records, year)
+    index = index_year(table, year)
     windows = build_windows(index, year, delta_t)
     net_dir = out / "networks"
     net_dir.mkdir(exist_ok=True)
@@ -229,7 +254,7 @@ def _cmd_aggregate(cfg, out):
 
 def _cmd_fit(cfg, out):
     fitness, _ = read_fitness_csv(_need_path(cfg, "fitness"))
-    kind = ModelKind(_need(cfg, "model"))
+    kind = _need(cfg, "model", ModelKind)
     d = _fraction(cfg, "density", 0.0, 1.0)
     solver = _solver_config(cfg)
     if kind is ModelKind.FGRM:
@@ -280,7 +305,7 @@ def _cmd_sample(cfg, out):
         "reciprocities": summary.reciprocities,
         "lambda_max": summary.lambda_max,
     })
-    n_write = int(cfg.get("write_networks") or 0)
+    n_write = _option(cfg, "write_networks", int, 0)
     if n_write > 0:
         sample_dir = out / "samples"
         sample_dir.mkdir(exist_ok=True)
@@ -304,7 +329,7 @@ def _cmd_sample(cfg, out):
 
 
 def _cmd_spectra(cfg, out):
-    net_dir = Path(_need(cfg, "networks"))
+    net_dir = Path(_need(cfg, "networks", _text))
     if not net_dir.is_dir():
         raise ConfigurationError(f"field 'networks': no such directory {net_dir}")
     nodes_path = net_dir / "nodes.csv"
@@ -359,24 +384,26 @@ def _cmd_spectra(cfg, out):
     return paths, {"axis_ratio": shape.axis_ratio, "spectra": len(files)}
 
 
+_SCAN_FIELDS = ["delta_t", "window_count", "skipped_windows", "mean_density",
+                "mean_reciprocity", "mean_r_fdcm", "mean_rho"]
+
+
 def _field_columns(records, fields):
     """One column per attribute name in ``fields``, across ``records``."""
     return [[getattr(r, name) for r in records] for name in fields]
 
 
 def _cmd_scan(cfg, out):
-    records = parse_transactions(_need_path(cfg, "transactions"))
+    table = read_transactions(_need_path(cfg, "transactions"))
     year = _need(cfg, "year", int)
     delta_ts = parse_delta_ts(_need(cfg, "delta_t"))
     fitness = None
     if cfg.get("fitness"):
         fitness, _ = read_fitness_csv(_need_path(cfg, "fitness"))
-    result = scan_aggregations(records, year, delta_ts, fitness=fitness,
+    result = scan_aggregations(table, year, delta_ts, fitness=fitness,
                                solver_config=_solver_config(cfg))
     paths = [out / "rho_scan.csv", out / "rho_windows.csv", out / "scan.json"]
-    scan_fields = ["delta_t", "window_count", "skipped_windows", "mean_density",
-                   "mean_reciprocity", "mean_r_fdcm", "mean_rho"]
-    write_csv(paths[0], scan_fields, _field_columns(result.rows, scan_fields))
+    write_csv(paths[0], _SCAN_FIELDS, _field_columns(result.rows, _SCAN_FIELDS))
     window_fields = ["delta_t", "window_index", "density", "reciprocity", "r_fdcm", "rho"]
     write_csv(paths[1], window_fields, _field_columns(result.windows, window_fields))
     landmarks = {"t_min": result.t_min, "t_0": result.t_0, "t_max": result.t_max,
@@ -391,17 +418,17 @@ def _cmd_scan(cfg, out):
 
 def _cmd_validate(cfg, out):
     model = read_model(_need_path(cfg, "model_file"))
-    records = parse_transactions(_need_path(cfg, "transactions"))
+    table = read_transactions(_need_path(cfg, "transactions"))
     year = _need(cfg, "year", int)
     delta_t = _need(cfg, "delta_t", int)
-    window_index = int(cfg.get("window") or 0)
-    windows = build_windows(records, year, delta_t)
+    window_index = _option(cfg, "window", int, 0)
+    windows = build_windows(table, year, delta_t)
     if not windows:
         raise DataValidationError(f"no complete windows for year {year}, delta_t {delta_t}")
     if window_index >= len(windows):
         raise ConfigurationError(
             f"field 'window': index {window_index} out of range (have {len(windows)})")
-    net = aggregate(records, windows[window_index])
+    net = aggregate(table, windows[window_index])
     if net.n != model.n:
         raise DataValidationError(f"model has {model.n} nodes, window has {net.n}")
 
@@ -430,46 +457,44 @@ def _cmd_validate(cfg, out):
 
 
 def _cmd_report(cfg, out):
-    src = Path(_need(cfg, "in"))
+    src = Path(_need(cfg, "in", _text))
     if not src.is_dir():
         raise ConfigurationError(f"field 'in': no such directory {src}")
     paths = []
     spectra_csv = src / "spectra.csv"
     if spectra_csv.exists():
-        with open(spectra_csv, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            eigs = np.array([complex(float(r[1]), float(r[2])) for r in reader if r])
+        _, re, im = read_csv(spectra_csv, ["sample_id", "re", "im"],
+                             [str, finite_float, finite_float])
+        eigs = np.array(re, dtype=complex)
+        eigs.imag = im
         mean_tau = None
         bulk_json = src / "bulk.json"
         if bulk_json.exists():
-            mean_tau = read_json(bulk_json).get("mean_tau")
+            bulk = read_json(bulk_json)
+            if not isinstance(bulk, dict):
+                raise DataValidationError(f"{bulk_json}: expected a JSON object")
+            mean_tau = bulk.get("mean_tau")
+            if isinstance(mean_tau, bool) or not isinstance(mean_tau, (int, float, type(None))):
+                raise DataValidationError(f"{bulk_json}: mean_tau must be a number or null")
         paths.extend(figures.emit_figures((eigs, mean_tau), "spectrum_scatter", out))
     scan_csv = src / "rho_scan.csv"
     if scan_csv.exists():
-        with open(scan_csv, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            pts = [(int(r[0]), float(r[6])) for r in reader if r and int(r[1]) > 0]
+        delta_t, count, *_, mean_rho = read_csv(scan_csv, _SCAN_FIELDS,
+                                                [int] * 3 + [float] * 4)
+        pts = [(t, r) for t, c, r in zip(delta_t, count, mean_rho) if c > 0]
         if pts:
             series = [("scan", [p[0] for p in pts], [p[1] for p in pts])]
             paths.extend(figures.emit_figures(series, "rho_curve", out))
     roc_csv = src / "roc.csv"
     if roc_csv.exists():
-        with open(roc_csv, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            rows = [(float(r[1]), float(r[2])) for r in reader if r]
-        roc = RocResult(thresholds=np.array([]), fpr=np.array([p[0] for p in rows]),
-                        tpr=np.array([p[1] for p in rows]))
+        _, fpr, tpr = read_csv(roc_csv, ["threshold", "fpr", "tpr"],
+                               [float, finite_float, finite_float])
+        roc = RocResult(thresholds=np.array([]), fpr=np.array(fpr), tpr=np.array(tpr))
         paths.extend(figures.emit_figures(roc, "roc_curve", out))
     tau_csv = src / "tau.csv"
     if tau_csv.exists():
-        with open(tau_csv, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            vals = np.array([float(r[2]) for r in reader if r])
-        paths.extend(figures.emit_figures(vals, "tau_histogram", out))
+        *_, tau = read_csv(tau_csv, ["i", "j", "tau"], [int, int, float])
+        paths.extend(figures.emit_figures(np.array(tau), "tau_histogram", out))
     if not paths:
         print(f"report: no known artifacts found in {src}", file=sys.stderr)
     return paths, {"figures": len(paths)}

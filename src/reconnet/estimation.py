@@ -1,4 +1,5 @@
-"""Moment-matching estimation by bounded trust-region least squares.
+"""Moment-matching estimation: a bracketed Newton solve for the density-only
+model, bounded trust-region least squares for the others.
 
 Every fit solves (expected - target) / target = 0 componentwise, so one
 tolerance serves targets that differ by orders of magnitude. Parameters
@@ -11,6 +12,7 @@ start is a sensible origin regardless of currency units.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -39,6 +41,8 @@ class SolverConfig:
             raise DomainError("tolerances must be positive")
         if self.lower_bound <= 0:
             raise DomainError("lower_bound must be positive")
+        if self.initial_point is None and self.lower_bound >= 1.0:
+            raise DomainError("lower_bound must lie below the all-ones start point")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
 
@@ -118,27 +122,85 @@ def _normalized_fitness(fitness: FitnessData):
 
 def fit_fdcm(fitness: FitnessData, d_target: float,
              config: SolverConfig | None = None) -> FittedModel:
-    """Tune the single parameter z so the expected link density matches."""
+    """Tune the single parameter z so the expected link density matches.
+
+    Solves sum m / (1 + m) = L over the positive entries of alt, with
+    m = z * alt and L = n (n - 1) d, by Newton's method in s = log z. The
+    residual and its slope come from one pass over alt. Newton steps stay
+    inside a bracket of the root and fall back to bisection when they would
+    leave it; the lower end starts at the s where sum m = L, below the root
+    because m / (1 + m) <= m. Each evaluation counts against
+    ``config.max_iterations``; the fit stops once the relative residual is
+    within ``config.residual_tolerance``, and fails when the budget is spent,
+    a step falls below ``config.step_tolerance`` (relative, in s) first, or
+    the target comes within the tolerance of the number of positive entries
+    (only z -> infinity approaches it). z is the Newton step
+    from the last point evaluated, whose residual the report gives.
+    """
     if not 0.0 < d_target < 1.0:
         raise DomainError(f"density target must be in (0,1), got {d_target}")
-    alt, scale = _normalized_fitness(fitness)
     n = fitness.n
+    if n < 2:
+        raise DomainError(f"density fit needs at least 2 nodes, got {n}")
+    config = config or SolverConfig()
+    alt, scale = _normalized_fitness(fitness)
+    alt = alt[alt > 0]
     target = n * (n - 1) * d_target
+    start = time.perf_counter()
 
-    def resid(x):
-        m = np.minimum(x[0] * alt, _CLAMP)
-        return np.array([(np.sum(m / (1.0 + m)) - target) / target])
+    def report(evaluations, residual, converged):
+        return SolverReport(iterations=evaluations, residual_norm=residual,
+                            converged=converged, seconds=time.perf_counter() - start)
 
-    def jac(x):
-        m = np.minimum(x[0] * alt, _CLAMP)
-        den = 1.0 + m
-        return np.array([[np.sum(alt / (den * den)) / target]])
-
-    x, report = solve_bounded_least_squares(resid, 1, config, jac=jac)
-    if not report.converged:
-        raise NonConvergenceError("density fit did not converge", report)
-    return FittedModel(ModelKind.FDCM, {"z": float(x[0]) / scale},
-                       fitness=fitness, report=report)
+    # each m / (1 + m) stays below 1: a target within the tolerance of the number
+    # of positive entries, or above it, is reached by no finite z
+    if target >= alt.size * (1.0 - config.residual_tolerance):
+        raise NonConvergenceError(
+            f"density target ({target:.6g} links) reaches the number of dyads with positive "
+            f"fitness ({alt.size})", report(0, abs(target - alt.size) / target, False))
+    s_min = math.log(config.lower_bound)
+    lo, hi = max(math.log(target / alt.sum()), s_min), math.inf
+    s = lo
+    if config.initial_point is not None:
+        x0 = np.asarray(config.initial_point, dtype=float)
+        if x0.shape != (1,):
+            raise DomainError(f"initial point has shape {x0.shape}, expected (1,)")
+        if not x0[0] > config.lower_bound:
+            raise DomainError("initial point must lie strictly inside the bounds")
+        s = math.log(x0[0])
+    tol, step_tol = config.residual_tolerance, config.step_tolerance
+    evaluations, step = 0, math.inf
+    while True:
+        # 1 / (1 + 1/m) is m / (1 + m) without overflow: exactly 1 at m = inf, 0 at m = 0
+        with np.errstate(over="ignore", divide="ignore"):
+            m = np.exp(s) * alt
+            p = 1.0 / (1.0 + 1.0 / m)
+            f = (float(p.sum()) - target) / target
+            slope = float((p / (1.0 + m)).sum()) / target  # df/ds
+        evaluations += 1
+        # a step can land exactly on the root (f == 0), so test convergence first
+        converged = abs(f) <= tol
+        if converged or evaluations >= config.max_iterations \
+                or abs(step) <= step_tol * (step_tol + abs(s)):
+            break
+        if f < 0:
+            lo = max(lo, s)
+        else:
+            hi = min(hi, s)
+        new = s - f / slope if slope > 0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi) if hi < math.inf else max(lo, s + 1.0)
+        step, s = new - s, new
+    if converged and slope > 0:
+        s = max(s - f / slope, s_min)
+    with np.errstate(over="ignore"):
+        z = float(np.exp(s)) / scale
+    converged = converged and 0.0 < z < math.inf
+    if not converged:
+        raise NonConvergenceError("density fit did not converge",
+                                  report(evaluations, abs(f), False))
+    return FittedModel(ModelKind.FDCM, {"z": z}, fitness=fitness,
+                       report=report(evaluations, abs(f), True))
 
 
 def _fgrm_sums(uv, alt):

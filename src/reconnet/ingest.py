@@ -13,6 +13,7 @@ import bisect
 import csv
 import datetime as dt
 import io
+import itertools
 import math
 import re
 from contextlib import contextmanager
@@ -97,23 +98,31 @@ def csv_reader(stream):
         raise ParseError(str(exc), line=reader.line_num) from None
 
 
-def parse_transactions(source) -> list[TransactionRecord]:
-    """Parse a transactions CSV (header date,lender,borrower,amount[,maturity]).
+def read_transactions(source) -> TransactionTable:
+    """Read a transactions CSV (header date,lender,borrower,amount[,maturity]) into columns.
 
     ``source`` may be a path, a text stream, or a bytes stream (UTF-8).
     Raises ParseError with the offending line number on malformed rows and
     DataValidationError on semantic violations (an amount that is not
-    positive and finite, self-loops).
+    positive and finite, self-loops). Rows are read into column lists in
+    one pass and checked as arrays; only a rejected file is read again, to
+    find the line of its first bad row.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return parse_transactions(fh)
+            return read_transactions(fh)
     if isinstance(source, bytes):
-        return parse_transactions(io.StringIO(source.decode("utf-8")))
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
+        source = io.StringIO(source.decode("utf-8"))
+    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8")
+    if not source.seekable():
+        source = io.StringIO(source.read(), newline="")
+    start = source.tell()
 
-    with csv_reader(source) as reader:
+    reader = csv.reader(source)
+    columns = date_col, lender_col, borrower_col, amount_col, maturity_col = [], [], [], [], []
+    stop = None  # the error that ended the pass early, raised unless an earlier row is bad
+    try:
         try:
             header = next(reader)
         except StopIteration:
@@ -123,37 +132,146 @@ def parse_transactions(source) -> list[TransactionRecord]:
             raise ParseError(
                 f"bad header {header!r}, expected date,lender,borrower,amount[,maturity]", line=1
             )
-        has_maturity = len(header) == 5
-
-        records = []
+        width = len(header)
+        add_date, add_lender, add_borrower, add_amount, add_maturity = (c.append for c in columns)
         for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
+            if len(row) == width:
+                add_date(row[0])
+                add_lender(row[1])
+                add_borrower(row[2])
+                add_amount(row[3])
+                if width == 5:
+                    add_maturity(row[4])
+            elif row:
+                stop = ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+                break
+    except csv.Error as exc:
+        stop = ParseError(str(exc), line=reader.line_num)
+    n = len(date_col)
+
+    # every distinct field is converted once; a field that does not convert gets code -1
+    parsed = {}
+    for text in set(date_col):
+        try:
+            parsed[text] = dt.date.fromisoformat(text.strip())
+        except ValueError:
+            parsed[text] = None
+    dates = sorted({d for d in parsed.values() if d is not None})
+    date_code = {d: k for k, d in enumerate(dates)}
+    day_of = {text: -1 if d is None else date_code[d] for text, d in parsed.items()}
+    names = {text: text.strip() for text in set(lender_col).union(borrower_col)}
+    labels = sorted({name for name in names.values() if name})
+    label_code = {name: k for k, name in enumerate(labels)}
+    node_of = {text: label_code.get(name, -1) for text, name in names.items()}
+    day = np.fromiter(map(day_of.__getitem__, date_col), dtype=np.intp, count=n)
+    lender = np.fromiter(map(node_of.__getitem__, lender_col), dtype=np.intp, count=n)
+    borrower = np.fromiter(map(node_of.__getitem__, borrower_col), dtype=np.intp, count=n)
+    not_a_number = np.zeros(n, dtype=bool)
+    try:
+        amount = np.fromiter(map(float, amount_col), dtype=float, count=n)
+    except ValueError:
+        amount = np.ones(n)
+        for k, text in enumerate(amount_col):
             try:
-                date = dt.date.fromisoformat(row[0].strip())
+                amount[k] = float(text)
             except ValueError:
-                raise ParseError(f"bad ISO-8601 date {row[0]!r}", line=line) from None
-            lender = row[1].strip()
-            borrower = row[2].strip()
-            if not lender or not borrower:
-                raise ParseError("empty lender or borrower field", line=line)
-            try:
-                amount = float(row[3])
-            except ValueError:
-                raise ParseError(f"bad amount {row[3]!r}", line=line) from None
-            maturity = row[4].strip() if has_maturity and row[4].strip() else None
-            try:
-                records.append(TransactionRecord(date, lender, borrower, amount, maturity))
-            except DataValidationError as exc:
-                raise DataValidationError(str(exc), line=line) from None
-    return records
+                not_a_number[k] = True
+
+    bad = ((day < 0) | (lender < 0) | (borrower < 0) | not_a_number | (lender == borrower)
+           | ~((amount > 0) & (amount < math.inf)))  # NaN fails both comparisons
+    if bad.any():
+        k = int(np.argmax(bad))
+        source.seek(start)
+        line = line_of_row(source, k)
+        if day[k] < 0:
+            raise ParseError(f"bad ISO-8601 date {date_col[k]!r}", line=line)
+        if lender[k] < 0 or borrower[k] < 0:
+            raise ParseError("empty lender or borrower field", line=line)
+        if not_a_number[k]:
+            raise ParseError(f"bad amount {amount_col[k]!r}", line=line)
+        try:
+            TransactionRecord(dates[day[k]], labels[lender[k]], labels[borrower[k]],
+                              float(amount[k]))
+        except DataValidationError as exc:
+            raise DataValidationError(str(exc), line=line) from None
+    if stop is not None:
+        raise stop
+    if width == 5:
+        stripped = {text: text.strip() or None for text in set(maturity_col)}
+        maturity = list(map(stripped.__getitem__, maturity_col))
+    else:
+        maturity = [None] * n
+    return TransactionTable(dates=tuple(dates), day=day, labels=tuple(labels), lender=lender,
+                            borrower=borrower, amount=amount, maturity=maturity)
+
+
+def line_of_row(stream, k: int) -> int | None:
+    """Line number of the k-th nonempty row after the header of a CSV ``stream``."""
+    reader = csv.reader(stream)
+    next(reader)
+    for m, _ in enumerate(row for row in reader if row):
+        if m == k:
+            return reader.line_num
+    return None
+
+
+def parse_transactions(source) -> list[TransactionRecord]:
+    """Parse a transactions CSV (header date,lender,borrower,amount[,maturity]).
+
+    The records of ``read_transactions(source)``, in file order; see there
+    for the accepted sources and the errors raised.
+    """
+    return read_transactions(source).records()
+
+
+@dataclass(frozen=True, eq=False)
+class TransactionTable:
+    """Transactions as columns, one row per record in file order.
+
+    Row k lends ``amount[k]`` from ``labels[lender[k]]`` to
+    ``labels[borrower[k]]`` on ``dates[day[k]]``, with maturity
+    ``maturity[k]`` (None when absent). ``dates`` are the distinct dates
+    and ``labels`` the distinct bank names, both sorted ascending.
+    """
+
+    dates: tuple[dt.date, ...]
+    day: np.ndarray
+    labels: tuple[str, ...]
+    lender: np.ndarray
+    borrower: np.ndarray
+    amount: np.ndarray
+    maturity: list
+
+    @classmethod
+    def from_records(cls, records) -> TransactionTable:
+        records = list(records)
+        dates = sorted({r.date for r in records})
+        labels = sorted({name for r in records for name in (r.lender, r.borrower)})
+        date_code = {d: k for k, d in enumerate(dates)}
+        label_code = {name: k for k, name in enumerate(labels)}
+
+        def codes(values, code):
+            return np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(records))
+
+        return cls(dates=tuple(dates), day=codes((r.date for r in records), date_code),
+                   labels=tuple(labels),
+                   lender=codes((r.lender for r in records), label_code),
+                   borrower=codes((r.borrower for r in records), label_code),
+                   amount=np.array([r.amount for r in records], dtype=float),
+                   maturity=[r.maturity for r in records])
+
+    def records(self) -> list[TransactionRecord]:
+        labels = self.labels
+        return [TransactionRecord(date, labels[i], labels[j], amount, maturity)
+                for date, i, j, amount, maturity in zip(
+                    map(self.dates.__getitem__, self.day.tolist()), self.lender.tolist(),
+                    self.borrower.tolist(), self.amount.tolist(), self.maturity)]
 
 
 def trading_calendar(records) -> list[dt.date]:
     """Distinct dates present in the data, sorted ascending."""
+    if isinstance(records, TransactionTable):
+        return list(records.dates)
     return sorted({r.date for r in records})
 
 
@@ -195,33 +313,36 @@ class YearIndex:
 def index_year(records, year: int, days=None) -> YearIndex:
     """Index the records of ``year`` for cutting windows from them.
 
-    The node set is every bank active anywhere in the year. The index covers
+    ``records`` is a ``TransactionTable`` or a sequence of records. The
+    node set is every bank active anywhere in the year. The index covers
     the year's trading calendar, or only ``days`` (sorted, distinct days of
     the year) when given: a caller that needs one window then indexes only
     its records.
     """
+    table = records if isinstance(records, TransactionTable) else \
+        TransactionTable.from_records(records)
     if days is None:
-        days = [d for d in trading_calendar(records) if d.year == year]
+        days = [d for d in table.dates if d.year == year]
     elif any(d.year != year for d in days) or any(b <= a for a, b in zip(days, days[1:])):
         raise ConfigurationError(f"index days must be sorted, distinct days of {year}")
     position = {d: k for k, d in enumerate(days)}
-    # one pass: the year's banks, and the records of the indexed days in file order
-    banks, recs = set(), []
-    for r in records:
-        if r.date.year == year:
-            banks.add(r.lender)
-            banks.add(r.borrower)
-            if r.date in position:
-                recs.append(r)
-    labels = tuple(sorted(banks))
-    node = {name: k for k, name in enumerate(labels)}
+    # per distinct date: in the year or not, and its place among the indexed days (-1: none)
+    in_year = np.array([d.year == year for d in table.dates], dtype=bool)
+    slot = np.array([position.get(d, -1) for d in table.dates], dtype=np.intp)
+    year_rows = in_year[table.day]
+    active = np.zeros(len(table.labels), dtype=bool)
+    active[table.lender[year_rows]] = True
+    active[table.borrower[year_rows]] = True
+    labels = tuple(itertools.compress(table.labels, active))
+    node = np.cumsum(active) - 1  # table labels are sorted, so the year's keep their order
     n = len(labels)
-    day = np.array([position[r.date] for r in recs], dtype=np.intp)
+    rows = np.flatnonzero(slot[table.day] >= 0)  # file order
+    day = slot[table.day[rows]]
     order = np.argsort(day, kind="stable")
     return YearIndex(
         year=year, labels=labels, days=tuple(days),
-        cell=np.array([node[r.lender] * n + node[r.borrower] for r in recs], dtype=np.intp),
-        amount=np.array([r.amount for r in recs], dtype=float),
+        cell=node[table.lender[rows]] * n + node[table.borrower[rows]],
+        amount=table.amount[rows],
         order=order, bounds=np.searchsorted(day[order], np.arange(len(days) + 1)))
 
 

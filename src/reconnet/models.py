@@ -187,6 +187,12 @@ def fgrm_dyad_probs(u, v, a_i, l_i, a_j, l_j) -> DyadProbabilities:
 # Fitted models and whole-network probability arrays
 # ---------------------------------------------------------------------------
 
+def _scalar(name: str, value) -> float:
+    if np.ndim(value) != 0:
+        raise DomainError(f"parameter {name} must be a number, got shape {np.shape(value)}")
+    return float(value)
+
+
 _PARAM_KEYS = {
     ModelKind.DCM: ("x", "y"),
     ModelKind.FDCM: ("z",),
@@ -221,7 +227,7 @@ class FittedModel:
             if self.fitness is None:
                 raise DomainError(f"{self.kind.value} requires fitness data")
             for k in expected:
-                p = float(self.params[k])
+                p = _scalar(k, self.params[k])
                 if not (p > 0.0 and math.isfinite(p)):
                     raise DomainError(f"parameter {k} must be positive and finite, got {p}")
                 self.params[k] = p
@@ -232,7 +238,7 @@ class FittedModel:
                 raise DomainError("x and y must be 1-d vectors of equal length")
             self.params["x"], self.params["y"] = x, y
             if self.kind is ModelKind.GRM:
-                self.params["z"] = float(self.params["z"])
+                self.params["z"] = _scalar("z", self.params["z"])
             elif self.kind is ModelKind.RCM:
                 zv = np.asarray(self.params["z"], dtype=float)
                 if zv.shape != x.shape:

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DataValidationError, DomainError, ParseError
 from .graph import DirectedNetwork
-from .ingest import FitnessData, csv_reader
+from .ingest import FitnessData, csv_reader, line_of_row
 from .models import FittedModel, ModelKind
 
 
@@ -69,8 +69,47 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
+    """The JSON value in ``path``; text that is not JSON is a ParseError with its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc.msg} (column {exc.colno})", line=exc.lineno) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def finite_float(text: str) -> float:
+    """``float(text)`` when it is finite; ValueError otherwise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def read_csv(path, header, kinds) -> list[list]:
+    """The columns of a CSV file whose first row is ``header``.
+
+    Field k of every other nonempty row goes through ``kinds[k]`` (``int``,
+    ``float``, ``finite_float``, ``str``, ...). A different header, a row
+    with another number of fields and a field its kind rejects with
+    ValueError are ParseErrors with the line number.
+    """
+    columns = [[] for _ in header]
+    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh) as reader:
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first] != list(header):
+            raise ParseError(f"bad header in {path}, expected {','.join(header)}", line=1)
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                                 line=reader.line_num)
+            for column, kind, name, field in zip(columns, kinds, header, row):
+                try:
+                    column.append(kind(field))
+                except ValueError:
+                    raise ParseError(f"bad {name} {field!r}", line=reader.line_num) from None
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +134,48 @@ def model_to_dict(model: FittedModel) -> dict:
     return out
 
 
-def model_from_dict(data: dict) -> FittedModel:
-    kind = ModelKind(data["kind"])
-    params = dict(data["params"])
+def _numbers(value, name):
+    """A finite float, or a 1-d array of them from a list; DataValidationError otherwise."""
+    items = value if isinstance(value, list) else [value]
+    try:
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in items):
+            raise TypeError
+        array = np.array([float(v) for v in items], dtype=float)
+    except (TypeError, OverflowError):
+        raise DataValidationError(f"{name} must be a number or a list of numbers") from None
+    if not np.isfinite(array).all():
+        raise DataValidationError(f"{name} must be finite")
+    return array if isinstance(value, list) else float(array[0])
+
+
+def model_from_dict(data) -> FittedModel:
+    """The model of a dict as ``model_to_dict`` writes it.
+
+    A missing or unknown kind, missing or malformed parameters or fitness
+    data, and values that are not finite numbers (parameters: positive) are
+    DataValidationErrors.
+    """
+    if not isinstance(data, dict):
+        raise DataValidationError("a model must be a JSON object")
+    try:
+        kind = ModelKind(data.get("kind"))
+    except ValueError:
+        raise DataValidationError(f"unknown model kind {data.get('kind')!r}") from None
+    params = data.get("params")
+    if not isinstance(params, dict):
+        raise DataValidationError("a model needs a 'params' object")
     fitness = None
     if "fitness" in data:
+        if not isinstance(data["fitness"], dict):
+            raise DataValidationError("'fitness' must be an object of assets and liabilities")
         fitness = FitnessData(
-            assets=np.array(data["fitness"]["assets"], dtype=float),
-            liabilities=np.array(data["fitness"]["liabilities"], dtype=float),
-        )
-    return FittedModel(kind, params, fitness=fitness)
+            *(_numbers(data["fitness"].get(key), f"fitness {key}")
+              for key in ("assets", "liabilities")))
+    try:
+        return FittedModel(kind, {k: _numbers(v, f"parameter {k}") for k, v in params.items()},
+                           fitness=fitness)
+    except DomainError as exc:
+        raise DataValidationError(str(exc)) from None
 
 
 def write_model(path, model: FittedModel) -> None:
@@ -150,16 +221,6 @@ def write_network(path, net: DirectedNetwork) -> None:
     write_csv(path, ["source", "target", "weight"], [src, dst, w[src, dst].astype(float)])
 
 
-def _line_of_row(path, k: int) -> int:
-    """Line number of the k-th nonempty row after the header, for error messages."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for m, _ in enumerate(row for row in reader if row):
-            if m == k:
-                return reader.line_num
-
-
 def read_network(path, n: int, labels=None) -> DirectedNetwork:
     """Edge list (header source,target,weight) on nodes 0..n-1; repeated links add up.
 
@@ -190,8 +251,9 @@ def read_network(path, n: int, labels=None) -> DirectedNetwork:
                           "weight must be positive and finite")):
         if bad.any():
             k = int(np.argmax(bad))
-            raise ParseError(f"{message} in row {src[k]},{dst[k]},{weights[k]!r}",
-                             line=_line_of_row(path, k))
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                line = line_of_row(fh, k)
+            raise ParseError(f"{message} in row {src[k]},{dst[k]},{weights[k]!r}", line=line)
     # bincount adds repeated links in file order, as a running sum would
     cell = i.astype(np.intp) * n + j.astype(np.intp)
     w = np.bincount(cell, weights=weight, minlength=n * n).reshape(n, n)

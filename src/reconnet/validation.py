@@ -108,7 +108,8 @@ def scan_aggregations(records, year: int, delta_t_list,
     the observed one. Windows without links are skipped and counted; a
     delta_t where every window was skipped is kept as a missing row.
     Fitness defaults to the strengths realized in the window itself;
-    passing ``fitness`` pins one external vector for all windows. The
+    passing ``fitness`` pins one external vector for all windows.
+    ``records`` is a ``TransactionTable`` or a sequence of records; the
     year's records are indexed once and every window is cut from the index.
     """
     delta_t_list = list(delta_t_list)

@@ -1,8 +1,14 @@
 """Independent numerical oracles shared by the test modules."""
 
+import datetime as dt
+
 import numpy as np
 
 from reconnet import DirectedNetwork
+from reconnet.errors import DataValidationError, NonConvergenceError, ParseError
+from reconnet.estimation import _CLAMP, _normalized_fitness, solve_bounded_least_squares
+from reconnet.ingest import TransactionRecord, csv_reader
+from reconnet.models import FittedModel, ModelKind
 
 
 def char_poly_roots_4x4(a):
@@ -102,3 +108,74 @@ def aggregate_record_loop(records, window):
         if r.date in day_set:
             w[index[r.lender], index[r.borrower]] += r.amount
     return DirectedNetwork.from_weight_matrix(w, labels=tuple(labels))
+
+
+def fit_fdcm_trust_region(fitness, d_target, config=None):
+    """The density-only fit by bounded trust-region least squares on z.
+
+    The generic solver on the one residual (sum m/(1+m) - L) / L with its
+    analytic derivative, from the all-ones start: the reference the
+    bracketed Newton solve of ``fit_fdcm`` must agree with.
+    """
+    alt, scale = _normalized_fitness(fitness)
+    n = fitness.n
+    target = n * (n - 1) * d_target
+
+    def resid(x):
+        m = np.minimum(x[0] * alt, _CLAMP)
+        return np.array([(np.sum(m / (1.0 + m)) - target) / target])
+
+    def jac(x):
+        m = np.minimum(x[0] * alt, _CLAMP)
+        den = 1.0 + m
+        return np.array([[np.sum(alt / (den * den)) / target]])
+
+    x, report = solve_bounded_least_squares(resid, 1, config, jac=jac)
+    if not report.converged:
+        raise NonConvergenceError("density fit did not converge", report)
+    return FittedModel(ModelKind.FDCM, {"z": float(x[0]) / scale},
+                       fitness=fitness, report=report)
+
+
+def parse_transactions_row_by_row(path):
+    """Transactions CSV to records, checking one row at a time.
+
+    The reference for ``read_transactions``: the same files accepted, and
+    the first bad row rejected with the same exception, message and line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh) as reader:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file, expected a header row", line=1) from None
+        header = [h.strip().lower() for h in header]
+        expected = ["date", "lender", "borrower", "amount"]
+        if header != expected and header != expected + ["maturity"]:
+            raise ParseError(
+                f"bad header {header!r}, expected date,lender,borrower,amount[,maturity]", line=1
+            )
+        records = []
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
+            try:
+                date = dt.date.fromisoformat(row[0].strip())
+            except ValueError:
+                raise ParseError(f"bad ISO-8601 date {row[0]!r}", line=line) from None
+            lender = row[1].strip()
+            borrower = row[2].strip()
+            if not lender or not borrower:
+                raise ParseError("empty lender or borrower field", line=line)
+            try:
+                amount = float(row[3])
+            except ValueError:
+                raise ParseError(f"bad amount {row[3]!r}", line=line) from None
+            maturity = row[4].strip() if len(header) == 5 and row[4].strip() else None
+            try:
+                records.append(TransactionRecord(date, lender, borrower, amount, maturity))
+            except DataValidationError as exc:
+                raise DataValidationError(str(exc), line=line) from None
+    return records

@@ -5,16 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reconnet import DirectedNetwork
+from reconnet import DirectedNetwork, FittedModel, ModelKind
 from reconnet.cli import main, parse_delta_ts
-from reconnet.errors import ConfigurationError, ParseError
+from reconnet.errors import ConfigurationError, DataValidationError, ParseError
 from reconnet.ingest import FitnessData, write_fitness_csv
 from reconnet.serialize import (
     fmt,
+    model_to_dict,
+    read_json,
     read_model,
     read_network,
     read_nodes,
     write_csv,
+    write_model,
     write_network,
     write_nodes,
 )
@@ -314,3 +317,118 @@ class TestReproducibility:
         assert main(sample + ["--threads", "1", "--out", str(tmp_path / "s4")]) == 0
         monkeypatch.delenv("RECON_NET_THREADS")
         assert tree_digest(tmp_path / "s1") == tree_digest(tmp_path / "s4")
+
+
+class TestHardenedReaders:
+    """Malformed config, model and report files end in exit 2 with a one-line message."""
+
+    def run_err(self, capsys, argv):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) <= 1 and "Traceback" not in err
+        return rc, err
+
+    def test_malformed_config_json_is_a_parse_error_with_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{\n  "model": "fdcm",\n  "density": 0.2,,\n}\n')
+        with pytest.raises(ParseError) as err:
+            read_json(cfg)
+        assert err.value.line == 3
+        rc, msg = self.run_err(capsys, ["fit", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2 and "line 3" in msg
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("params"),
+        lambda d: d.update(kind="zzz"),
+        lambda d: d.pop("kind"),
+        lambda d: d["params"].pop("v"),
+        lambda d: d["params"].update(u="big"),
+        lambda d: d["params"].update(u=[1.0, 2.0]),
+        lambda d: d["params"].update(u=-1.0),
+        lambda d: d["fitness"].pop("assets"),
+        lambda d: d["fitness"].update(liabilities=[1.0]),
+        lambda d: d["fitness"]["assets"].__setitem__(0, "x"),
+        lambda d: d.update(fitness=[1, 2]),
+    ])
+    def test_bad_model_file_is_a_data_error(self, pipeline, tmp_path, capsys, edit):
+        data = json.loads((pipeline / "fit/fitted.json").read_text())
+        edit(data)
+        path = tmp_path / "fitted.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataValidationError):
+            read_model(path)
+        rc, _ = self.run_err(capsys, ["sample", "--model-file", str(path), "--samples", "2",
+                                      "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+    def test_every_model_the_program_writes_reads_back(self, pipeline, tmp_path):
+        assert main(["fit", "--fitness", str(pipeline / "data/fitness.csv"), "--model", "fdcm",
+                     "--density", "0.1", "--out", str(tmp_path / "fdcm")]) == 0
+        assert main(["synth", "--nodes", "6", "--fitness-dist", "lognormal(0,1)", "--model",
+                     "fdcm", "--density", "0.3", "--days", "3", "--year", "2005", "--seed", "2",
+                     "--out", str(tmp_path / "synth")]) == 0
+        files = [pipeline / "fit/fitted.json", pipeline / "data/truth.json",
+                 pipeline / "ens/samples/fitted.json", tmp_path / "fdcm/fitted.json",
+                 tmp_path / "synth/truth.json"]
+        rng = np.random.default_rng(5)
+        x, y, z = (rng.lognormal(0, 1, 5) for _ in range(3))
+        for kind, params in (("dcm", {"x": x, "y": y}), ("grm", {"x": x, "y": y, "z": 0.7}),
+                             ("rcm", {"x": x, "y": y, "z": z})):
+            path = tmp_path / f"{kind}.json"
+            write_model(path, FittedModel(ModelKind(kind), params))
+            files.append(path)
+        for path in files:
+            data = json.loads(path.read_text())
+            model = read_model(path)
+            assert model_to_dict(model) == {k: v for k, v in data.items() if k != "report"}
+
+    @pytest.mark.parametrize("name,content,line", [
+        ("rho_scan.csv", "delta_t,window_count,skipped_windows,mean_density,"
+         "mean_reciprocity,mean_r_fdcm,mean_rho\n1,3,0,0.1,0.2,0.1,0.05\n2,3,0\n", 3),
+        ("spectra.csv", "sample_id,re,im\ns0,1.0,0.5\ns0,abc,0.0\n", 3),
+        ("spectra.csv", "sample_id,re,im\ns0,1.0,inf\n", 2),
+        ("roc.csv", "threshold,fpr,tpr\ninf,0,0\n0.5,0.5\n", 3),
+        ("tau.csv", "i,j,tau\n0,1,0.3\n0,x,0.1\n", 3),
+        ("tau.csv", "i,j\n0,1\n", 1),
+    ])
+    def test_malformed_report_artifact_is_a_parse_error(self, tmp_path, capsys, name,
+                                                        content, line):
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / name).write_text(content)
+        rc, msg = self.run_err(capsys, ["report", "--in", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 2 and f"line {line}:" in msg
+
+    @pytest.mark.parametrize("bulk", ['[1, 2]', '{"mean_tau": "x"}', '{"mean_tau": [0.1]}'])
+    def test_malformed_bulk_json_is_a_data_error(self, pipeline, tmp_path, capsys, bulk):
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "spectra.csv").write_bytes((pipeline / "spec/spectra.csv").read_bytes())
+        (src / "bulk.json").write_text(bulk)
+        rc, _ = self.run_err(capsys, ["report", "--in", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+    def test_report_reads_the_artifacts_the_program_writes(self, pipeline, tmp_path):
+        for sub in ("spec", "scan", "val", "fit"):
+            assert main(["report", "--in", str(pipeline / sub),
+                         "--out", str(tmp_path / sub)]) == 0
+        assert {p.name for p in tmp_path.rglob("*.svg")} == {
+            "spectrum_scatter.svg", "rho_curve.svg", "roc_curve.svg", "tau_histogram.svg"}
+
+    @pytest.mark.parametrize("override,code", [
+        ({"model": "zzz"}, 1), ({"model": 5}, 1), ({"fitness": 5}, 1),
+        ({"solver": 5}, 1), ({"solver": {"max_iterations": "x"}}, 1),
+        ({"solver": {"lower_bound": 2.0}}, 1), ({"solver": {"residual_tolerance": None}}, 1),
+        ({"reciprocity": "high"}, 1), ({"density": 1e400}, 1),
+        ({"solver": {"max_iterations": 10**400}}, 1),
+        ({"solver": {"step_tolerance": float("inf")}}, 1),
+    ])
+    def test_bad_config_values_are_usage_errors(self, pipeline, tmp_path, capsys, override,
+                                                code):
+        cfg = {"fitness": str(pipeline / "data/fitness.csv"), "model": "fgrm",
+               "density": 0.2, "reciprocity": 0.3}
+        cfg.update(override)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        rc, _ = self.run_err(capsys, ["fit", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == code

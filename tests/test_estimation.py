@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from oracles import fit_fdcm_trust_region
 
 from reconnet import (
+    DirectedNetwork,
     FitnessData,
     FittedModel,
     ModelKind,
@@ -11,9 +13,10 @@ from reconnet import (
     fit_degree_model,
     fit_fdcm,
     fit_fgrm,
+    fitness_from_strengths,
     solve_bounded_least_squares,
 )
-from reconnet.errors import DataValidationError, DomainError, NumericalError
+from reconnet.errors import DataValidationError, DomainError, NonConvergenceError, NumericalError
 
 UNIT4 = FitnessData(np.ones(4), np.ones(4))
 
@@ -87,6 +90,126 @@ class TestFitFdcm:
         z1 = fit_fdcm(fitness, 0.21).params["z"]
         z2 = fit_fdcm(fitness, 0.21).params["z"]
         assert z1 == z2
+
+
+def _fit_or_error(fit, *args):
+    try:
+        return fit(*args)
+    except NonConvergenceError as exc:
+        return exc
+
+
+class TestFdcmNewtonAgainstTrustRegion:
+    """The bracketed Newton solve of fit_fdcm against the trust-region oracle."""
+
+    def assert_same_root(self, fitness, d, config=None):
+        newton = fit_fdcm(fitness, d, config)
+        oracle = fit_fdcm_trust_region(fitness, d, config)
+        assert newton.params["z"] == pytest.approx(oracle.params["z"], rel=1e-12, abs=0)
+        tolerance = (config or SolverConfig()).residual_tolerance
+        assert newton.report.converged and newton.report.residual_norm <= tolerance
+        assert newton.report.seconds >= 0.0
+        return newton
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_lognormal_fitness(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(5, 150))
+        fitness = FitnessData(rng.lognormal(0, 1, n), rng.lognormal(0, 1, n))
+        for d in (0.005, 0.05, 0.2, 0.6):
+            self.assert_same_root(fitness, d)
+
+    def test_banks_inactive_in_the_window(self):
+        # zero rows and columns of alt, as in a window where some banks only lend or borrow
+        rng = np.random.default_rng(9)
+        a, l = rng.lognormal(0, 1, 60), rng.lognormal(0, 1, 60)
+        a[rng.random(60) < 0.4] = 0.0
+        l[rng.random(60) < 0.4] = 0.0
+        for d in (0.01, 0.1, 0.25):
+            self.assert_same_root(FitnessData(a, l), d)
+
+    @pytest.mark.parametrize("d", [0.02, 0.016025641025641024, 0.33589743589743587,
+                                   0.6935897435897436, 0.7153846153846154, 0.9076923076923077])
+    def test_unit_fitness_at_the_scan_criterion_densities(self, d):
+        unit = FitnessData(np.ones(40), np.ones(40))
+        model = self.assert_same_root(unit, d)
+        assert model.params["z"] == pytest.approx(d / (1 - d), rel=1e-12)
+
+    def test_a_step_that_lands_on_the_root(self):
+        # the Newton step hits the root exactly (residual 0.0); it must not be
+        # mistaken for a step outside the bracket
+        unit = FitnessData(np.ones(40), np.ones(40))
+        model = self.assert_same_root(unit, 0.7153846153846154)
+        assert model.report.residual_norm == 0.0 and model.report.iterations < 10
+
+    def test_one_link_window_is_not_reached(self):
+        # one link: only z -> infinity reaches the target, and both fits raise
+        w = np.zeros((6, 6))
+        w[2, 4] = 3.0
+        fitness = fitness_from_strengths(DirectedNetwork.from_weight_matrix(w))
+        for fit in (fit_fdcm, fit_fdcm_trust_region):
+            with pytest.raises(NonConvergenceError) as err:
+                fit(fitness, 1 / 30)
+            assert not err.value.report.converged
+
+    @pytest.mark.parametrize("d", [2 / 90, 0.05])
+    def test_target_at_or_above_the_positive_dyads_with_pinned_fitness(self, d):
+        # only nodes 0 and 1 lend and borrow: two of the 90 dyads can carry links
+        a = np.zeros(10)
+        a[:2] = [1.0, 2.0]
+        fitness = FitnessData(a, a.copy())
+        for fit in (fit_fdcm, fit_fdcm_trust_region):
+            with pytest.raises(NonConvergenceError) as err:
+                fit(fitness, d)
+            assert not err.value.report.converged
+        self.assert_same_root(fitness, 1.9 / 90)
+
+    def test_evaluation_budget(self):
+        rng = np.random.default_rng(3)
+        fitness = FitnessData(rng.lognormal(0, 1, 30), rng.lognormal(0, 1, 30))
+        config = SolverConfig(max_iterations=2)
+        for fit in (fit_fdcm, fit_fdcm_trust_region):
+            with pytest.raises(NonConvergenceError) as err:
+                fit(fitness, 0.1, config)
+            assert err.value.report.iterations <= 2 and err.value.report.seconds >= 0.0
+        self.assert_same_root(fitness, 0.1, SolverConfig(max_iterations=50))
+
+    def test_same_outcome_under_solver_settings(self):
+        rng = np.random.default_rng(4)
+        fitness = FitnessData(rng.lognormal(0, 1, 25), rng.lognormal(0, 1, 25))
+        for config in (SolverConfig(lower_bound=0.5),  # the root lies below the box
+                       SolverConfig(max_iterations=1)):
+            newton = _fit_or_error(fit_fdcm, fitness, 0.1, config)
+            oracle = _fit_or_error(fit_fdcm_trust_region, fitness, 0.1, config)
+            assert type(newton) is type(oracle) is NonConvergenceError, config
+            assert newton.report.iterations < 100
+        self.assert_same_root(fitness, 0.1, SolverConfig(residual_tolerance=1e-13))
+        self.assert_same_root(fitness, 0.1, SolverConfig(lower_bound=1e-3))
+
+    @pytest.mark.parametrize("d", [0.1, 0.17, 0.3])
+    def test_a_tolerance_below_rounding_stops_on_the_step(self, d):
+        # only a residual of exactly 0.0 meets the tolerance, which rounding
+        # grants or not; otherwise the step tolerance ends the fit early
+        rng = np.random.default_rng(4)
+        fitness = FitnessData(rng.lognormal(0, 1, 25), rng.lognormal(0, 1, 25))
+        config = SolverConfig(residual_tolerance=1e-300)
+        for fit in (fit_fdcm, fit_fdcm_trust_region):
+            outcome = _fit_or_error(fit, fitness, d, config)
+            assert outcome.report.iterations < 20
+            assert outcome.report.converged == (outcome.report.residual_norm == 0.0)
+
+    def test_initial_point_is_the_start(self):
+        model = fit_fdcm(UNIT4, 0.5, SolverConfig(initial_point=np.array([1.0])))
+        assert model.params["z"] == 1.0 and model.report.iterations == 1
+        far = fit_fdcm(UNIT4, 0.2, SolverConfig(initial_point=np.array([1e6])))
+        assert far.params["z"] == pytest.approx(0.25, rel=1e-12)
+        for bad in (np.array([0.0]), np.array([1.0, 2.0])):
+            with pytest.raises(DomainError):
+                fit_fdcm(UNIT4, 0.2, SolverConfig(initial_point=bad))
+
+    def test_one_node_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            fit_fdcm(FitnessData(np.ones(1), np.ones(1)), 0.5)
 
 
 class TestFitFgrm:

@@ -1,5 +1,7 @@
 import datetime as dt
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +27,14 @@ from reconnet import (
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
 from reconnet.ingest import (
     TransactionRecord,
+    TransactionTable,
     YearIndex,
     index_year,
     read_fitness_csv,
+    read_transactions,
     trading_days,
     write_fitness_csv,
+    write_transactions_csv,
 )
 
 FIXTURE = """date,lender,borrower,amount
@@ -214,6 +219,26 @@ class TestIndexedAggregation:
             # a subset of the records on a window built from all of them
             assert_same_network(aggregate(records[:cut], window),
                                 aggregate_record_loop(records[:cut], window))
+
+    @settings(max_examples=100, deadline=None)
+    @given(streams(), st.sampled_from([2006, 2007]), st.data())
+    def test_index_from_a_table_equals_the_index_from_records(self, records, year, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "transactions.csv"
+            write_transactions_csv(path, records)
+            table = read_transactions(path)
+        calendar = [d for d in trading_calendar(records) if d.year == year]
+        first = data.draw(st.integers(0, len(calendar)))
+        days = calendar[first:first + data.draw(st.integers(0, 3))]
+        for kwargs in ({}, {"days": days}):
+            want = index_year(records, year, **kwargs)
+            for got in (index_year(table, year, **kwargs),
+                        index_year(TransactionTable.from_records(records), year, **kwargs)):
+                assert (got.year, got.labels, got.days) == (want.year, want.labels, want.days)
+                for name in ("cell", "amount", "order", "bounds"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert build_windows(table, year, 2) == build_windows(records, year, 2)
 
     def test_shuffled_stream_sums_in_file_order(self):
         # in floating point, (1 + 1) + 1e16 is 1e16 + 2 but (1e16 + 1) + 1 is 1e16

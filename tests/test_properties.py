@@ -3,10 +3,15 @@
 Writing then reading transactions, fitness, edge lists and node lists
 gives back what was written, bit for bit. A valid file with one malformed
 row inserted anywhere must end in a ParseError or DataValidationError that
-names that row's line, and in CLI exit code 2.
+names that row's line, and in CLI exit code 2. A mutated config, model or
+report file must end the CLI with exit code 0, 1, 2 or 3 and at most a
+one-line message, never a traceback.
 """
 
+import contextlib
 import datetime as dt
+import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -14,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import parse_transactions_row_by_row
 
 from reconnet import DirectedNetwork
 from reconnet.cli import main
@@ -21,8 +27,10 @@ from reconnet.errors import DataValidationError, ParseError
 from reconnet.ingest import (
     FitnessData,
     TransactionRecord,
+    TransactionTable,
     parse_transactions,
     read_fitness_csv,
+    read_transactions,
     write_fitness_csv,
     write_transactions_csv,
 )
@@ -61,6 +69,13 @@ def test_transactions_round_trip(records):
         path = Path(tmp) / "transactions.csv"
         write_transactions_csv(path, records)
         assert parse_transactions(path) == records
+        table = read_transactions(path)
+    assert table.records() == records
+    want = TransactionTable.from_records(records)
+    assert (table.dates, table.labels, table.maturity) == (want.dates, want.labels, want.maturity)
+    for name in ("day", "lender", "borrower", "amount"):
+        got, expected = getattr(table, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
 @FUZZ
@@ -202,6 +217,53 @@ def test_malformed_transaction_row_names_its_line(bad, where):
     _assert_rejected_at(parse_transactions, content, 2 + where[0])
 
 
+def _outcome(read, path):
+    try:
+        return read(path)
+    except (ParseError, DataValidationError) as exc:
+        return type(exc), str(exc), exc.line
+
+
+# rows that parse, some of them over two lines or with a delimiter in quotes
+good_tx_line = st.sampled_from([
+    "2007-03-01,B1,B2,5.0",
+    "2007-03-02, B2 ,B1,1e-3",
+    '2007-03-02,"B\n3",B1,2.5',
+    '2007-03-05,"B,4",B2,7',
+    "20070306,B2,B1, 1_000 ",
+    "",
+])
+oversized = "2007-03-01,B1," + "x" * 200_000 + ",1"
+
+
+@st.composite
+def transaction_files(draw):
+    """A transactions file with blank and multi-line rows and up to two bad rows."""
+    maturity = draw(st.booleans())
+    bad = st.one_of(bad_transaction.map(",".join), st.just(oversized))
+    rows = draw(st.lists(good_tx_line, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(bad))
+    if maturity:
+        rows = [row + "," + draw(st.sampled_from(["", "ON", " 1W "])) if row else row
+                for row in rows]
+    header = "date,lender,borrower,amount" + (",maturity" if maturity else "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header] + rows) + newline
+
+
+@FUZZ
+@given(transaction_files())
+def test_read_transactions_accepts_and_rejects_like_the_row_by_row_parser(content):
+    with _tmp() as tmp:
+        path = Path(tmp) / "transactions.csv"
+        path.write_bytes(content.encode("utf-8"))
+        want = _outcome(parse_transactions_row_by_row, path)
+        assert _outcome(lambda p: read_transactions(p).records(), path) == want
+        with open(path, "rb") as fh:  # a binary stream goes through the same checks
+            assert _outcome(lambda _: read_transactions(fh).records(), path) == want
+
+
 @FUZZ
 @given(bad_edge, placement)
 def test_malformed_edge_row_names_its_line(bad, where):
@@ -293,3 +355,132 @@ def test_cli_spectra_exits_2_on_a_malformed_nodes_or_edge_row(drawn):
         (net_dir / "s.csv").write_text(edges, encoding="utf-8")
         assert main(["spectra", "--networks", str(net_dir),
                      "--out", str(Path(tmp) / "out")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# mutated config, model and report files through the CLI
+# ---------------------------------------------------------------------------
+
+MUTATION_FUZZ = settings(max_examples=25, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A small synth -> fit -> sample -> spectra -> scan -> validate chain, and a config."""
+    root = tmp_path_factory.mktemp("artifacts")
+    runs = [
+        ["synth", "--nodes", "8", "--fitness-dist", "lognormal(0,0.5)", "--model", "fgrm",
+         "--density", "0.2", "--reciprocity", "0.3", "--days", "8", "--year", "2005",
+         "--seed", "3", "--out", str(root / "data")],
+        ["fit", "--fitness", str(root / "data/fitness.csv"), "--model", "fgrm",
+         "--density", "0.3", "--reciprocity", "0.4", "--out", str(root / "fit")],
+        ["sample", "--model-file", str(root / "fit/fitted.json"), "--samples", "4",
+         "--seed", "5", "--write-networks", "3", "--out", str(root / "ens")],
+        ["spectra", "--networks", str(root / "ens/samples"), "--rescale",
+         "--out", str(root / "spec")],
+        ["scan", "--transactions", str(root / "data/transactions.csv"), "--year", "2005",
+         "--delta-t", "1:8:3", "--out", str(root / "scan")],
+        ["validate", "--model-file", str(root / "fit/fitted.json"),
+         "--transactions", str(root / "data/transactions.csv"), "--year", "2005",
+         "--delta-t", "8", "--out", str(root / "val")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    (root / "config.json").write_text(json.dumps({
+        "fitness": str(root / "data/fitness.csv"), "model": "fgrm", "density": 0.3,
+        "reciprocity": 0.4, "solver": {"max_iterations": 200, "residual_tolerance": 1e-10}},
+        indent=2))
+    return root
+
+
+mutation_text = st.text(st.sampled_from(',"\n{}[]:0123456789.-+eEnaifNIxz '), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+def _mutate_text(draw, text):
+    """Delete, insert or overwrite up to three short runs of characters."""
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "insert", "overwrite", "truncate"]))
+        pos = draw(st.integers(0, len(text)))
+        chunk = draw(mutation_text)
+        if op == "delete":
+            text = text[:pos] + text[pos + 1 + len(chunk):]
+        elif op == "insert":
+            text = text[:pos] + chunk + text[pos:]
+        elif op == "overwrite":
+            text = text[:pos] + chunk + text[pos + len(chunk):]
+        else:
+            text = text[:pos]
+    return text
+
+
+def _mutate_json(draw, text):
+    """A text mutation, or one value of the parsed document deleted or replaced."""
+    if draw(st.booleans()):
+        return _mutate_text(draw, text)
+    data = json.loads(text)
+    slots = []
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(data)
+    node, key = draw(st.sampled_from(slots))
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(json_values)
+    return json.dumps(data)
+
+
+def _assert_clean_exit(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    message = err.getvalue()
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in message
+    if rc:
+        assert len(message.strip().splitlines()) == 1, message
+
+
+@MUTATION_FUZZ
+@given(st.data())
+def test_cli_fit_survives_a_mutated_config(artifacts, data):
+    text = _mutate_json(data.draw, (artifacts / "config.json").read_text())
+    with _tmp() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(text, encoding="utf-8")
+        _assert_clean_exit(["fit", "--config", str(config), "--out", str(Path(tmp) / "out")])
+
+
+@MUTATION_FUZZ
+@given(st.data())
+def test_cli_sample_survives_a_mutated_model_file(artifacts, data):
+    text = _mutate_json(data.draw, (artifacts / "fit/fitted.json").read_text())
+    with _tmp() as tmp:
+        model = Path(tmp) / "fitted.json"
+        model.write_text(text, encoding="utf-8")
+        _assert_clean_exit(["sample", "--model-file", str(model), "--samples", "2",
+                            "--seed", "1", "--out", str(Path(tmp) / "out")])
+
+
+@pytest.mark.parametrize("artifact", ["spec/spectra.csv", "scan/rho_scan.csv", "val/roc.csv",
+                                      "fit/tau.csv"])
+@MUTATION_FUZZ
+@given(data=st.data())
+def test_cli_report_survives_a_mutated_artifact(artifacts, artifact, data):
+    text = _mutate_text(data.draw, (artifacts / artifact).read_text())
+    with _tmp() as tmp:
+        src = Path(tmp) / "in"
+        src.mkdir()
+        (src / Path(artifact).name).write_text(text, encoding="utf-8")
+        _assert_clean_exit(["report", "--in", str(src), "--out", str(Path(tmp) / "out")])

@@ -120,6 +120,33 @@ def _normalized_fitness(fitness: FitnessData):
     return alt, scale_a * scale_l
 
 
+def _below_positive_dyads(target: float, positive: int, tolerance: float) -> bool:
+    # each dyad links with probability below 1, and with 0 where the fitness product
+    # is 0: a target within the tolerance of the number of positive entries, or
+    # above it, is reached by no finite parameters
+    return target < positive * (1.0 - tolerance)
+
+
+def fdcm_target_reachable(fitness: FitnessData, d_target: float,
+                          config: SolverConfig | None = None) -> bool:
+    """Whether some finite z gives the density-only model expected density ``d_target``.
+
+    The test ``fit_fdcm`` applies before it solves: the expected number of
+    links stays below the number of dyads with positive fitness product.
+    Those are counted in O(N) unless the smallest such product underflows.
+    """
+    n = fitness.n
+    a, l = fitness.assets, fitness.liabilities
+    x, y = a / float(a[a > 0].mean()), l / float(l[l > 0].mean())  # as _normalized_fitness
+    lends, borrows = x > 0, y > 0
+    if x[lends].min() * y[borrows].min() > 0:  # so is every product of positive entries
+        positive = int(lends.sum()) * int(borrows.sum()) - int((lends & borrows).sum())
+    else:
+        positive = int(np.count_nonzero(_normalized_fitness(fitness)[0]))
+    return _below_positive_dyads(n * (n - 1) * d_target, positive,
+                                 (config or SolverConfig()).residual_tolerance)
+
+
 def fit_fdcm(fitness: FitnessData, d_target: float,
              config: SolverConfig | None = None) -> FittedModel:
     """Tune the single parameter z so the expected link density matches.
@@ -152,9 +179,7 @@ def fit_fdcm(fitness: FitnessData, d_target: float,
         return SolverReport(iterations=evaluations, residual_norm=residual,
                             converged=converged, seconds=time.perf_counter() - start)
 
-    # each m / (1 + m) stays below 1: a target within the tolerance of the number
-    # of positive entries, or above it, is reached by no finite z
-    if target >= alt.size * (1.0 - config.residual_tolerance):
+    if not _below_positive_dyads(target, alt.size, config.residual_tolerance):
         raise NonConvergenceError(
             f"density target ({target:.6g} links) reaches the number of dyads with positive "
             f"fitness ({alt.size})", report(0, abs(target - alt.size) / target, False))
@@ -225,9 +250,15 @@ def fit_fgrm(fitness: FitnessData, d_target: float, r_target: float,
         raise DomainError(f"density target must be in (0,1), got {d_target}")
     if not 0.0 <= r_target < 1.0:
         raise DomainError(f"reciprocity target must be in [0,1), got {r_target}")
-    alt, scale = _normalized_fitness(fitness)
     n = fitness.n
+    if n < 2:
+        raise DomainError(f"density/reciprocity fit needs at least 2 nodes, got {n}")
+    alt, scale = _normalized_fitness(fitness)
     t_link = n * (n - 1) * d_target
+    positive = int(np.count_nonzero(alt))
+    if not _below_positive_dyads(t_link, positive, (config or SolverConfig()).residual_tolerance):
+        raise NonConvergenceError(f"density target ({t_link:.6g} links) reaches the number of "
+                                  f"dyads with positive fitness ({positive})")
     r_scale = r_target if r_target > 0 else 1.0
 
     def resid(uv):

@@ -72,13 +72,19 @@ class _Canvas:
             p.append(f'<text x="16" y="{HEIGHT / 2}" font-size="12" text-anchor="middle" '
                      f'transform="rotate(-90 16 {HEIGHT / 2})">{ylabel}</text>')
 
+    def _points(self, xs, ys):
+        """Pixel coordinates of the points as text, mapped as arrays."""
+        px = self.x(np.asarray(xs)).tolist()
+        py = self.y(np.asarray(ys)).tolist()
+        return zip(map(_f, px), map(_f, py))
+
     def scatter(self, xs, ys, color, radius=1.6, opacity=0.65):
-        for xv, yv in zip(xs, ys):
-            self.parts.append(f'<circle cx="{_f(self.x(xv))}" cy="{_f(self.y(yv))}" '
+        for cx, cy in self._points(xs, ys):
+            self.parts.append(f'<circle cx="{cx}" cy="{cy}" '
                               f'r="{radius}" fill="{color}" fill-opacity="{opacity}"/>')
 
     def polyline(self, xs, ys, color, width=1.5, dash=None):
-        pts = " ".join(f"{_f(self.x(a))},{_f(self.y(b))}" for a, b in zip(xs, ys))
+        pts = " ".join(f"{a},{b}" for a, b in self._points(xs, ys))
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                           f'stroke-width="{width}"{extra}/>')

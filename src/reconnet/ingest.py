@@ -98,24 +98,54 @@ def csv_reader(stream):
         raise ParseError(str(exc), line=reader.line_num) from None
 
 
+_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
+
+
+def decode_utf8(data: bytes, name) -> str:
+    """``data`` as UTF-8 text; other bytes are a ParseError naming ``name`` and the line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_BREAK.findall(data, 0, exc.start)) + 1
+        raise ParseError(f"{name}: not UTF-8 text ({exc.reason})", line=line) from None
+
+
+@contextmanager
+def open_text(path, newline=""):
+    """``path`` opened as UTF-8 text.
+
+    Text is decoded in chunks, so a byte that is not UTF-8 can surface
+    before the rows ahead of it are read; in the block it becomes a
+    ParseError with the line of the first such byte, found by reading the
+    file again.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        decode_utf8(Path(path).read_bytes(), path)
+        raise
+
+
 def read_transactions(source) -> TransactionTable:
     """Read a transactions CSV (header date,lender,borrower,amount[,maturity]) into columns.
 
-    ``source`` may be a path, a text stream, or a bytes stream (UTF-8).
-    Raises ParseError with the offending line number on malformed rows and
-    DataValidationError on semantic violations (an amount that is not
-    positive and finite, self-loops). Rows are read into column lists in
-    one pass and checked as arrays; only a rejected file is read again, to
-    find the line of its first bad row.
+    ``source`` may be a path, a text stream, bytes or a bytes stream
+    (UTF-8). Raises ParseError with the offending line number on malformed
+    rows and on bytes that are not UTF-8, and DataValidationError on
+    semantic violations (an amount that is not positive and finite,
+    self-loops). Rows are read into column lists in one pass and checked as
+    arrays; only a rejected file is read again, to find the line of its
+    first bad row.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open_text(source) as fh:
             return read_transactions(fh)
+    if not isinstance(source, bytes) and isinstance(source.read(0), bytes):
+        source = source.read()
     if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-    if not source.seekable():
+        source = io.StringIO(decode_utf8(source, "transactions"), newline="")
+    elif not source.seekable():
         source = io.StringIO(source.read(), newline="")
     start = source.tell()
 
@@ -496,7 +526,7 @@ def write_fitness_csv(path, fitness: FitnessData, labels=None) -> None:
 
 def read_fitness_csv(path) -> tuple[FitnessData, list[str]]:
     labels, assets, liabilities = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh) as reader:
+    with open_text(path) as fh, csv_reader(fh) as reader:
         try:
             header = [h.strip().lower() for h in next(reader)]
         except StopIteration:

@@ -8,6 +8,7 @@ round-trip float repr. NaN becomes null in JSON and "nan" in CSV.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DataValidationError, DomainError, ParseError
 from .graph import DirectedNetwork
-from .ingest import FitnessData, csv_reader, line_of_row
+from .ingest import FitnessData, csv_reader, line_of_row, open_text
 from .models import FittedModel, ModelKind
 
 
@@ -27,17 +28,29 @@ def fmt(x) -> str:
     return _FLOAT17(float(x))
 
 
+def _distinct_texts(array, keys, text):
+    """``text`` of every item of ``array``, computed once per distinct ``keys`` value."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    texts = np.array(list(map(text, array[first].tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_csv(path, header, columns) -> None:
     """A header row, then row k holding item k of every column.
 
     Columns are arrays or sequences of equal length. A float column is
-    written through ``fmt``, any other column as ``str`` of its items.
+    written through ``fmt``, any other column as ``str`` of its items. A
+    float or integer array is formatted once per distinct value; floats are
+    told apart by their bits, which keeps -0.0 apart from 0.0.
     """
     cells = []
     for column in columns:
         array = np.asarray(column)
         if array.dtype.kind == "f":
-            cells.append(list(map(_FLOAT17, array.tolist())))
+            array = np.ascontiguousarray(array, dtype=np.float64)
+            cells.append(_distinct_texts(array, array.view(np.int64), _FLOAT17))
+        elif array.dtype.kind in "iu" and isinstance(column, np.ndarray):
+            cells.append(_distinct_texts(array, array, str))
         else:
             # items of a sequence as they are: a numpy str array drops trailing NULs
             cells.append(array.tolist() if isinstance(column, np.ndarray) else list(column))
@@ -70,13 +83,11 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     """The JSON value in ``path``; text that is not JSON is a ParseError with its line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, newline=None) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc.msg} (column {exc.colno})", line=exc.lineno) from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def finite_float(text: str) -> float:
@@ -96,7 +107,7 @@ def read_csv(path, header, kinds) -> list[list]:
     ValueError are ParseErrors with the line number.
     """
     columns = [[] for _ in header]
-    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh) as reader:
+    with open_text(path) as fh, csv_reader(fh) as reader:
         first = next(reader, None)
         if first is None or [h.strip().lower() for h in first] != list(header):
             raise ParseError(f"bad header in {path}, expected {','.join(header)}", line=1)
@@ -201,7 +212,7 @@ def read_nodes(path) -> list[str]:
     Any other row is a ParseError with its line number.
     """
     labels = []
-    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh) as reader:
+    with open_text(path) as fh, csv_reader(fh) as reader:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["index", "label"]:
             raise ParseError(f"bad nodes header in {path}", line=1)
@@ -221,6 +232,10 @@ def write_network(path, net: DirectedNetwork) -> None:
     write_csv(path, ["source", "target", "weight"], [src, dst, w[src, dst].astype(float)])
 
 
+_EDGE_HEADER = ["source", "target", "weight"]
+_EDGE_ROW = np.dtype([("source", np.int64), ("target", np.int64), ("weight", np.float64)])
+
+
 def read_network(path, n: int, labels=None) -> DirectedNetwork:
     """Edge list (header source,target,weight) on nodes 0..n-1; repeated links add up.
 
@@ -228,12 +243,48 @@ def read_network(path, n: int, labels=None) -> DirectedNetwork:
     outside 0..n-1 and a weight that is not a positive finite number are
     ParseErrors with the line number: none may wrap onto another node or
     drop a link unnoticed.
+
+    The body is parsed in bulk by numpy and checked as arrays. numpy takes
+    a subset of the rows the csv module and ``int``/``float`` take, with
+    the same values. When it fails, or a check fails, the file is read
+    again row by row: that pass names the line of a bad row, and takes
+    what only the csv module reads (quoted fields, ``1_0``, non-ASCII
+    digits, a file with no rows).
     """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header, _, body = fh.read().partition("\n")
+        header = header.removesuffix("\r")
+        # csv ends a row at a lone \r, which strip() would take for a space
+        if "\r" in header or [h.strip().lower() for h in header.split(",")] != _EDGE_HEADER:
+            raise ValueError("not a plain edge-list header")
+        if not body.strip("\r\n"):  # no rows, which numpy would warn about
+            raise ValueError("no rows")
+        rows = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
+                          ndmin=1, dtype=_EDGE_ROW)
+        i, j, weight = rows["source"], rows["target"], rows["weight"]
+        if ((i < 0) | (i >= n) | (j < 0) | (j >= n)).any() \
+                or not ((weight > 0) & (weight < math.inf)).all():  # NaN fails both
+            raise ValueError("a row outside the nodes or a weight that is not positive")
+    except ValueError:  # a UnicodeDecodeError is one
+        return _read_network_rows(path, n, labels)
+    return _weight_network(i, j, weight, n, labels)
+
+
+def _weight_network(i, j, weight, n, labels):
+    # bincount adds repeated links in file order, as a running sum would
+    cell = i.astype(np.intp) * n + j.astype(np.intp)
+    w = np.bincount(cell, weights=weight, minlength=n * n).reshape(n, n)
+    return DirectedNetwork.from_weight_matrix(w, labels=labels)
+
+
+def _read_network_rows(path, n: int, labels=None) -> DirectedNetwork:
+    """``read_network`` one row at a time, raising the error of the first bad row."""
     src, dst, weights = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["source", "target", "weight"]:
+        if header is None or [h.strip().lower() for h in header] != _EDGE_HEADER:
             raise ParseError(f"bad edge-list header in {path}", line=1)
         row = None
         try:
@@ -242,6 +293,8 @@ def read_network(path, n: int, labels=None) -> DirectedNetwork:
                 src.append(int(i))
                 dst.append(int(j))
                 weights.append(float(weight))
+        except UnicodeDecodeError:
+            raise  # a file that is not UTF-8, not a bad row
         except (ValueError, csv.Error):
             raise ParseError(f"bad edge row {row!r}", line=reader.line_num) from None
     i, j, weight = np.array(src), np.array(dst), np.array(weights, dtype=float)
@@ -254,7 +307,4 @@ def read_network(path, n: int, labels=None) -> DirectedNetwork:
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 line = line_of_row(fh, k)
             raise ParseError(f"{message} in row {src[k]},{dst[k]},{weights[k]!r}", line=line)
-    # bincount adds repeated links in file order, as a running sum would
-    cell = i.astype(np.intp) * n + j.astype(np.intp)
-    w = np.bincount(cell, weights=weight, minlength=n * n).reshape(n, n)
-    return DirectedNetwork.from_weight_matrix(w, labels=labels)
+    return _weight_network(i, j, weight, n, labels)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .ensemble import expected_metrics
 from .errors import DomainError, SingularityError, UndefinedAUCError
-from .estimation import SolverConfig, fit_fdcm
+from .estimation import SolverConfig, fdcm_target_reachable, fit_fdcm
 from .graph import DirectedNetwork, degrees_strengths
 from .ingest import FitnessData, aggregate, build_windows, fitness_from_strengths, index_year
 from .models import FittedModel, dyad_probability_arrays
@@ -105,9 +105,10 @@ def scan_aggregations(records, year: int, delta_t_list,
 
     For every delta_t, each complete window is reconstructed with the
     density-only fitness model and its expected reciprocity compared to
-    the observed one. Windows without links are skipped and counted; a
-    delta_t where every window was skipped is kept as a missing row.
-    Fitness defaults to the strengths realized in the window itself;
+    the observed one. Windows without links, and windows whose density no
+    finite z of the model reaches (a single link, say), are skipped and
+    counted; a delta_t where every window was skipped is kept as a missing
+    row. Fitness defaults to the strengths realized in the window itself;
     passing ``fitness`` pins one external vector for all windows.
     ``records`` is a ``TransactionTable`` or a sequence of records; the
     year's records are indexed once and every window is cut from the index.
@@ -129,6 +130,9 @@ def scan_aggregations(records, year: int, delta_t_list,
                 skipped += 1
                 continue
             fit_fit = fitness if fitness is not None else fitness_from_strengths(net)
+            if not fdcm_target_reachable(fit_fit, metrics.d, solver_config):
+                skipped += 1
+                continue
             model = fit_fdcm(fit_fit, metrics.d, config=solver_config)
             _, r_fdcm = expected_metrics(model)
             per_window.append(WindowRow(

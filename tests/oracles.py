@@ -1,5 +1,6 @@
 """Independent numerical oracles shared by the test modules."""
 
+import csv
 import datetime as dt
 
 import numpy as np
@@ -7,7 +8,7 @@ import numpy as np
 from reconnet import DirectedNetwork
 from reconnet.errors import DataValidationError, NonConvergenceError, ParseError
 from reconnet.estimation import _CLAMP, _normalized_fitness, solve_bounded_least_squares
-from reconnet.ingest import TransactionRecord, csv_reader
+from reconnet.ingest import TransactionRecord, csv_reader, line_of_row
 from reconnet.models import FittedModel, ModelKind
 
 
@@ -179,3 +180,56 @@ def parse_transactions_row_by_row(path):
             except DataValidationError as exc:
                 raise DataValidationError(str(exc), line=line) from None
     return records
+
+
+def read_network_row_by_row(path, n, labels=None):
+    """Edge list to network, one row at a time with ``int`` and ``float``.
+
+    The reference for ``read_network``: the same files accepted with the
+    same weights, and the first bad row rejected with the same exception,
+    message and line.
+    """
+    src, dst, weights = [], [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header] != ["source", "target", "weight"]:
+            raise ParseError(f"bad edge-list header in {path}", line=1)
+        row = None
+        try:
+            for row in filter(None, reader):
+                i, j, weight = row
+                src.append(int(i))
+                dst.append(int(j))
+                weights.append(float(weight))
+        except (ValueError, csv.Error):
+            raise ParseError(f"bad edge row {row!r}", line=reader.line_num) from None
+    i, j, weight = np.array(src), np.array(dst), np.array(weights, dtype=float)
+    for bad, message in (((i < 0) | (i >= n) | (j < 0) | (j >= n),
+                          f"node index outside 0..{n - 1}"),
+                         (~(np.isfinite(weight) & (weight > 0)),
+                          "weight must be positive and finite")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                line = line_of_row(fh, k)
+            raise ParseError(f"{message} in row {src[k]},{dst[k]},{weights[k]!r}", line=line)
+    cell = i.astype(np.intp) * n + j.astype(np.intp)
+    w = np.bincount(cell, weights=weight, minlength=n * n).reshape(n, n)
+    return DirectedNetwork.from_weight_matrix(w, labels=labels)
+
+
+def write_csv_per_cell(path, header, columns):
+    """CSV writer formatting every cell on its own: floats at 17 significant
+    digits, other items through ``str``. The reference for ``write_csv``."""
+    cells = []
+    for column in columns:
+        array = np.asarray(column)
+        if array.dtype.kind == "f":
+            cells.append(["{:.17g}".format(x) for x in array.tolist()])
+        else:
+            cells.append(array.tolist() if isinstance(column, np.ndarray) else list(column))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells, strict=True))

@@ -1,5 +1,6 @@
-import json
 import hashlib
+import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from reconnet import DirectedNetwork, FittedModel, ModelKind
 from reconnet.cli import main, parse_delta_ts
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
-from reconnet.ingest import FitnessData, write_fitness_csv
+from reconnet.ingest import FitnessData, read_fitness_csv, read_transactions, write_fitness_csv
 from reconnet.serialize import (
     fmt,
     model_to_dict,
+    read_csv,
     read_json,
     read_model,
     read_network,
@@ -432,3 +434,99 @@ class TestHardenedReaders:
         path.write_text(json.dumps(cfg))
         rc, _ = self.run_err(capsys, ["fit", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == code
+
+
+class TestNonUtf8Input:
+    """A 0xff byte in a CSV or JSON input is a ParseError naming the file and its line."""
+
+    @pytest.mark.parametrize("read,content", [
+        (read_transactions, b"date,lender,borrower,amount\n2007-01-02,A,B,1\nx\xff,A,B,1\n"),
+        (read_fitness_csv, b"node,assets,liabilities\nA,1,1\nB\xff,1,1\n"),
+        (read_nodes, b"index,label\n0,B0\n1,B\xff\n"),
+        (read_nodes, b"index,label\r0,B0\r1,B\xff\r"),
+        (lambda p: read_network(p, 3), b"source,target,weight\n0,1,1\n1,2,\xff\n"),
+        (lambda p: read_csv(p, ["i", "j", "tau"], [int, int, float]),
+         b"i,j,tau\r\n0,1,0.5\r\n0,2,\xff\r\n"),
+        (read_json, b'{\n  "a": 1,\n  "b": "\xff"\n}\n'),
+    ])
+    def test_reader_names_file_and_line(self, tmp_path, read, content):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert err.value.line == 3 and str(path) in str(err.value)
+        assert "not UTF-8" in str(err.value)
+
+    def test_edge_list_decoded_past_its_first_chunk(self, tmp_path):
+        # the text layer decodes in chunks: here the bad byte is met inside the row loop
+        rows = "".join(f"{k % 3},{(k + 1) % 3},1\n" for k in range(5000))
+        path = tmp_path / "e.csv"
+        path.write_bytes(b"source,target,weight\n" + rows.encode() + b"0,1,\xff\n")
+        with pytest.raises(ParseError) as err:
+            read_network(path, 3)
+        assert err.value.line == 5002 and "not UTF-8" in str(err.value)
+
+    def test_transaction_bytes_and_byte_streams(self):
+        content = b"date,lender,borrower,amount\n2007-01-02,A,B,1\n\xff\n"
+        for source in (content, io.BytesIO(content)):
+            with pytest.raises(ParseError) as err:
+                read_transactions(source)
+            assert err.value.line == 3
+
+    def run_bad(self, capsys, argv, path):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert str(path) in err and "line 2" in err
+
+    def test_scan(self, tmp_path, capsys):
+        path = tmp_path / "tx.csv"
+        path.write_bytes(b"date,lender,borrower,amount\n2007-01-02,A,B\xff,1\n")
+        self.run_bad(capsys, ["scan", "--transactions", str(path), "--year", "2007",
+                              "--delta-t", "1", "--out", str(tmp_path / "o")], path)
+
+    def test_fit(self, tmp_path, capsys):
+        path = tmp_path / "fitness.csv"
+        path.write_bytes(b"node,assets,liabilities\nA\xff,1,1\nB,1,1\n")
+        self.run_bad(capsys, ["fit", "--fitness", str(path), "--model", "fdcm",
+                              "--density", "0.5", "--out", str(tmp_path / "o")], path)
+
+    @pytest.mark.parametrize("bad", ["nodes.csv", "s.csv"])
+    def test_spectra(self, tmp_path, capsys, bad):
+        net_dir = tmp_path / "nets"
+        net_dir.mkdir()
+        write_nodes(net_dir / "nodes.csv", ["B0", "B1", "B2"])
+        (net_dir / "s.csv").write_text("source,target,weight\n0,1,1\n")
+        header, *rows = (net_dir / bad).read_bytes().splitlines(keepends=True)
+        (net_dir / bad).write_bytes(b"".join([header, b"\xff"] + rows))
+        self.run_bad(capsys, ["spectra", "--networks", str(net_dir),
+                              "--out", str(tmp_path / "o")], net_dir / bad)
+
+    def test_report(self, tmp_path, capsys):
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "tau.csv").write_bytes(b"i,j,tau\n0,1,\xff\n")
+        self.run_bad(capsys, ["report", "--in", str(src), "--out", str(tmp_path / "o")],
+                     src / "tau.csv")
+
+
+class TestScanSkipsUnreachableWindows:
+    """A window with one link is reached by no finite z: it is skipped, not fatal."""
+
+    STREAM = ("date,lender,borrower,amount\n2007-01-02,A,B,1\n2007-01-03,A,B,1\n"
+              "2007-01-03,B,A,2\n2007-01-03,C,A,2\n2007-01-03,B,C,2\n")
+
+    @pytest.mark.parametrize("pinned,fitted,skipped", [(False, 1, 1), (True, 2, 0)])
+    def test_one_link_day(self, tmp_path, pinned, fitted, skipped):
+        tx = tmp_path / "tx.csv"
+        tx.write_text(self.STREAM)
+        argv = ["scan", "--transactions", str(tx), "--year", "2007", "--delta-t", "1",
+                "--out", str(tmp_path / "o")]
+        if pinned:  # a pinned fitness makes every dyad reachable
+            write_fitness_csv(tmp_path / "f.csv", FitnessData(np.ones(3), np.ones(3)))
+            argv += ["--fitness", str(tmp_path / "f.csv")]
+        assert main(argv) == 0
+        rows = (tmp_path / "o/rho_scan.csv").read_text().splitlines()
+        assert rows[1].split(",")[:3] == ["1", str(fitted), str(skipped)]
+        windows = (tmp_path / "o/rho_windows.csv").read_text().splitlines()[1:]
+        assert [w.split(",")[1] for w in windows] == (["0", "1"] if pinned else ["1"])

@@ -17,6 +17,7 @@ from reconnet import (
     solve_bounded_least_squares,
 )
 from reconnet.errors import DataValidationError, DomainError, NonConvergenceError, NumericalError
+from reconnet.estimation import _normalized_fitness, fdcm_target_reachable
 
 UNIT4 = FitnessData(np.ones(4), np.ones(4))
 
@@ -147,10 +148,25 @@ class TestFdcmNewtonAgainstTrustRegion:
         w = np.zeros((6, 6))
         w[2, 4] = 3.0
         fitness = fitness_from_strengths(DirectedNetwork.from_weight_matrix(w))
+        assert not fdcm_target_reachable(fitness, 1 / 30)
         for fit in (fit_fdcm, fit_fdcm_trust_region):
             with pytest.raises(NonConvergenceError) as err:
                 fit(fitness, 1 / 30)
             assert not err.value.report.converged
+
+    @pytest.mark.parametrize("tiny", [1.0, 1e-100, 1e-200])
+    def test_reachability_counts_the_positive_fitness_products(self, tiny):
+        # at 1e-200 the products of two tiny entries underflow to 0 and drop out
+        rng = np.random.default_rng(2)
+        a, l = rng.lognormal(0, 1, 8), rng.lognormal(0, 1, 8)
+        a[:3] *= tiny
+        l[1:4] *= tiny
+        a[6] = l[7] = 0.0
+        fitness = FitnessData(a, l)
+        positive = np.count_nonzero(_normalized_fitness(fitness)[0])
+        assert positive == (36 if tiny == 1e-200 else 43)
+        for links in (positive - 1, positive):
+            assert fdcm_target_reachable(fitness, links / 56) == (links < positive)
 
     @pytest.mark.parametrize("d", [2 / 90, 0.05])
     def test_target_at_or_above_the_positive_dyads_with_pinned_fitness(self, d):
@@ -158,10 +174,12 @@ class TestFdcmNewtonAgainstTrustRegion:
         a = np.zeros(10)
         a[:2] = [1.0, 2.0]
         fitness = FitnessData(a, a.copy())
+        assert not fdcm_target_reachable(fitness, d)
         for fit in (fit_fdcm, fit_fdcm_trust_region):
             with pytest.raises(NonConvergenceError) as err:
                 fit(fitness, d)
             assert not err.value.report.converged
+        assert fdcm_target_reachable(fitness, 1.9 / 90)
         self.assert_same_root(fitness, 1.9 / 90)
 
     def test_evaluation_budget(self):
@@ -297,6 +315,15 @@ class TestFitFgrm:
             fit_fgrm(UNIT4, 0.5, -0.2)
         with pytest.raises(DomainError):
             fit_fgrm(UNIT4, 1.5, 0.5)
+        with pytest.raises(DomainError):
+            fit_fgrm(FitnessData(np.ones(1), np.ones(1)), 0.5, 0.5)
+
+    @pytest.mark.parametrize("d", [0.01, 0.5])
+    def test_no_dyad_with_positive_fitness(self, d):
+        # one node lends and borrows: no dyad can carry a link, whatever u and v
+        fitness = FitnessData(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
+        with pytest.raises(NonConvergenceError):
+            fit_fgrm(fitness, d, 0.4)
 
 
 class TestFitDegreeModels:

@@ -3,9 +3,11 @@
 Writing then reading transactions, fitness, edge lists and node lists
 gives back what was written, bit for bit. A valid file with one malformed
 row inserted anywhere must end in a ParseError or DataValidationError that
-names that row's line, and in CLI exit code 2. A mutated config, model or
-report file must end the CLI with exit code 0, 1, 2 or 3 and at most a
-one-line message, never a traceback.
+names that row's line, and in CLI exit code 2. The bulk edge-list reader
+and the distinct-value CSV writer match their row-by-row and cell-by-cell
+references. A mutated config, model, report, node, edge-list, fitness or
+transactions file must end the CLI with exit code 0, 1, 2 or 3 and at most
+a one-line message, never a traceback.
 """
 
 import contextlib
@@ -19,11 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import parse_transactions_row_by_row
+from oracles import parse_transactions_row_by_row, read_network_row_by_row, write_csv_per_cell
 
 from reconnet import DirectedNetwork
 from reconnet.cli import main
-from reconnet.errors import DataValidationError, ParseError
+from reconnet.errors import DataValidationError, ParseError, ReconError
 from reconnet.ingest import (
     FitnessData,
     TransactionRecord,
@@ -34,7 +36,13 @@ from reconnet.ingest import (
     write_fitness_csv,
     write_transactions_csv,
 )
-from reconnet.serialize import read_network, read_nodes, write_network, write_nodes
+from reconnet.serialize import (
+    read_network,
+    read_nodes,
+    write_csv,
+    write_network,
+    write_nodes,
+)
 
 FUZZ = settings(max_examples=60, deadline=None)
 CLI_FUZZ = settings(max_examples=10, deadline=None)
@@ -312,6 +320,141 @@ def test_field_past_the_csv_limit_is_parse_error_with_line(content, read):
 
 
 # ---------------------------------------------------------------------------
+# bulk edge-list reads and distinct-value writes against their references
+# ---------------------------------------------------------------------------
+
+# node indices and weights that int() and float() take, in forms numpy may not
+node_forms = st.just(str) | st.sampled_from([
+    " {} ".format, "+{}".format, "0{}".format, "0_{}".format, lambda k: chr(0x660 + k),
+    "\xa0{}".format, "{}\x0b".format, '"{}"'.format])
+good_node = st.tuples(node_forms, st.integers(0, 3)).map(lambda drawn: drawn[0](drawn[1]))
+good_weight = positive.map("{:.17g}".format) | st.sampled_from(
+    ["2.5", " .5", "5.", "1_0", "\u0662.\u0665", '"2.5"', "1e-3 ", "+7", "1.00000000000000011"])
+# and fields that fail a parse or a check
+edge_field = good_node | good_weight | st.integers(-1, 4).map(str) | st.sampled_from([
+    "1.0", "1e0", "inf", "-inf", "nan", "1e400", "1e-400", "-2.5", "0", "infinity", "0x10",
+    "", " ", "\t", "\x00", "1\x00", "1\x85", '"1\n"', '"0,1"', "9" * 20, "-" + "9" * 20,
+])
+good_edge_row = st.tuples(node_forms, node_forms, st.permutations(range(4)), good_weight).map(
+    lambda drawn: f"{drawn[0](drawn[2][0])},{drawn[1](drawn[2][1])},{drawn[3]}")
+odd_edge_row = st.lists(edge_field, min_size=1, max_size=4).map(",".join) | st.sampled_from(
+    ["", " ", "\t", "0,1,2,", "0,1,2.5,,", "\x00"])
+edge_headers = st.just("source,target,weight") | st.sampled_from([
+    " Source , TARGET,weight\t", '"source",target,"weight"', "source,target", "src,dst,w", "",
+    "source\r,target,weight", '"source\n",target,weight',
+])
+
+
+@st.composite
+def edge_files(draw):
+    """An edge list of repeated and odd rows under odd headers, line ends mixed."""
+    rows = draw(st.lists(good_edge_row, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd_edge_row))
+    if rows and draw(st.booleans()):  # repeat a few rows: repeated links add up
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    rows.insert(0, draw(edge_headers))
+    newlines = st.sampled_from(["\n", "\r\n", "\r"])
+    ends = [draw(newlines)] * len(rows) if draw(st.booleans()) else \
+        [draw(newlines) for _ in rows]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(row + end for row, end in zip(rows, ends))
+
+
+def _network_outcome(read, path):
+    try:
+        net = read(path)
+    except ReconError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return net.weights.tobytes(), net.adjacency.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_files())
+def test_read_network_accepts_and_rejects_like_the_row_by_row_reader(content):
+    with _tmp() as tmp:
+        path = Path(tmp) / "edges.csv"
+        path.write_bytes(content.encode("utf-8"))
+        want = _network_outcome(lambda p: read_network_row_by_row(p, 4), path)
+        assert _network_outcome(lambda p: read_network(p, 4), path) == want
+
+
+@pytest.mark.parametrize("content,accepted", [
+    # forms only the csv module and int()/float() read
+    ("source,target,weight\r0,1,1\r2,3,1\r", True),
+    ("source,target,weight\n0,1,1_0\n", True),
+    ("source,target,weight\n0,1,\u0662\n", True),
+    ('source,target,weight\n"0",1,2\n', True),
+    ("source,target,weight", True),
+    ("source,target,weight\n\n\n", True),
+    # forms both read, repeated links
+    ("source,target,weight\r\n0,1,1.0000000000000002\r\n1,2,0.30000000000000004\r\n"
+     "0,1,1e-300\r\n", True),
+    # a lone \r ends the header row for csv
+    ("source\r,target,weight\n0,1,2\n", False),
+    ("source,target,weight\n0,1,2\n  \n", False),
+    ("source,target,weight\n0,1,2,\n", False),
+    ("source,target,weight\n0,1,2\x00\n", False),
+    ("source,target,weight\n0,1,1e400\n", False),
+    ("source,target,weight\n0,4,1\n", False),
+    ("", False),
+])
+def test_read_network_on_the_forms_numpy_and_csv_read_differently(tmp_path, content, accepted):
+    path = tmp_path / "edges.csv"
+    path.write_bytes(content.encode("utf-8"))
+    want = _network_outcome(lambda p: read_network_row_by_row(p, 4), path)
+    assert isinstance(want[0], bytes) == accepted
+    assert _network_outcome(lambda p: read_network(p, 4), path) == want
+
+
+special_floats = st.sampled_from([
+    0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+    2.2250738585072009e-308, 1e-310, 0.1, 1 / 3, 1e16, 1.7976931348623157e308])
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns of one length: float, int and str arrays, ranges and lists."""
+    n = draw(st.integers(0, 12))
+    kinds = st.sampled_from(["float64", "float32", "float list", "nan payloads", "int64",
+                             "uint64", "int list", "range", "str list", "str array"])
+    columns = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+        if kind == "range":
+            columns.append(range(n))
+        elif kind in ("int64", "uint64", "int list"):
+            lo, hi = (0, 2**64 - 1) if kind == "uint64" else (-2**63, 2**63 - 1)
+            values = draw(st.lists(st.integers(lo, hi) | st.integers(max(lo, -3), 3),
+                                   min_size=n, max_size=n))
+            columns.append(values if kind == "int list" else np.array(values, dtype=kind))
+        elif kind in ("str list", "str array"):
+            values = draw(st.lists(text, min_size=n, max_size=n))
+            columns.append(values if kind == "str list" else np.array(values))
+        else:
+            values = draw(st.lists(special_floats | st.floats(), min_size=n, max_size=n))
+            array = np.array(values)
+            if kind == "nan payloads":  # NaNs that differ in sign and payload bits
+                bits = array.view(np.int64)
+                bits[np.isnan(array)] |= draw(st.integers(1, 2**51 - 1))
+            with np.errstate(over="ignore"):
+                columns.append(values if kind == "float list" else array.astype(
+                    np.float32 if kind == "float32" else np.float64))
+    return columns
+
+
+@FUZZ
+@given(csv_columns())
+def test_write_csv_writes_the_bytes_of_the_per_cell_writer(columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    with _tmp() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_csv(got, header, columns)
+        write_csv_per_cell(want, header, columns)
+        assert got.read_bytes() == want.read_bytes()
+
+
+# ---------------------------------------------------------------------------
 # the same rows through the CLI: exit code 2
 # ---------------------------------------------------------------------------
 
@@ -484,3 +627,47 @@ def test_cli_report_survives_a_mutated_artifact(artifacts, artifact, data):
         src.mkdir()
         (src / Path(artifact).name).write_text(text, encoding="utf-8")
         _assert_clean_exit(["report", "--in", str(src), "--out", str(Path(tmp) / "out")])
+
+
+def _mutate_bytes(draw, path):
+    """A text mutation of the file at ``path``, sometimes with a byte that is not UTF-8."""
+    data = _mutate_text(draw, path.read_bytes().decode("utf-8")).encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        pos = draw(st.integers(0, len(data)))
+        data = data[:pos] + b"\xff" + data[pos:]
+    return data
+
+
+@pytest.mark.parametrize("name", ["nodes.csv", "sample_00001.csv"])
+@MUTATION_FUZZ
+@given(data=st.data())
+def test_cli_spectra_survives_a_mutated_network_file(artifacts, name, data):
+    samples = artifacts / "ens/samples"
+    with _tmp() as tmp:
+        net_dir = Path(tmp) / "nets"
+        net_dir.mkdir()
+        for path in samples.iterdir():
+            (net_dir / path.name).write_bytes(path.read_bytes())
+        (net_dir / name).write_bytes(_mutate_bytes(data.draw, samples / name))
+        _assert_clean_exit(["spectra", "--networks", str(net_dir), "--rescale",
+                            "--out", str(Path(tmp) / "out")])
+
+
+@MUTATION_FUZZ
+@given(st.data())
+def test_cli_fit_survives_a_mutated_fitness_file(artifacts, data):
+    with _tmp() as tmp:
+        path = Path(tmp) / "fitness.csv"
+        path.write_bytes(_mutate_bytes(data.draw, artifacts / "data/fitness.csv"))
+        _assert_clean_exit(["fit", "--fitness", str(path), "--model", "fgrm", "--density", "0.3",
+                            "--reciprocity", "0.4", "--out", str(Path(tmp) / "out")])
+
+
+@MUTATION_FUZZ
+@given(st.data())
+def test_cli_scan_survives_a_mutated_transactions_file(artifacts, data):
+    with _tmp() as tmp:
+        path = Path(tmp) / "transactions.csv"
+        path.write_bytes(_mutate_bytes(data.draw, artifacts / "data/transactions.csv"))
+        _assert_clean_exit(["scan", "--transactions", str(path), "--year", "2005",
+                            "--delta-t", "1:8:3", "--out", str(Path(tmp) / "out")])

@@ -233,6 +233,18 @@ class TestScan:
         assert got == want
         assert [row.window_count for row in result.rows] == [20, 4, 2]
 
+    def test_window_no_finite_z_reaches_is_skipped(self):
+        # day 1 holds one link: with the window's own strengths only that dyad
+        # has positive fitness, so the fit could not reach the density
+        days = trading_days(2007, 2)
+        records = [TransactionRecord(days[0], "A", "B", 1.0)] + [
+            TransactionRecord(days[1], i, j, 2.0) for i, j in ("AB", "BA", "CA", "BC")]
+        result = scan_aggregations(records, 2007, [1, 2])
+        assert [(r.window_count, r.skipped_windows) for r in result.rows] == [(1, 1), (1, 0)]
+        assert [(w.delta_t, w.window_index) for w in result.windows] == [(1, 1), (2, 0)]
+        pinned = scan_aggregations(records, 2007, [1], fitness=FitnessData(np.ones(3), np.ones(3)))
+        assert (pinned.rows[0].window_count, pinned.rows[0].skipped_windows) == (2, 0)
+
     def test_relabeling_invariance_of_rho(self):
         # rho depends only on the two scalar reciprocities
         assert rho(0.4, 0.1) == rho(0.4, 0.1)

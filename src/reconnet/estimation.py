@@ -127,22 +127,20 @@ def _below_positive_dyads(target: float, positive: int, tolerance: float) -> boo
     return target < positive * (1.0 - tolerance)
 
 
+def _positive_dyads(alt) -> int:
+    """Dyads whose fitness product is positive: the only ones that can carry a link."""
+    return int(np.count_nonzero(alt > 0))
+
+
 def fdcm_target_reachable(fitness: FitnessData, d_target: float,
                           config: SolverConfig | None = None) -> bool:
     """Whether some finite z gives the density-only model expected density ``d_target``.
 
     The test ``fit_fdcm`` applies before it solves: the expected number of
     links stays below the number of dyads with positive fitness product.
-    Those are counted in O(N) unless the smallest such product underflows.
     """
     n = fitness.n
-    a, l = fitness.assets, fitness.liabilities
-    x, y = a / float(a[a > 0].mean()), l / float(l[l > 0].mean())  # as _normalized_fitness
-    lends, borrows = x > 0, y > 0
-    if x[lends].min() * y[borrows].min() > 0:  # so is every product of positive entries
-        positive = int(lends.sum()) * int(borrows.sum()) - int((lends & borrows).sum())
-    else:
-        positive = int(np.count_nonzero(_normalized_fitness(fitness)[0]))
+    positive = _positive_dyads(_normalized_fitness(fitness)[0])
     return _below_positive_dyads(n * (n - 1) * d_target, positive,
                                  (config or SolverConfig()).residual_tolerance)
 
@@ -171,6 +169,7 @@ def fit_fdcm(fitness: FitnessData, d_target: float,
         raise DomainError(f"density fit needs at least 2 nodes, got {n}")
     config = config or SolverConfig()
     alt, scale = _normalized_fitness(fitness)
+    positive = _positive_dyads(alt)
     alt = alt[alt > 0]
     target = n * (n - 1) * d_target
     start = time.perf_counter()
@@ -179,10 +178,10 @@ def fit_fdcm(fitness: FitnessData, d_target: float,
         return SolverReport(iterations=evaluations, residual_norm=residual,
                             converged=converged, seconds=time.perf_counter() - start)
 
-    if not _below_positive_dyads(target, alt.size, config.residual_tolerance):
+    if not _below_positive_dyads(target, positive, config.residual_tolerance):
         raise NonConvergenceError(
             f"density target ({target:.6g} links) reaches the number of dyads with positive "
-            f"fitness ({alt.size})", report(0, abs(target - alt.size) / target, False))
+            f"fitness ({positive})", report(0, abs(target - positive) / target, False))
     s_min = math.log(config.lower_bound)
     lo, hi = max(math.log(target / alt.sum()), s_min), math.inf
     s = lo
@@ -255,10 +254,8 @@ def fit_fgrm(fitness: FitnessData, d_target: float, r_target: float,
         raise DomainError(f"density/reciprocity fit needs at least 2 nodes, got {n}")
     alt, scale = _normalized_fitness(fitness)
     t_link = n * (n - 1) * d_target
-    positive = int(np.count_nonzero(alt))
-    if not _below_positive_dyads(t_link, positive, (config or SolverConfig()).residual_tolerance):
-        raise NonConvergenceError(f"density target ({t_link:.6g} links) reaches the number of "
-                                  f"dyads with positive fitness ({positive})")
+    if _positive_dyads(alt) == 0:
+        raise NonConvergenceError("no dyad has a positive fitness product to carry a link")
     r_scale = r_target if r_target > 0 else 1.0
 
     def resid(uv):

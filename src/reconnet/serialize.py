@@ -28,29 +28,23 @@ def fmt(x) -> str:
     return _FLOAT17(float(x))
 
 
-def _distinct_texts(array, keys, text):
-    """``text`` of every item of ``array``, computed once per distinct ``keys`` value."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    texts = np.array(list(map(text, array[first].tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
 def write_csv(path, header, columns) -> None:
     """A header row, then row k holding item k of every column.
 
     Columns are arrays or sequences of equal length. A float column is
     written through ``fmt``, any other column as ``str`` of its items. A
-    float or integer array is formatted once per distinct value; floats are
-    told apart by their bits, which keeps -0.0 apart from 0.0.
+    float array is formatted once per distinct value, told apart by its
+    bits, which keeps -0.0 apart from 0.0.
     """
     cells = []
     for column in columns:
         array = np.asarray(column)
         if array.dtype.kind == "f":
             array = np.ascontiguousarray(array, dtype=np.float64)
-            cells.append(_distinct_texts(array, array.view(np.int64), _FLOAT17))
-        elif array.dtype.kind in "iu" and isinstance(column, np.ndarray):
-            cells.append(_distinct_texts(array, array, str))
+            _, first, inverse = np.unique(array.view(np.int64), return_index=True,
+                                          return_inverse=True)
+            texts = np.array(list(map(_FLOAT17, array[first].tolist())), dtype=object)
+            cells.append(texts[inverse].tolist())
         else:
             # items of a sequence as they are: a numpy str array drops trailing NULs
             cells.append(array.tolist() if isinstance(column, np.ndarray) else list(column))

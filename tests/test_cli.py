@@ -530,3 +530,14 @@ class TestScanSkipsUnreachableWindows:
         assert rows[1].split(",")[:3] == ["1", str(fitted), str(skipped)]
         windows = (tmp_path / "o/rho_windows.csv").read_text().splitlines()[1:]
         assert [w.split(",")[1] for w in windows] == (["0", "1"] if pinned else ["1"])
+
+    def test_strengths_whose_mean_overflows(self, tmp_path):
+        # two loans of 1e308 on day 1: the mean strength is inf, so every
+        # normalised fitness is 0 and no dyad can carry a link
+        tx = tmp_path / "tx.csv"
+        tx.write_text(self.STREAM.replace("2007-01-02,A,B,1\n",
+                                          "2007-01-02,A,B,1e308\n2007-01-02,C,D,1e308\n"))
+        assert main(["scan", "--transactions", str(tx), "--year", "2007", "--delta-t", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o/rho_scan.csv").read_text().splitlines()
+        assert rows[1].split(",")[:3] == ["1", "1", "1"]

@@ -168,6 +168,17 @@ class TestFdcmNewtonAgainstTrustRegion:
         for links in (positive - 1, positive):
             assert fdcm_target_reachable(fitness, links / 56) == (links < positive)
 
+    def test_fitness_whose_mean_overflows_reaches_no_target(self):
+        # the mean of the positive entries is inf: every normalised product is 0
+        big = np.array([1e308, 0.0, 1e308, 0.0])
+        fitness = FitnessData(big, big[::-1].copy())
+        with np.errstate(over="ignore"):
+            assert not fdcm_target_reachable(fitness, 2 / 12)
+            with pytest.raises(NonConvergenceError):
+                fit_fdcm(fitness, 2 / 12)
+            with pytest.raises(NonConvergenceError):
+                fit_fgrm(fitness, 2 / 12, 0.0)
+
     @pytest.mark.parametrize("d", [2 / 90, 0.05])
     def test_target_at_or_above_the_positive_dyads_with_pinned_fitness(self, d):
         # only nodes 0 and 1 lend and borrow: two of the 90 dyads can carry links

@@ -398,6 +398,11 @@ def test_read_network_accepts_and_rejects_like_the_row_by_row_reader(content):
     ("source,target,weight\n0,1,2\x00\n", False),
     ("source,target,weight\n0,1,1e400\n", False),
     ("source,target,weight\n0,4,1\n", False),
+    # integer fields written as floats: int() rejects them, so must numpy
+    ("source,target,weight\n1.7,0,2\n", False),
+    ("source,target,weight\n0.5,1,2\n", False),
+    ("source,target,weight\n1.0,2,3\n", False),
+    ("source,target,weight\n0,1e0,2\n", False),
     ("", False),
 ])
 def test_read_network_on_the_forms_numpy_and_csv_read_differently(tmp_path, content, accepted):

@@ -94,7 +94,10 @@ def _threads(cfg) -> int:
             return max(1, int(env))
         except ValueError:
             raise ConfigurationError(f"RECON_NET_THREADS={env!r} is not an integer") from None
-    return max(1, _option(cfg, "threads", int, os.cpu_count() or 1))
+    # by default, the CPUs this process may run on where the platform says, else all of them
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, _option(cfg, "threads", int, cpus))
 
 
 def _text(value) -> str:
@@ -214,14 +217,14 @@ def _cmd_synth(cfg, out):
         model = fit_fdcm(fitness, d, config=solver)
     else:
         raise ConfigurationError(f"field 'model' must be fdcm or fgrm, got {kind.value}")
-    records = synth_transactions(model, _need(cfg, "year", int), _need(cfg, "days", int),
-                                 derive_subseed(seed, 1),
-                                 amount_sigma=_option(cfg, "amount_sigma", float, 0.0))
+    table = synth_transactions(model, _need(cfg, "year", int), _need(cfg, "days", int),
+                               derive_subseed(seed, 1),
+                               amount_sigma=_option(cfg, "amount_sigma", float, 0.0))
     paths = [out / "fitness.csv", out / "transactions.csv", out / "truth.json"]
     write_fitness_csv(paths[0], fitness)
-    write_transactions_csv(paths[1], records)
+    write_transactions_csv(paths[1], table)
     write_model(paths[2], model)
-    return paths, {"transactions": len(records), "params": model.params}
+    return paths, {"transactions": len(table.day), "params": model.params}
 
 
 def _cmd_aggregate(cfg, out):

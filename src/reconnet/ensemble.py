@@ -99,11 +99,20 @@ class _DyadSampler:
         return a
 
 
-def sample_networks(model: FittedModel, seeds) -> Iterator[DirectedNetwork]:
-    """One network realization of ``model`` per seed, from one shared sampler."""
+def sample_adjacencies(model: FittedModel, seeds) -> Iterator[np.ndarray]:
+    """One int8 adjacency matrix of ``model`` per seed, from one shared sampler.
+
+    The matrices are valid adjacencies by construction (0/1, zero
+    diagonal), so they are not wrapped in a validated ``DirectedNetwork``.
+    """
     sampler = _DyadSampler(model)
     for seed in seeds:
-        yield DirectedNetwork(sampler.sample_adjacency(seed))
+        yield sampler.sample_adjacency(seed)
+
+
+def sample_networks(model: FittedModel, seeds) -> Iterator[DirectedNetwork]:
+    """One network realization of ``model`` per seed, from one shared sampler."""
+    return map(DirectedNetwork, sample_adjacencies(model, seeds))
 
 
 def sample_network(model: FittedModel, seed: int) -> DirectedNetwork:

@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DataValidationError, DomainError, NonConvergenceError, NumericalError
 from .ingest import FitnessData
@@ -87,6 +86,9 @@ def solve_bounded_least_squares(residual, n_params: int,
             raise NumericalError(f"residual returned non-finite values at x={x!r}")
         return f
 
+    # scipy.optimize takes most of a second to import, and only these fits need it
+    from scipy.optimize import least_squares
+
     start = time.perf_counter()
     result = least_squares(
         wrapped, x0,
@@ -113,8 +115,10 @@ def solve_bounded_least_squares(residual, n_params: int,
 def _normalized_fitness(fitness: FitnessData):
     a = fitness.assets
     l = fitness.liabilities
-    scale_a = float(a[a > 0].mean())
-    scale_l = float(l[l > 0].mean())
+    # a mean that overflows is inf: every normalised fitness is then 0, and no dyad can link
+    with np.errstate(over="ignore"):
+        scale_a = float(a[a > 0].mean())
+        scale_l = float(l[l > 0].mean())
     alt = np.outer(a / scale_a, l / scale_l)
     np.fill_diagonal(alt, 0.0)
     return alt, scale_a * scale_l

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import derive_subseed, sample_networks
+from .ensemble import derive_subseed, sample_adjacencies
 from .errors import ConfigurationError, DataValidationError, ParseError
 from .graph import DirectedNetwork
 from .models import FittedModel
@@ -478,27 +478,50 @@ def trading_days(year: int, n_days: int) -> list[dt.date]:
 
 
 def synth_transactions(model: FittedModel, year: int, n_days: int, seed: int,
-                       amount_sigma: float = 0.0) -> list[TransactionRecord]:
+                       amount_sigma: float = 0.0) -> TransactionTable:
     """Per-day independent draws from ``model``, one transaction per link.
 
-    Day k is sampled with the sub-seed derived from (seed, k); amounts are
-    1.0, or lognormal(0, amount_sigma) when a spread is requested.
+    Day k is sampled with the sub-seed derived from (seed, k) and its links
+    are listed in row-major order; amounts are 1.0, or lognormal(0,
+    amount_sigma) drawn with the sub-seed of (seed, n_days + k) when a
+    spread is requested. Bank k is labelled ``B{k:04d}``. An amount_sigma
+    that is negative or not finite is a ConfigurationError; an amount that
+    overflows to infinity or underflows to zero is a DataValidationError.
     """
+    if not 0.0 <= amount_sigma < math.inf:  # NaN fails both comparisons
+        raise ConfigurationError(
+            f"amount_sigma must be nonnegative and finite, got {amount_sigma}")
     days = trading_days(year, n_days)
     n = model.n
-    labels = [f"B{k:04d}" for k in range(n)]
-    nets = sample_networks(model, [derive_subseed(seed, k) for k in range(n_days)])
-    records = []
-    for k, (day, net) in enumerate(zip(days, nets)):
-        rows, cols = np.nonzero(net.adjacency)
+    adjacencies = sample_adjacencies(model, [derive_subseed(seed, k) for k in range(n_days)])
+    cells, amounts = [], []
+    for k, a in enumerate(adjacencies):
+        cells.append(np.flatnonzero(a))
         if amount_sigma > 0.0:
             rng = np.random.Generator(np.random.PCG64(derive_subseed(seed, n_days + k)))
-            amounts = rng.lognormal(0.0, amount_sigma, len(rows))
-        else:
-            amounts = np.ones(len(rows))
-        for i, j, amt in zip(rows, cols, amounts):
-            records.append(TransactionRecord(day, labels[i], labels[j], float(amt)))
-    return records
+            amounts.append(rng.lognormal(0.0, amount_sigma, len(cells[-1])))
+    counts = np.array([len(c) for c in cells], dtype=np.intp)
+    row_day = np.repeat(np.arange(n_days, dtype=np.intp), counts)
+    cell = np.concatenate(cells) if cells else np.zeros(0, dtype=np.intp)
+    amount = np.concatenate(amounts) if amounts else np.ones(len(cell))
+    lender, borrower = np.divmod(cell, n)
+    bad = (lender == borrower) | ~((amount > 0) & (amount < math.inf))  # NaN fails both
+    if bad.any():
+        k = int(np.argmax(bad))
+        # the record of the first bad row raises its own error
+        TransactionRecord(days[row_day[k]], f"B{lender[k]:04d}", f"B{borrower[k]:04d}",
+                          float(amount[k]))
+    # the table holds the days and banks that carry a link, each sorted
+    has_links = counts > 0
+    names = sorted((f"B{k:04d}", k) for k in np.union1d(lender, borrower).tolist())
+    code = np.zeros(n, dtype=np.intp)
+    code[[k for _, k in names]] = np.arange(len(names))
+    return TransactionTable(
+        dates=tuple(itertools.compress(days, has_links)),
+        day=(np.cumsum(has_links) - 1)[row_day],
+        labels=tuple(name for name, _ in names),
+        lender=code[lender], borrower=code[borrower],
+        amount=amount, maturity=[None] * len(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +529,28 @@ def synth_transactions(model: FittedModel, year: int, n_days: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def write_transactions_csv(path, records) -> None:
+def write_transactions_csv(path, transactions) -> None:
+    """Write a ``TransactionTable``, or a sequence of records, as a transactions CSV.
+
+    Amounts are written at 17 significant digits and a missing maturity as
+    an empty field. Each distinct date and each distinct amount (told apart
+    by its bits) is formatted once.
+    """
+    table = transactions if isinstance(transactions, TransactionTable) else \
+        TransactionTable.from_records(transactions)
+    dates = [d.isoformat() for d in table.dates]
+    amount = np.ascontiguousarray(table.amount, dtype=np.float64)
+    _, first, which = np.unique(amount.view(np.int64), return_index=True, return_inverse=True)
+    amounts = [format(v, ".17g") for v in amount[first].tolist()]
+    labels = table.labels
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER + ["maturity"])
-        for r in records:
-            writer.writerow([r.date.isoformat(), r.lender, r.borrower,
-                             format(r.amount, ".17g"), r.maturity or ""])
+        writer.writerows(zip(map(dates.__getitem__, table.day.tolist()),
+                             map(labels.__getitem__, table.lender.tolist()),
+                             map(labels.__getitem__, table.borrower.tolist()),
+                             map(amounts.__getitem__, which.tolist()),
+                             (m or "" for m in table.maturity)))
 
 
 def write_fitness_csv(path, fitness: FitnessData, labels=None) -> None:

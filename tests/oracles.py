@@ -6,9 +6,10 @@ import datetime as dt
 import numpy as np
 
 from reconnet import DirectedNetwork
+from reconnet.ensemble import derive_subseed, sample_networks
 from reconnet.errors import DataValidationError, NonConvergenceError, ParseError
 from reconnet.estimation import _CLAMP, _normalized_fitness, solve_bounded_least_squares
-from reconnet.ingest import TransactionRecord, csv_reader, line_of_row
+from reconnet.ingest import TransactionRecord, csv_reader, line_of_row, trading_days
 from reconnet.models import FittedModel, ModelKind
 
 
@@ -233,3 +234,37 @@ def write_csv_per_cell(path, header, columns):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*cells, strict=True))
+
+
+def synth_transactions_per_record(model, year, n_days, seed, amount_sigma=0.0):
+    """Synthetic loans built one record at a time from validated networks.
+
+    Day k is the network drawn with sub-seed (seed, k), its links taken in
+    ``np.nonzero`` order; amounts are 1.0 or lognormal(0, amount_sigma)
+    from sub-seed (seed, n_days + k). The reference for the columnar
+    ``synth_transactions``.
+    """
+    labels = [f"B{k:04d}" for k in range(model.n)]
+    nets = sample_networks(model, [derive_subseed(seed, k) for k in range(n_days)])
+    records = []
+    for k, (day, net) in enumerate(zip(trading_days(year, n_days), nets)):
+        rows, cols = np.nonzero(net.adjacency)
+        if amount_sigma > 0.0:
+            rng = np.random.Generator(np.random.PCG64(derive_subseed(seed, n_days + k)))
+            amounts = rng.lognormal(0.0, amount_sigma, len(rows))
+        else:
+            amounts = np.ones(len(rows))
+        for i, j, amt in zip(rows, cols, amounts):
+            records.append(TransactionRecord(day, labels[i], labels[j], float(amt)))
+    return records
+
+
+def write_transactions_per_row(path, records):
+    """Transactions CSV written one record at a time: the reference for
+    ``write_transactions_csv``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "lender", "borrower", "amount", "maturity"])
+        for r in records:
+            writer.writerow([r.date.isoformat(), r.lender, r.borrower,
+                             format(r.amount, ".17g"), r.maturity or ""])

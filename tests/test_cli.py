@@ -1,12 +1,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reconnet import DirectedNetwork, FittedModel, ModelKind
+from reconnet import DirectedNetwork, FittedModel, ModelKind, cli
 from reconnet.cli import main, parse_delta_ts
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
 from reconnet.ingest import FitnessData, read_fitness_csv, read_transactions, write_fitness_csv
@@ -537,7 +541,58 @@ class TestScanSkipsUnreachableWindows:
         tx = tmp_path / "tx.csv"
         tx.write_text(self.STREAM.replace("2007-01-02,A,B,1\n",
                                           "2007-01-02,A,B,1e308\n2007-01-02,C,D,1e308\n"))
-        assert main(["scan", "--transactions", str(tx), "--year", "2007", "--delta-t", "1",
-                     "--out", str(tmp_path / "o")]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["scan", "--transactions", str(tx), "--year", "2007", "--delta-t", "1",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         rows = (tmp_path / "o/rho_scan.csv").read_text().splitlines()
         assert rows[1].split(",")[:3] == ["1", "1", "1"]
+
+
+class TestSynthAmountSigma:
+    """A spread that is no lognormal sigma is a usage error; one whose amounts overflow is bad data."""
+
+    def synth(self, tmp_path, capsys, sigma):
+        rc = main(["synth", "--nodes", "6", "--fitness-dist", "constant(1)", "--model", "fdcm",
+                   "--density", "0.3", "--days", "3", "--year", "2005", "--seed", "2",
+                   "--amount-sigma", sigma, "--out", str(tmp_path / "synth")])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_negative_or_not_finite_is_a_usage_error(self, tmp_path, capsys, sigma):
+        rc, err = self.synth(tmp_path, capsys, sigma)
+        assert rc == 1
+        assert "amount_sigma must be nonnegative and finite" in err
+
+    def test_overflowing_amounts_are_a_data_error(self, tmp_path, capsys):
+        rc, err = self.synth(tmp_path, capsys, "1e308")
+        assert rc == 2
+        assert "amount must be positive and finite" in err
+
+    def test_zero_gives_unit_amounts(self, tmp_path, capsys):
+        assert self.synth(tmp_path, capsys, "0")[0] == 0
+        assert set(read_transactions(tmp_path / "synth/transactions.csv").amount) == {1.0}
+
+
+class TestDefaultThreads:
+    """Without --threads or RECON_NET_THREADS, one worker per CPU this process may use."""
+
+    def test_affinity_of_one_cpu(self, monkeypatch):
+        monkeypatch.delenv("RECON_NET_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cli._threads({}) == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("RECON_NET_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._threads({}) == 3
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    code = "import sys, reconnet.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import aggregate_record_loop
+from oracles import (
+    aggregate_record_loop,
+    synth_transactions_per_record,
+    write_transactions_per_row,
+)
 
 from reconnet import (
     AggregationWindow,
@@ -356,8 +360,8 @@ class TestSynthTransactions:
     def test_deterministic_and_well_formed(self):
         fitness = FitnessData(np.ones(5), np.ones(5))
         model = FittedModel(ModelKind.FDCM, {"z": 1.0}, fitness=fitness)
-        recs1 = synth_transactions(model, 2010, 10, seed=4)
-        recs2 = synth_transactions(model, 2010, 10, seed=4)
+        recs1 = synth_transactions(model, 2010, 10, seed=4).records()
+        recs2 = synth_transactions(model, 2010, 10, seed=4).records()
         assert [(r.date, r.lender, r.borrower, r.amount) for r in recs1] == \
                [(r.date, r.lender, r.borrower, r.amount) for r in recs2]
         assert all(r.date.year == 2010 and r.date.weekday() < 5 for r in recs1)
@@ -366,7 +370,7 @@ class TestSynthTransactions:
     def test_day_k_is_the_network_drawn_with_sub_seed_k(self):
         fitness = FitnessData(np.linspace(0.5, 2.0, 6), np.linspace(2.0, 0.5, 6))
         model = FittedModel(ModelKind.FDCM, {"z": 0.4}, fitness=fitness)
-        recs = synth_transactions(model, 2010, 8, seed=11)
+        recs = synth_transactions(model, 2010, 8, seed=11).records()
         for k, day in enumerate(trading_days(2010, 8)):
             a = np.zeros((6, 6), dtype=np.int8)
             for r in recs:
@@ -377,6 +381,56 @@ class TestSynthTransactions:
     def test_record_validation(self):
         with pytest.raises(DataValidationError):
             TransactionRecord(dt.date(2010, 1, 1), "A", "B", 0.0)
+
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+    def test_amount_sigma_must_be_nonnegative_and_finite(self, sigma):
+        model = FittedModel(ModelKind.FDCM, {"z": 1.0}, fitness=FitnessData(np.ones(4), np.ones(4)))
+        with pytest.raises(ConfigurationError, match="amount_sigma"):
+            synth_transactions(model, 2010, 2, seed=1, amount_sigma=sigma)
+
+    def test_overflowing_amounts_are_rejected(self):
+        model = FittedModel(ModelKind.FDCM, {"z": 1.0}, fitness=FitnessData(np.ones(4), np.ones(4)))
+        with pytest.raises(DataValidationError, match="positive and finite"):
+            synth_transactions(model, 2010, 2, seed=1, amount_sigma=1e308)
+
+
+class TestSynthAgainstPerRecordOracle:
+    """The columnar synth and writer against the record-by-record ones, byte for byte."""
+
+    MODELS = {
+        "fdcm": FittedModel(ModelKind.FDCM, {"z": 0.3}, fitness=FitnessData(
+            np.linspace(0.2, 3.0, 14), np.linspace(3.0, 0.2, 14))),
+        "fgrm": FittedModel(ModelKind.FGRM, {"u": 0.05, "v": 6.0}, fitness=FitnessData(
+            np.geomspace(0.1, 10.0, 17), np.geomspace(5.0, 0.5, 17))),
+    }
+
+    @pytest.mark.parametrize("kind", ["fdcm", "fgrm"])
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    @pytest.mark.parametrize("seed", [1, 7919, 2**64 - 1])
+    def test_transactions_csv_is_byte_identical(self, tmp_path, kind, sigma, seed):
+        model = self.MODELS[kind]
+        table = synth_transactions(model, 2011, 12, seed, amount_sigma=sigma)
+        records = synth_transactions_per_record(model, 2011, 12, seed, amount_sigma=sigma)
+        assert table.records() == records
+        write_transactions_csv(tmp_path / "table.csv", table)
+        write_transactions_per_row(tmp_path / "oracle.csv", records)
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        want = TransactionTable.from_records(records)
+        assert (table.dates, table.labels, table.maturity) == \
+            (want.dates, want.labels, want.maturity)
+        for name in ("day", "lender", "borrower", "amount"):
+            got, expected = getattr(table, name), getattr(want, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+
+    def test_days_and_banks_without_links_are_left_out(self):
+        # z = 0 except through one bank: only its links, on the days they fall
+        fitness = FitnessData(np.array([0.0, 0.0, 5.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]))
+        model = FittedModel(ModelKind.FDCM, {"z": 0.2}, fitness=fitness)
+        table = synth_transactions(model, 2011, 30, seed=3)
+        records = synth_transactions_per_record(model, 2011, 30, seed=3)
+        assert 0 < len(table.dates) < 30
+        assert table.labels == ("B0000", "B0001", "B0002")
+        assert table.records() == records
 
 
 class TestFitnessCsv:

@@ -21,7 +21,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import parse_transactions_row_by_row, read_network_row_by_row, write_csv_per_cell
+from oracles import (
+    parse_transactions_row_by_row,
+    read_network_row_by_row,
+    write_csv_per_cell,
+    write_transactions_per_row,
+)
 
 from reconnet import DirectedNetwork
 from reconnet.cli import main
@@ -84,6 +89,32 @@ def test_transactions_round_trip(records):
     for name in ("day", "lender", "borrower", "amount"):
         got, expected = getattr(table, name), getattr(want, name)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+
+
+@st.composite
+def loan_lists(draw):
+    """Records with labels the csv module must quote, maturities and repeated dates."""
+    awkward = st.sampled_from(['a,b', 'say "hi"', "two\nlines", "semi;colon", "B0001"])
+    dates = draw(st.lists(st.dates(), min_size=1, max_size=3))
+    records = []
+    for _ in range(draw(st.integers(0, 25))):
+        lender, borrower = draw(st.lists(awkward | names, min_size=2, max_size=2, unique=True))
+        amount = draw(positive | st.integers(1, 2**70) | st.sampled_from([0.1, 1.0, 1e-300]))
+        records.append(TransactionRecord(draw(st.sampled_from(dates)), lender, borrower, amount,
+                                         draw(st.none() | st.just("") | text)))
+    return records
+
+
+@FUZZ
+@given(loan_lists())
+def test_transactions_writer_matches_the_per_row_writer(records):
+    with _tmp() as tmp:
+        want = Path(tmp) / "oracle.csv"
+        write_transactions_per_row(want, records)
+        for source in (records, TransactionTable.from_records(records)):
+            got = Path(tmp) / "table.csv"
+            write_transactions_csv(got, source)
+            assert got.read_bytes() == want.read_bytes()
 
 
 @FUZZ

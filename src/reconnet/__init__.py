@@ -46,26 +46,13 @@ from .ingest import (
     synth_transactions,
     trading_calendar,
 )
-from .models import (
-    DyadProbabilities,
-    FittedModel,
-    ModelKind,
-    dcm_prob,
-    dyad_probability_arrays,
-    dyad_probs,
-    fdcm_dyad_probs,
-    fdcm_prob,
-    fgrm_dyad_probs,
-    grm_dyad_probs,
-    rcm_dyad_probs,
-)
+from .models import FittedModel, ModelKind, dyad_probability_arrays
 from .spectral import (
     BulkShape,
     Spectrum,
     TauMatrix,
     bulk_shape,
     eigenvalues,
-    fgrm_tau,
     leading_eigenvalue,
     rescale_matrix,
     spectral_radius,

@@ -49,26 +49,27 @@ from .ingest import (
     aggregate,
     build_windows,
     index_year,
-    read_fitness_csv,
     read_transactions,
+    synth_days,
     synth_fitness,
     synth_transactions,
-    write_fitness_csv,
-    write_transactions_csv,
 )
 from .models import ModelKind, dyad_probability_arrays
 from .serialize import (
     finite_float,
     read_csv,
+    read_fitness_csv,
     read_json,
     read_model,
     read_network,
     read_nodes,
     write_csv,
+    write_fitness_csv,
     write_json,
     write_model,
     write_network,
     write_nodes,
+    write_transactions_csv,
 )
 from .spectral import bulk_shape, eigenvalues, rescale_matrix, tau_matrix
 from .validation import (
@@ -202,24 +203,31 @@ def parse_delta_ts(text) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(cfg, out):
-    n = _need(cfg, "nodes", int)
-    dist = _need(cfg, "fitness_dist", _text)
+def _fit_fitness_model(cfg, fitness):
+    """The fdcm or fgrm model of ``fitness`` that the config's targets ask for."""
     kind = _need(cfg, "model", ModelKind)
     d = _fraction(cfg, "density", 0.0, 1.0)
-    seed = _need(cfg, "seed", int)
-    fitness = synth_fitness(n, dist, derive_subseed(seed, 0))
     solver = _solver_config(cfg)
     if kind is ModelKind.FGRM:
         r = _fraction(cfg, "reciprocity", 0.0, 1.0, lo_open=False)
-        model = fit_fgrm(fitness, d, r, config=solver)
-    elif kind is ModelKind.FDCM:
-        model = fit_fdcm(fitness, d, config=solver)
-    else:
-        raise ConfigurationError(f"field 'model' must be fdcm or fgrm, got {kind.value}")
-    table = synth_transactions(model, _need(cfg, "year", int), _need(cfg, "days", int),
-                               derive_subseed(seed, 1),
-                               amount_sigma=_option(cfg, "amount_sigma", float, 0.0))
+        return fit_fgrm(fitness, d, r, config=solver)
+    if kind is ModelKind.FDCM:
+        return fit_fdcm(fitness, d, config=solver)
+    raise ConfigurationError(f"field 'model' must be fdcm or fgrm, got {kind.value}")
+
+
+def _cmd_synth(cfg, out):
+    n = _need(cfg, "nodes", int)
+    dist = _need(cfg, "fitness_dist", _text)
+    seed = _need(cfg, "seed", int)
+    year = _need(cfg, "year", int)
+    days = _need(cfg, "days", int)
+    amount_sigma = _option(cfg, "amount_sigma", float, 0.0)
+    synth_days(year, days, amount_sigma)  # before the fit, which can take seconds
+    fitness = synth_fitness(n, dist, derive_subseed(seed, 0))
+    model = _fit_fitness_model(cfg, fitness)
+    table = synth_transactions(model, year, days, derive_subseed(seed, 1),
+                               amount_sigma=amount_sigma)
     paths = [out / "fitness.csv", out / "transactions.csv", out / "truth.json"]
     write_fitness_csv(paths[0], fitness)
     write_transactions_csv(paths[1], table)
@@ -257,16 +265,7 @@ def _cmd_aggregate(cfg, out):
 
 def _cmd_fit(cfg, out):
     fitness, _ = read_fitness_csv(_need_path(cfg, "fitness"))
-    kind = _need(cfg, "model", ModelKind)
-    d = _fraction(cfg, "density", 0.0, 1.0)
-    solver = _solver_config(cfg)
-    if kind is ModelKind.FGRM:
-        r = _fraction(cfg, "reciprocity", 0.0, 1.0, lo_open=False)
-        model = fit_fgrm(fitness, d, r, config=solver)
-    elif kind is ModelKind.FDCM:
-        model = fit_fdcm(fitness, d, config=solver)
-    else:
-        raise ConfigurationError(f"field 'model' must be fdcm or fgrm, got {kind.value}")
+    model = _fit_fitness_model(cfg, fitness)
     paths = [out / "fitted.json"]
     write_model(paths[0], model)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataValidationError, DomainError, NonConvergenceError, NumericalError
 from .ingest import FitnessData
-from .models import FittedModel, ModelKind
+from .models import FittedModel, ModelKind, link_probability
 
 # u * alt products above this are clamped during iteration; the solver only
 # visits that region transiently and the optimum is orders of magnitude away.
@@ -423,4 +423,4 @@ def _fit_rcm(k_mono_out, k_mono_in, k_recip, config):
 def _independent_link_matrix(x, y):
     m = np.outer(x, y)
     np.fill_diagonal(m, 0.0)
-    return m / (1.0 + m)
+    return link_probability(m)

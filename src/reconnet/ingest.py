@@ -465,16 +465,28 @@ def synth_fitness(n: int, distribution_spec: str, seed: int) -> FitnessData:
 
 
 def trading_days(year: int, n_days: int) -> list[dt.date]:
-    """First n_days weekdays of the year."""
-    days = []
-    day = dt.date(year, 1, 1)
-    while len(days) < n_days:
-        if day.weekday() < 5:
-            days.append(day)
-        day += dt.timedelta(days=1)
-        if day.year != year:
-            raise ConfigurationError(f"year {year} has fewer than {n_days} weekdays")
-    return days
+    """First n_days weekdays of the year; fewer than one, or more than the year has,
+    is a ConfigurationError."""
+    if n_days < 1:
+        raise ConfigurationError(f"days must be >= 1, got {n_days}")
+    if not dt.MINYEAR <= year <= dt.MAXYEAR:
+        raise ConfigurationError(f"year must lie in {dt.MINYEAR}..{dt.MAXYEAR}, got {year}")
+    first = dt.date(year, 1, 1)
+    length = (dt.date(year, 12, 31) - first).days + 1
+    days = [day for day in (first + dt.timedelta(days=k) for k in range(length))
+            if day.weekday() < 5]
+    if len(days) < n_days:
+        raise ConfigurationError(f"year {year} has fewer than {n_days} weekdays")
+    return days[:n_days]
+
+
+def synth_days(year: int, n_days: int, amount_sigma: float = 0.0) -> list[dt.date]:
+    """The trading days ``synth_transactions`` draws, once its arguments besides the
+    model and the seed are checked: a caller can check them before fitting a model."""
+    if not 0.0 <= amount_sigma < math.inf:  # NaN fails both comparisons
+        raise ConfigurationError(
+            f"amount_sigma must be nonnegative and finite, got {amount_sigma}")
+    return trading_days(year, n_days)
 
 
 def synth_transactions(model: FittedModel, year: int, n_days: int, seed: int,
@@ -484,14 +496,11 @@ def synth_transactions(model: FittedModel, year: int, n_days: int, seed: int,
     Day k is sampled with the sub-seed derived from (seed, k) and its links
     are listed in row-major order; amounts are 1.0, or lognormal(0,
     amount_sigma) drawn with the sub-seed of (seed, n_days + k) when a
-    spread is requested. Bank k is labelled ``B{k:04d}``. An amount_sigma
-    that is negative or not finite is a ConfigurationError; an amount that
+    spread is requested. Bank k is labelled ``B{k:04d}``. Arguments that
+    ``synth_days`` rejects are a ConfigurationError; an amount that
     overflows to infinity or underflows to zero is a DataValidationError.
     """
-    if not 0.0 <= amount_sigma < math.inf:  # NaN fails both comparisons
-        raise ConfigurationError(
-            f"amount_sigma must be nonnegative and finite, got {amount_sigma}")
-    days = trading_days(year, n_days)
+    days = synth_days(year, n_days, amount_sigma)
     n = model.n
     adjacencies = sample_adjacencies(model, [derive_subseed(seed, k) for k in range(n_days)])
     cells, amounts = [], []
@@ -502,7 +511,7 @@ def synth_transactions(model: FittedModel, year: int, n_days: int, seed: int,
             amounts.append(rng.lognormal(0.0, amount_sigma, len(cells[-1])))
     counts = np.array([len(c) for c in cells], dtype=np.intp)
     row_day = np.repeat(np.arange(n_days, dtype=np.intp), counts)
-    cell = np.concatenate(cells) if cells else np.zeros(0, dtype=np.intp)
+    cell = np.concatenate(cells)
     amount = np.concatenate(amounts) if amounts else np.ones(len(cell))
     lender, borrower = np.divmod(cell, n)
     bad = (lender == borrower) | ~((amount > 0) & (amount < math.inf))  # NaN fails both
@@ -522,68 +531,3 @@ def synth_transactions(model: FittedModel, year: int, n_days: int, seed: int,
         labels=tuple(name for name, _ in names),
         lender=code[lender], borrower=code[borrower],
         amount=amount, maturity=[None] * len(cell))
-
-
-# ---------------------------------------------------------------------------
-# CSV surfaces (UTF-8, '.' decimal point, no thousands separators)
-# ---------------------------------------------------------------------------
-
-
-def write_transactions_csv(path, transactions) -> None:
-    """Write a ``TransactionTable``, or a sequence of records, as a transactions CSV.
-
-    Amounts are written at 17 significant digits and a missing maturity as
-    an empty field. Each distinct date and each distinct amount (told apart
-    by its bits) is formatted once.
-    """
-    table = transactions if isinstance(transactions, TransactionTable) else \
-        TransactionTable.from_records(transactions)
-    dates = [d.isoformat() for d in table.dates]
-    amount = np.ascontiguousarray(table.amount, dtype=np.float64)
-    _, first, which = np.unique(amount.view(np.int64), return_index=True, return_inverse=True)
-    amounts = [format(v, ".17g") for v in amount[first].tolist()]
-    labels = table.labels
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HEADER + ["maturity"])
-        writer.writerows(zip(map(dates.__getitem__, table.day.tolist()),
-                             map(labels.__getitem__, table.lender.tolist()),
-                             map(labels.__getitem__, table.borrower.tolist()),
-                             map(amounts.__getitem__, which.tolist()),
-                             (m or "" for m in table.maturity)))
-
-
-def write_fitness_csv(path, fitness: FitnessData, labels=None) -> None:
-    labels = labels or [f"B{k:04d}" for k in range(fitness.n)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "assets", "liabilities"])
-        for name, a, l in zip(labels, fitness.assets, fitness.liabilities):
-            writer.writerow([name, format(a, ".17g"), format(l, ".17g")])
-
-
-def read_fitness_csv(path) -> tuple[FitnessData, list[str]]:
-    labels, assets, liabilities = [], [], []
-    with open_text(path) as fh, csv_reader(fh) as reader:
-        try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            raise ParseError("empty fitness file", line=1) from None
-        if header != ["node", "assets", "liabilities"]:
-            raise ParseError(f"bad fitness header {header!r}", line=1)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line=reader.line_num)
-            try:
-                a, l = float(row[1]), float(row[2])
-            except ValueError:
-                raise ParseError(f"bad fitness values {row[1:]!r}", line=reader.line_num) from None
-            if not (0 <= a < math.inf and 0 <= l < math.inf):  # NaN fails both
-                raise DataValidationError(f"fitness values must be finite and nonnegative, "
-                                          f"got {row[1:]!r}", line=reader.line_num)
-            labels.append(row[0].strip())
-            assets.append(a)
-            liabilities.append(l)
-    return FitnessData(assets=np.array(assets), liabilities=np.array(liabilities)), labels

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataValidationError, DomainError, ParseError
 from .graph import DirectedNetwork
-from .ingest import FitnessData, csv_reader, line_of_row, open_text
+from .ingest import FitnessData, TransactionTable, csv_reader, line_of_row, open_text
 from .models import FittedModel, ModelKind
 
 
@@ -98,7 +98,10 @@ def read_csv(path, header, kinds) -> list[list]:
     Field k of every other nonempty row goes through ``kinds[k]`` (``int``,
     ``float``, ``finite_float``, ``str``, ...). A different header, a row
     with another number of fields and a field its kind rejects with
-    ValueError are ParseErrors with the line number.
+    ValueError are ParseErrors with the line number. A kind may raise
+    DataValidationError for a value it reads but does not accept; that
+    error gets the line number once the row's other fields have been read,
+    so a field that does not parse is reported first.
     """
     columns = [[] for _ in header]
     with open_text(path) as fh, csv_reader(fh) as reader:
@@ -109,12 +112,58 @@ def read_csv(path, header, kinds) -> list[list]:
             if len(row) != len(header):
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}",
                                  line=reader.line_num)
+            invalid = None
             for column, kind, name, field in zip(columns, kinds, header, row):
                 try:
                     column.append(kind(field))
                 except ValueError:
                     raise ParseError(f"bad {name} {field!r}", line=reader.line_num) from None
+                except DataValidationError as exc:
+                    invalid = invalid or exc
+            if invalid is not None:
+                raise DataValidationError(str(invalid), line=reader.line_num)
     return columns
+
+
+# ---------------------------------------------------------------------------
+# Fitness and transactions (UTF-8, '.' decimal point, no thousands separators)
+# ---------------------------------------------------------------------------
+
+_FITNESS_HEADER = ["node", "assets", "liabilities"]
+
+
+def write_fitness_csv(path, fitness: FitnessData, labels=None) -> None:
+    labels = labels or [f"B{k:04d}" for k in range(fitness.n)]
+    write_csv(path, _FITNESS_HEADER, [labels, fitness.assets, fitness.liabilities])
+
+
+def _fitness_value(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails both
+        raise DataValidationError(f"fitness values must be finite and nonnegative, got {text!r}")
+    return value
+
+
+def read_fitness_csv(path) -> tuple[FitnessData, list[str]]:
+    """Fitness and node labels from rows ``node,assets,liabilities``; labels are stripped."""
+    labels, assets, liabilities = read_csv(path, _FITNESS_HEADER,
+                                           [str.strip, _fitness_value, _fitness_value])
+    return FitnessData(assets=np.array(assets), liabilities=np.array(liabilities)), labels
+
+
+def write_transactions_csv(path, transactions) -> None:
+    """Write a ``TransactionTable``, or a sequence of records, as a transactions CSV.
+
+    Amounts are written through ``fmt`` and a missing maturity as an empty
+    field. Each distinct date is formatted once.
+    """
+    table = transactions if isinstance(transactions, TransactionTable) else \
+        TransactionTable.from_records(transactions)
+    dates = np.array([d.isoformat() for d in table.dates], dtype=object)
+    labels = np.array(table.labels, dtype=object)
+    write_csv(path, ["date", "lender", "borrower", "amount", "maturity"],
+              [dates[table.day], labels[table.lender], labels[table.borrower], table.amount,
+               np.array([m or "" for m in table.maturity], dtype=object)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ which the bulk of the spectrum fills an ellipse with semi-axes 1 + tau and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,28 +208,6 @@ def tau_matrix(model: FittedModel) -> TauMatrix:
     den = np.sqrt(var * var.T)
     values[defined] = num[defined] / den[defined]
     return TauMatrix(values=values, defined=defined)
-
-
-def fgrm_tau(u: float, v: float, a_i: float, l_i: float, a_j: float, l_j: float) -> float:
-    """Closed-form dyad correlation of the two-parameter fitness model.
-
-    tau_ij = u (v^2 - 1) sqrt(A_i A_j L_i L_j) / g_ij, with g_ij^2 the
-    expanded polynomial of the dyad variance product. Algebraically equal
-    to the generic tau of ``tau_matrix`` on the same dyad.
-    """
-    v2 = v * v
-    aij = a_i * l_j
-    aji = a_j * l_i
-    prod = aij * aji
-    g2 = (
-        1.0
-        + u * (v2 + 1.0) * (aij + aji)
-        + u * u * (v2 + 1.0) ** 2 * prod
-        + u * u * v2 * (aij * aij + aji * aji)
-        + u ** 3 * v2 * (v2 + 1.0) * prod * (aij + aji)
-        + u ** 4 * v2 * v2 * prod * prod
-    )
-    return u * (v2 - 1.0) * math.sqrt(prod) / math.sqrt(g2)
 
 
 def bulk_shape(spectra, mean_tau: float = float("nan")) -> BulkShape:

@@ -2,14 +2,16 @@
 
 import csv
 import datetime as dt
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from reconnet import DirectedNetwork
+from reconnet import DirectedNetwork, FitnessData
 from reconnet.ensemble import derive_subseed, sample_networks
-from reconnet.errors import DataValidationError, NonConvergenceError, ParseError
+from reconnet.errors import DataValidationError, DomainError, NonConvergenceError, ParseError
 from reconnet.estimation import _CLAMP, _normalized_fitness, solve_bounded_least_squares
-from reconnet.ingest import TransactionRecord, csv_reader, line_of_row, trading_days
+from reconnet.ingest import TransactionRecord, csv_reader, line_of_row, open_text, trading_days
 from reconnet.models import FittedModel, ModelKind
 
 
@@ -268,3 +270,242 @@ def write_transactions_per_row(path, records):
         for r in records:
             writer.writerow([r.date.isoformat(), r.lender, r.borrower,
                              format(r.amount, ".17g"), r.maturity or ""])
+
+
+# ---------------------------------------------------------------------------
+# Scalar dyad kernels: one pair at a time, the reference for the array path
+# ---------------------------------------------------------------------------
+
+# Beyond this, quotients switch to the reciprocal form (numerator and
+# denominator divided by the largest term, evaluated in log space).
+_OVERFLOW_LIMIT = 1e300
+
+
+@dataclass
+class DyadProbabilities:
+    """Four-outcome distribution of one unordered pair: (->, <-, <->, empty)."""
+
+    p_ij_only: float
+    p_ji_only: float
+    p_both: float
+    p_none: float
+
+    def __post_init__(self):
+        vals = (self.p_ij_only, self.p_ji_only, self.p_both, self.p_none)
+        if any(v < 0.0 or v > 1.0 for v in vals):
+            raise DomainError(f"dyad probabilities outside [0,1]: {vals}")
+        if abs(sum(vals) - 1.0) > 1e-12:
+            raise DomainError(f"dyad probabilities sum to {sum(vals)!r}, not 1")
+
+    @property
+    def p_ij(self) -> float:
+        """Unconditional probability of the i->j link."""
+        return self.p_ij_only + self.p_both
+
+    @property
+    def p_ji(self) -> float:
+        return self.p_ji_only + self.p_both
+
+    def swapped(self) -> "DyadProbabilities":
+        return DyadProbabilities(self.p_ji_only, self.p_ij_only, self.p_both, self.p_none)
+
+
+def _require_nonnegative(**values):
+    for name, v in values.items():
+        if v < 0:
+            raise DomainError(f"{name} must be nonnegative, got {v}")
+
+
+def _bernoulli_ratio(t: float) -> float:
+    """t / (1 + t) for t >= 0, stable for arbitrarily large (or infinite) t."""
+    if t <= _OVERFLOW_LIMIT:
+        return t / (1.0 + t)
+    return 1.0 / (1.0 / t + 1.0)
+
+
+def _log0(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _four_outcomes(t1, t2, t3, log_terms) -> DyadProbabilities:
+    """Outcome distribution from the three numerator terms.
+
+    The denominator groups as (1 + t3) + (t1 + t2) so that swapping the
+    node pair reproduces the same floating-point value exactly.
+    ``log_terms`` is a zero-argument callable returning (log t1, log t2,
+    log t3) computed from the original factors; it is only invoked on the
+    overflow path, where the naive products are no longer representable.
+    """
+    big = max(t1, t2, t3)
+    if big <= _OVERFLOW_LIMIT:
+        w = (1.0 + t3) + (t1 + t2)
+        return DyadProbabilities(t1 / w, t2 / w, t3 / w, 1.0 / w)
+    l1, l2, l3 = log_terms()
+    lmax = max(0.0, l1, l2, l3)
+    e0 = math.exp(-lmax)
+    e1 = math.exp(l1 - lmax)
+    e2 = math.exp(l2 - lmax)
+    e3 = math.exp(l3 - lmax)
+    s = e0 + e1 + e2 + e3
+    return DyadProbabilities(e1 / s, e2 / s, e3 / s, e0 / s)
+
+
+def dcm_prob(x_i: float, y_j: float) -> float:
+    """Link probability x_i y_j / (1 + x_i y_j) of the degree-multiplier model."""
+    _require_nonnegative(x_i=x_i, y_j=y_j)
+    return _bernoulli_ratio(x_i * y_j)
+
+
+def fdcm_prob(z: float, a_i: float, l_j: float) -> float:
+    """Link probability z A_i L_j / (1 + z A_i L_j) of the one-parameter fitness model."""
+    _require_nonnegative(z=z, a_i=a_i, l_j=l_j)
+    return _bernoulli_ratio(z * a_i * l_j)
+
+
+def fdcm_dyad_probs(z: float, fitness: FitnessData, i: int, j: int) -> DyadProbabilities:
+    """Independence factorization of the two directed links of pair {i, j}."""
+    if i == j:
+        raise DomainError("dyad requires two distinct nodes")
+    p_ij = fdcm_prob(z, fitness.assets[i], fitness.liabilities[j])
+    p_ji = fdcm_prob(z, fitness.assets[j], fitness.liabilities[i])
+    return DyadProbabilities(
+        p_ij_only=p_ij * (1.0 - p_ji),
+        p_ji_only=p_ji * (1.0 - p_ij),
+        p_both=p_ij * p_ji,
+        p_none=(1.0 - p_ij) * (1.0 - p_ji),
+    )
+
+
+def grm_dyad_probs(x_i, y_i, x_j, y_j, z) -> DyadProbabilities:
+    """Dyad distribution with degree multipliers and global coupling z on both-links."""
+    _require_nonnegative(x_i=x_i, y_i=y_i, x_j=x_j, y_j=y_j, z=z)
+    t1 = x_i * y_j
+    t2 = x_j * y_i
+    t3 = (z * t1) * (z * t2)  # commutative grouping keeps pair swaps exact
+
+    def logs():
+        l1 = _log0(x_i) + _log0(y_j)
+        l2 = _log0(x_j) + _log0(y_i)
+        return l1, l2, 2.0 * _log0(z) + l1 + l2
+
+    return _four_outcomes(t1, t2, t3, logs)
+
+
+def rcm_dyad_probs(x_i, y_i, z_i, x_j, y_j, z_j) -> DyadProbabilities:
+    """Dyad distribution with per-node reciprocation multipliers z_i z_j."""
+    _require_nonnegative(x_i=x_i, y_i=y_i, z_i=z_i, x_j=x_j, y_j=y_j, z_j=z_j)
+    t1 = x_i * y_j
+    t2 = x_j * y_i
+    t3 = z_i * z_j
+
+    def logs():
+        return (
+            _log0(x_i) + _log0(y_j),
+            _log0(x_j) + _log0(y_i),
+            _log0(z_i) + _log0(z_j),
+        )
+
+    return _four_outcomes(t1, t2, t3, logs)
+
+
+def fgrm_dyad_probs(u, v, a_i, l_i, a_j, l_j) -> DyadProbabilities:
+    """Dyad distribution of the two-parameter fitness model.
+
+    u scales all link numerators (density), v^2 multiplies the both-links
+    term (reciprocity). With v = 1 this collapses entrywise onto the
+    independence factorization of the one-parameter model with z = u.
+    """
+    _require_nonnegative(u=u, v=v, a_i=a_i, l_i=l_i, a_j=a_j, l_j=l_j)
+    t1 = u * a_i * l_j
+    t2 = u * a_j * l_i
+    t3 = (v * t1) * (v * t2)
+
+    def logs():
+        lu = _log0(u)
+        l1 = lu + _log0(a_i) + _log0(l_j)
+        l2 = lu + _log0(a_j) + _log0(l_i)
+        return l1, l2, 2.0 * _log0(v) + l1 + l2
+
+    return _four_outcomes(t1, t2, t3, logs)
+
+
+def dyad_probs(model: FittedModel, i: int, j: int) -> DyadProbabilities:
+    """Four-outcome distribution of the single unordered pair {i, j}."""
+    if i == j:
+        raise DomainError("dyad requires two distinct nodes")
+    if model.kind is ModelKind.FDCM:
+        return fdcm_dyad_probs(model.params["z"], model.fitness, i, j)
+    if model.kind is ModelKind.FGRM:
+        f = model.fitness
+        return fgrm_dyad_probs(model.params["u"], model.params["v"],
+                               f.assets[i], f.liabilities[i], f.assets[j], f.liabilities[j])
+    if model.kind is ModelKind.DCM:
+        x, y = model.params["x"], model.params["y"]
+        p_ij = dcm_prob(x[i], y[j])
+        p_ji = dcm_prob(x[j], y[i])
+        return DyadProbabilities(p_ij * (1 - p_ji), p_ji * (1 - p_ij),
+                                 p_ij * p_ji, (1 - p_ij) * (1 - p_ji))
+    if model.kind is ModelKind.GRM:
+        x, y, z = model.params["x"], model.params["y"], model.params["z"]
+        return grm_dyad_probs(x[i], y[i], x[j], y[j], z)
+    x, y, zv = model.params["x"], model.params["y"], model.params["z"]
+    return rcm_dyad_probs(x[i], y[i], zv[i], x[j], y[j], zv[j])
+
+
+def fgrm_tau(u: float, v: float, a_i: float, l_i: float, a_j: float, l_j: float) -> float:
+    """Closed-form dyad correlation of the two-parameter fitness model.
+
+    tau_ij = u (v^2 - 1) sqrt(A_i A_j L_i L_j) / g_ij, with g_ij^2 the
+    expanded polynomial of the dyad variance product. Algebraically equal
+    to the generic tau of ``tau_matrix`` on the same dyad.
+    """
+    v2 = v * v
+    aij = a_i * l_j
+    aji = a_j * l_i
+    prod = aij * aji
+    g2 = (
+        1.0
+        + u * (v2 + 1.0) * (aij + aji)
+        + u * u * (v2 + 1.0) ** 2 * prod
+        + u * u * v2 * (aij * aij + aji * aji)
+        + u ** 3 * v2 * (v2 + 1.0) * prod * (aij + aji)
+        + u ** 4 * v2 * v2 * prod * prod
+    )
+    return u * (v2 - 1.0) * math.sqrt(prod) / math.sqrt(g2)
+
+
+# ---------------------------------------------------------------------------
+# Fitness CSV, one row at a time
+# ---------------------------------------------------------------------------
+
+
+def read_fitness_row_by_row(path):
+    """Fitness CSV to (FitnessData, labels), checking one row at a time.
+
+    The reference for ``read_fitness_csv``: the same files accepted, and
+    the first bad row rejected with the same exception type and line.
+    """
+    labels, assets, liabilities = [], [], []
+    with open_text(path) as fh, csv_reader(fh) as reader:
+        try:
+            header = [h.strip().lower() for h in next(reader)]
+        except StopIteration:
+            raise ParseError("empty fitness file", line=1) from None
+        if header != ["node", "assets", "liabilities"]:
+            raise ParseError(f"bad fitness header {header!r}", line=1)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ParseError(f"expected 3 fields, got {len(row)}", line=reader.line_num)
+            try:
+                a, l = float(row[1]), float(row[2])
+            except ValueError:
+                raise ParseError(f"bad fitness values {row[1:]!r}", line=reader.line_num) from None
+            if not (0 <= a < math.inf and 0 <= l < math.inf):  # NaN fails both
+                raise DataValidationError(f"fitness values must be finite and nonnegative, "
+                                          f"got {row[1:]!r}", line=reader.line_num)
+            labels.append(row[0].strip())
+            assets.append(a)
+            liabilities.append(l)
+    return FitnessData(assets=np.array(assets), liabilities=np.array(liabilities)), labels

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from oracles import char_poly_roots_4x4, dyad_moment_errors, match_sets, pairwise_auc
+from oracles import char_poly_roots_4x4, dyad_moment_errors, fgrm_tau, match_sets, pairwise_auc
 
 import reconnet as rn
 from reconnet.cli import main as cli_main
@@ -166,7 +166,7 @@ def test_criterion_06_tau_laws():
         pair_fit = rn.FitnessData(np.array([a_i, a_j]), np.array([l_i, l_j]))
         model = rn.FittedModel(rn.ModelKind.FGRM, {"u": u, "v": v}, fitness=pair_fit)
         direct = rn.tau_matrix(model).values[0, 1]
-        closed = rn.fgrm_tau(u, v, a_i, l_i, a_j, l_j)
+        closed = fgrm_tau(u, v, a_i, l_i, a_j, l_j)
         worst = max(worst, abs(direct - closed))
 
     unit = rn.FitnessData(np.ones(4), np.ones(4))

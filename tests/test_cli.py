@@ -13,16 +13,18 @@ import pytest
 from reconnet import DirectedNetwork, FittedModel, ModelKind, cli
 from reconnet.cli import main, parse_delta_ts
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
-from reconnet.ingest import FitnessData, read_fitness_csv, read_transactions, write_fitness_csv
+from reconnet.ingest import FitnessData, read_transactions
 from reconnet.serialize import (
     fmt,
     model_to_dict,
     read_csv,
+    read_fitness_csv,
     read_json,
     read_model,
     read_network,
     read_nodes,
     write_csv,
+    write_fitness_csv,
     write_model,
     write_network,
     write_nodes,
@@ -573,6 +575,41 @@ class TestSynthAmountSigma:
     def test_zero_gives_unit_amounts(self, tmp_path, capsys):
         assert self.synth(tmp_path, capsys, "0")[0] == 0
         assert set(read_transactions(tmp_path / "synth/transactions.csv").amount) == {1.0}
+
+
+class TestSynthChecksArgumentsBeforeFitting:
+    """Days, year and amount spread are usage errors found before the model is fitted."""
+
+    @pytest.fixture(autouse=True)
+    def no_fit(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("synth fitted a model before checking its arguments")
+
+        monkeypatch.setattr(cli, "fit_fgrm", fail)
+
+    def synth(self, tmp_path, capsys, days, year="2005", sigma="0"):
+        rc = main(["synth", "--nodes", "6", "--fitness-dist", "constant(1)", "--model", "fgrm",
+                   "--density", "0.3", "--reciprocity", "0.2", "--days", days, "--year", year,
+                   "--seed", "2", "--amount-sigma", sigma, "--out", str(tmp_path / "synth")])
+        assert not (tmp_path / "synth" / "transactions.csv").exists()
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("days", ["-3", "0"])
+    def test_fewer_than_one_day(self, tmp_path, capsys, days):
+        rc, err = self.synth(tmp_path, capsys, days)
+        assert rc == 1
+        assert "days must be >= 1" in err
+
+    @pytest.mark.parametrize("days,year,sigma,message", [
+        ("300", "2001", "0", "year 2001 has fewer than 300 weekdays"),
+        ("3", "0", "0", "year must lie in"),
+        ("3", "10000", "0", "year must lie in"),
+        ("3", "2005", "-1", "amount_sigma must be nonnegative and finite"),
+    ])
+    def test_bad_year_or_spread(self, tmp_path, capsys, days, year, sigma, message):
+        rc, err = self.synth(tmp_path, capsys, days, year, sigma)
+        assert rc == 1
+        assert message in err
 
 
 class TestDefaultThreads:

@@ -34,12 +34,10 @@ from reconnet.ingest import (
     TransactionTable,
     YearIndex,
     index_year,
-    read_fitness_csv,
     read_transactions,
     trading_days,
-    write_fitness_csv,
-    write_transactions_csv,
 )
+from reconnet.serialize import read_fitness_csv, write_fitness_csv, write_transactions_csv
 
 FIXTURE = """date,lender,borrower,amount
 2007-03-01,B1,B2,10.5
@@ -442,3 +440,26 @@ class TestFitnessCsv:
         np.testing.assert_array_equal(back.assets, fit.assets)
         np.testing.assert_array_equal(back.liabilities, fit.liabilities)
         assert labels == ["a", "b", "c"]
+
+
+class TestTradingDays:
+    def test_first_weekdays(self):
+        days = trading_days(2010, 3)
+        assert days == [dt.date(2010, 1, 1), dt.date(2010, 1, 4), dt.date(2010, 1, 5)]
+
+    def test_every_weekday_of_a_year_ending_on_a_weekday(self):
+        days = trading_days(2001, 261)  # 2001-12-31 is a Monday
+        assert days[-1] == dt.date(2001, 12, 31)
+        assert len(set(days)) == 261 and all(d.weekday() < 5 for d in days)
+
+    @pytest.mark.parametrize("year,n_days,message", [
+        (2010, 0, "days must be >= 1"),
+        (2010, -3, "days must be >= 1"),
+        (2001, 262, "fewer than 262 weekdays"),
+        (0, 5, "year must lie in"),
+        (10000, 5, "year must lie in"),
+        (9999, 300, "fewer than 300 weekdays"),
+    ])
+    def test_rejected(self, year, n_days, message):
+        with pytest.raises(ConfigurationError, match=message):
+            trading_days(year, n_days)

@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reconnet import (
-    FitnessData,
-    FittedModel,
-    ModelKind,
+from oracles import (
     dcm_prob,
-    dyad_probability_arrays,
     dyad_probs,
     fdcm_dyad_probs,
     fdcm_prob,
@@ -16,7 +12,11 @@ from reconnet import (
     grm_dyad_probs,
     rcm_dyad_probs,
 )
+
+from reconnet import FitnessData, FittedModel, ModelKind, dyad_probability_arrays
 from reconnet.errors import DomainError
+from reconnet.estimation import _independent_link_matrix
+from reconnet.models import link_probability
 
 
 class TestLinkKernels:
@@ -244,3 +244,18 @@ class TestProbabilityArrays:
             FittedModel(ModelKind.FGRM, {"u": 1.0, "v": 2.0}, fitness=fit))
         assert arrs.link[1, :].sum() == 0.0
         assert arrs.link[:, 1].sum() == 0.0
+
+
+class TestLinkProbability:
+    def test_quotient_below_the_limit_and_one_above_it(self):
+        m = np.array([0.0, 1e-300, 1.0, 3.0, 1e300, 1e301, 1.7e308, np.inf])
+        p = link_probability(m)
+        assert p[:5].tobytes() == (m[:5] / (1.0 + m[:5])).tobytes()
+        assert (p[5:] == 1.0).all()
+
+    def test_dcm_fit_links_are_the_plain_quotient_for_finite_products(self):
+        x, y = np.logspace(-150, 155, 30), np.logspace(150, -150, 30)
+        m = np.outer(x, y)
+        assert np.isfinite(m).all() and (m > 1e300).any()
+        np.fill_diagonal(m, 0.0)
+        assert _independent_link_matrix(x, y).tobytes() == (m / (1.0 + m)).tobytes()

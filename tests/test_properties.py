@@ -19,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     parse_transactions_row_by_row,
+    read_fitness_row_by_row,
     read_network_row_by_row,
     write_csv_per_cell,
     write_transactions_per_row,
@@ -36,17 +37,17 @@ from reconnet.ingest import (
     TransactionRecord,
     TransactionTable,
     parse_transactions,
-    read_fitness_csv,
     read_transactions,
-    write_fitness_csv,
-    write_transactions_csv,
 )
 from reconnet.serialize import (
+    read_fitness_csv,
     read_network,
     read_nodes,
     write_csv,
+    write_fitness_csv,
     write_network,
     write_nodes,
+    write_transactions_csv,
 )
 
 FUZZ = settings(max_examples=60, deadline=None)
@@ -301,6 +302,41 @@ def test_read_transactions_accepts_and_rejects_like_the_row_by_row_parser(conten
         assert _outcome(lambda p: read_transactions(p).records(), path) == want
         with open(path, "rb") as fh:  # a binary stream goes through the same checks
             assert _outcome(lambda _: read_transactions(fh).records(), path) == want
+
+
+@st.composite
+def fitness_files(draw):
+    """A fitness file with a blank row and up to two bad rows, one of them maybe bad twice."""
+    good = st.sampled_from([GOOD_FITNESS, ["B2", "0", "3.5"], [" B3 ", "2e-300", "0.0"]])
+    bad_twice = st.tuples(bad_nonnegative, bad_nonnegative).map(lambda values: ["B9", *values])
+    rows = draw(st.lists(good, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(bad_fitness | bad_twice))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(",".join(row) for row in [["node", "assets", "liabilities"]] + rows) \
+        + newline
+
+
+def _fitness_outcome(read, path):
+    try:
+        fitness, labels = read(path)
+    except (ParseError, DataValidationError) as exc:
+        return type(exc), exc.line
+    return labels, fitness.assets.tobytes(), fitness.liabilities.tobytes()
+
+
+@FUZZ
+@given(fitness_files())
+@example("node,assets,liabilities\nB1,1.5,2.0\nB9,-2.5,abc\n")  # a value below 0, then no number
+@example("node,assets,liabilities\nB9,nan,1\nB1,1.5\n")  # a bad value before a short row
+def test_read_fitness_accepts_and_rejects_like_the_row_by_row_reader(content):
+    with _tmp() as tmp:
+        path = Path(tmp) / "fitness.csv"
+        path.write_bytes(content.encode("utf-8"))
+        assert _fitness_outcome(read_fitness_csv, path) == \
+            _fitness_outcome(read_fitness_row_by_row, path)
 
 
 @FUZZ

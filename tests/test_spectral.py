@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import char_poly_roots_4x4, match_sets
+from oracles import char_poly_roots_4x4, fgrm_tau, match_sets
 
 from reconnet import (
     DirectedNetwork,
@@ -11,7 +11,6 @@ from reconnet import (
     derive_subseed,
     dyad_probability_arrays,
     eigenvalues,
-    fgrm_tau,
     fit_fdcm,
     fit_fgrm,
     leading_eigenvalue,

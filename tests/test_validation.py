@@ -127,7 +127,7 @@ class TestCrossEntropy:
         fitness = FitnessData(np.array([1.0, 2.0, 0.5]), np.array([1.0, 1.0, 4.0]))
         model = FittedModel(ModelKind.FGRM, {"u": 0.5, "v": 2.0}, fitness=fitness)
         net = DirectedNetwork.from_links(3, [(0, 1), (1, 0), (2, 0)])
-        from reconnet import fgrm_dyad_probs
+        from oracles import fgrm_dyad_probs
         a, l = fitness.assets, fitness.liabilities
         d01 = fgrm_dyad_probs(0.5, 2.0, a[0], l[0], a[1], l[1])
         d02 = fgrm_dyad_probs(0.5, 2.0, a[0], l[0], a[2], l[2])

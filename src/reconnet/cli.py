@@ -4,7 +4,7 @@ Every run writes a manifest.json capturing the effective configuration,
 sha256 checksums of the written artifacts and wall-clock timings. All
 randomness flows from the single master seed; re-running a command with
 the same configuration byte-reproduces every CSV/JSON artifact (manifest
-timings aside), independent of the thread count.
+timings aside), independent of the worker count.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, figures
+from ._workers import ordered_map
 from .ensemble import (
     EnsembleConfig,
     derive_subseed,
@@ -44,7 +44,7 @@ from .errors import (
     UndefinedReciprocityError,
 )
 from .estimation import SolverConfig, fit_fdcm, fit_fgrm
-from .graph import degrees_strengths
+from .graph import MAX_NODES, degrees_strengths
 from .ingest import (
     aggregate,
     build_windows,
@@ -98,7 +98,7 @@ def _threads(cfg) -> int:
     # by default, the CPUs this process may run on where the platform says, else all of them
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return max(1, _option(cfg, "threads", int, cpus))
+    return max(1, _option(cfg, "threads", _integer, cpus))
 
 
 def _text(value) -> str:
@@ -106,6 +106,13 @@ def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
     return value
+
+
+def _integer(value) -> int:
+    """``value`` as an int: a bool, or a number with a fractional part, is not one."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _need(cfg, field, kind=None):
@@ -217,11 +224,13 @@ def _fit_fitness_model(cfg, fitness):
 
 
 def _cmd_synth(cfg, out):
-    n = _need(cfg, "nodes", int)
+    n = _need(cfg, "nodes", _integer)
+    if not 2 <= n <= MAX_NODES:  # no reader takes a larger network
+        raise ConfigurationError(f"field 'nodes' must lie in 2..{MAX_NODES}, got {n}")
     dist = _need(cfg, "fitness_dist", _text)
-    seed = _need(cfg, "seed", int)
-    year = _need(cfg, "year", int)
-    days = _need(cfg, "days", int)
+    seed = _need(cfg, "seed", _integer)
+    year = _need(cfg, "year", _integer)
+    days = _need(cfg, "days", _integer)
     amount_sigma = _option(cfg, "amount_sigma", float, 0.0)
     synth_days(year, days, amount_sigma)  # before the fit, which can take seconds
     fitness = synth_fitness(n, dist, derive_subseed(seed, 0))
@@ -237,8 +246,8 @@ def _cmd_synth(cfg, out):
 
 def _cmd_aggregate(cfg, out):
     table = read_transactions(_need_path(cfg, "transactions"))
-    year = _need(cfg, "year", int)
-    delta_t = _need(cfg, "delta_t", int)
+    year = _need(cfg, "year", _integer)
+    delta_t = _need(cfg, "delta_t", _integer)
     index = index_year(table, year)
     windows = build_windows(index, year, delta_t)
     net_dir = out / "networks"
@@ -287,12 +296,13 @@ def _cmd_fit(cfg, out):
 
 def _cmd_sample(cfg, out):
     model = read_model(_need_path(cfg, "model_file"))
-    samples = _need(cfg, "samples", int)
-    seed = _need(cfg, "seed", int)
+    samples = _need(cfg, "samples", _integer)
+    seed = _need(cfg, "seed", _integer)
+    # drawn here, not in worker processes: starting two took longer than the 20
+    # samples and 4 written networks they would share (README, Performance notes)
     summary = generate_ensemble(
         model, EnsembleConfig(sample_count=samples, master_seed=seed),
         compute_lambda=not cfg.get("no_spectra", False),
-        threads=_threads(cfg),
     )
     paths = [out / "ensemble.json"]
     write_json(paths[0], {
@@ -307,7 +317,7 @@ def _cmd_sample(cfg, out):
         "reciprocities": summary.reciprocities,
         "lambda_max": summary.lambda_max,
     })
-    n_write = _option(cfg, "write_networks", int, 0)
+    n_write = _option(cfg, "write_networks", _integer, 0)
     if n_write > 0:
         sample_dir = out / "samples"
         sample_dir.mkdir(exist_ok=True)
@@ -358,13 +368,7 @@ def _cmd_spectra(cfg, out):
         matrix = rescale_matrix(net, model, link) if rescale else net.adjacency.astype(float)
         return eigenvalues(matrix)
 
-    workers = _threads(cfg)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            spectra = list(pool.map(spectrum_of, files))
-    else:
-        spectra = [spectrum_of(p) for p in files]
-
+    spectra = ordered_map(spectrum_of, files, _threads(cfg))
     values = np.concatenate([spec.values for spec in spectra])
     stems = np.repeat([path.stem for path in files], [spec.n for spec in spectra])
     paths = [out / "spectra.csv"]
@@ -397,7 +401,7 @@ def _field_columns(records, fields):
 
 def _cmd_scan(cfg, out):
     table = read_transactions(_need_path(cfg, "transactions"))
-    year = _need(cfg, "year", int)
+    year = _need(cfg, "year", _integer)
     delta_ts = parse_delta_ts(_need(cfg, "delta_t"))
     fitness = None
     if cfg.get("fitness"):
@@ -421,13 +425,13 @@ def _cmd_scan(cfg, out):
 def _cmd_validate(cfg, out):
     model = read_model(_need_path(cfg, "model_file"))
     table = read_transactions(_need_path(cfg, "transactions"))
-    year = _need(cfg, "year", int)
-    delta_t = _need(cfg, "delta_t", int)
-    window_index = _option(cfg, "window", int, 0)
+    year = _need(cfg, "year", _integer)
+    delta_t = _need(cfg, "delta_t", _integer)
+    window_index = _option(cfg, "window", _integer, 0)
     windows = build_windows(table, year, delta_t)
     if not windows:
         raise DataValidationError(f"no complete windows for year {year}, delta_t {delta_t}")
-    if window_index >= len(windows):
+    if not 0 <= window_index < len(windows):
         raise ConfigurationError(
             f"field 'window': index {window_index} out of range (have {len(windows)})")
     net = aggregate(table, windows[window_index])
@@ -526,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; explicit flags win")
         p.add_argument("--out", help="output directory")
         p.add_argument("--threads", type=int,
-                       help="worker threads (RECON_NET_THREADS overrides)")
+                       help="worker processes (RECON_NET_THREADS overrides)")
         for flag, kwargs in specs:
             p.add_argument(flag, **kwargs)
         return p

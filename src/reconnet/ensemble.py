@@ -5,18 +5,18 @@ four outcomes in the fixed order (empty, ->, <-, <->); that gives the
 correct joint law for reciprocity-coupled models with one RNG call per
 pair. Sample k of an ensemble uses a sub-seed derived from the master
 seed via a splittable counter scheme, so summaries are independent of the
-number of worker threads.
+number of worker processes that draw them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._workers import ordered_map
 from .errors import DegenerateEnsembleError, DomainError
 from .graph import DirectedNetwork
 from .models import FittedModel, dyad_probability_arrays
@@ -124,7 +124,8 @@ def generate_ensemble(model: FittedModel, config: EnsembleConfig,
                       compute_lambda: bool = True, threads: int | None = None) -> EnsembleSummary:
     """Sample M networks and collect density, reciprocity and lambda_max.
 
-    The result is identical for any thread count: sample k depends only on
+    ``threads`` worker processes draw the samples (see ``ordered_map``). The
+    result is identical for any worker count: sample k depends only on
     derive_subseed(master_seed, k).
     """
     sampler = _DyadSampler(model)
@@ -143,11 +144,7 @@ def generate_ensemble(model: FittedModel, config: EnsembleConfig,
         lam, fell_back = spectral.spectral_radius(a) if compute_lambda else (None, False)
         return d, r, lam, fell_back
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(m)))
-    else:
-        results = [one(k) for k in range(m)]
+    results = ordered_map(one, range(m), threads)
 
     densities = np.array([x[0] for x in results])
     reciprocities = np.array([x[1] for x in results])

@@ -1,16 +1,18 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reconnet import DirectedNetwork, FittedModel, ModelKind, cli
+from reconnet import DirectedNetwork, FittedModel, ModelKind, cli, sample_network
 from reconnet.cli import main, parse_delta_ts
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
 from reconnet.ingest import FitnessData, read_transactions
@@ -587,8 +589,8 @@ class TestSynthChecksArgumentsBeforeFitting:
 
         monkeypatch.setattr(cli, "fit_fgrm", fail)
 
-    def synth(self, tmp_path, capsys, days, year="2005", sigma="0"):
-        rc = main(["synth", "--nodes", "6", "--fitness-dist", "constant(1)", "--model", "fgrm",
+    def synth(self, tmp_path, capsys, days, year="2005", sigma="0", nodes="6"):
+        rc = main(["synth", "--nodes", nodes, "--fitness-dist", "constant(1)", "--model", "fgrm",
                    "--density", "0.3", "--reciprocity", "0.2", "--days", days, "--year", year,
                    "--seed", "2", "--amount-sigma", sigma, "--out", str(tmp_path / "synth")])
         assert not (tmp_path / "synth" / "transactions.csv").exists()
@@ -611,6 +613,12 @@ class TestSynthChecksArgumentsBeforeFitting:
         assert rc == 1
         assert message in err
 
+    @pytest.mark.parametrize("nodes", ["-1", "0", "1", "4097", "5000"])
+    def test_node_count_outside_what_the_readers_take(self, tmp_path, capsys, nodes):
+        rc, err = self.synth(tmp_path, capsys, "3", nodes=nodes)
+        assert rc == 1
+        assert f"field 'nodes' must lie in 2..4096, got {nodes}" in err
+
 
 class TestDefaultThreads:
     """Without --threads or RECON_NET_THREADS, one worker per CPU this process may use."""
@@ -628,8 +636,142 @@ class TestDefaultThreads:
         assert cli._threads({}) == 3
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    code = "import sys, reconnet.cli; print('scipy.optimize' in sys.modules)"
+def test_cli_import_leaves_scipy_optimize_and_multiprocessing_out():
+    code = ("import sys, reconnet.cli; "
+            "print('scipy.optimize' in sys.modules, 'multiprocessing' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+class TestSpectraWorkers:
+    """Spectra on worker processes: same bytes, same errors, no process left behind."""
+
+    N = 12
+
+    @pytest.fixture
+    def nets(self, tmp_path):
+        """Five networks of one model, with their nodes and model files."""
+        fitness = FitnessData(np.linspace(0.5, 2.0, self.N), np.linspace(2.0, 0.5, self.N))
+        model = FittedModel(ModelKind.FDCM, {"z": 0.3}, fitness=fitness)
+        net_dir = tmp_path / "nets"
+        net_dir.mkdir()
+        write_nodes(net_dir / "nodes.csv", [f"B{k}" for k in range(self.N)])
+        write_model(net_dir / "fitted.json", model)
+        for k in range(5):
+            write_network(net_dir / f"s{k}.csv", sample_network(model, k))
+        return net_dir
+
+    def spectra(self, net_dir, out, threads, *extra):
+        return main(["spectra", "--networks", str(net_dir), "--threads", str(threads),
+                     "--out", str(out), *extra])
+
+    @pytest.mark.parametrize("rescale", [[], ["--rescale"]])
+    def test_same_bytes_with_more_workers_than_files(self, nets, tmp_path, rescale):
+        one = tmp_path / "one"
+        one.mkdir()
+        for name in ("nodes.csv", "fitted.json", "s3.csv"):
+            (one / name).write_bytes((nets / name).read_bytes())
+        for net_dir, thread_counts in ((one, (4,)), (nets, (2, 4))):
+            assert self.spectra(net_dir, tmp_path / f"{net_dir.name}1", 1, *rescale) == 0
+            serial = tree_digest(tmp_path / f"{net_dir.name}1")
+            for threads in thread_counts:
+                out = tmp_path / f"{net_dir.name}{threads}"
+                assert self.spectra(net_dir, out, threads, *rescale) == 0
+                assert tree_digest(out) == serial
+
+    def test_bad_row_in_a_middle_file_keeps_exit_code_and_line(self, nets, tmp_path, capsys):
+        (nets / "s2.csv").write_text("source,target,weight\n0,1,1\n2,3,1\n0,12,1\n")
+        errors = []
+        for threads in (1, 2):
+            assert self.spectra(nets, tmp_path / f"o{threads}", threads) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert len(errors[0].strip().splitlines()) == 1
+        assert "line 4" in errors[0] and "Traceback" not in errors[0]
+
+    def test_eigensolves_run_in_worker_processes(self, nets, tmp_path, monkeypatch):
+        pids = tmp_path / "pids"
+        eigenvalues = cli.eigenvalues
+
+        def eigenvalues_noting_pid(matrix):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(0.05)  # long enough that one worker cannot take every file
+            return eigenvalues(matrix)
+
+        monkeypatch.setattr(cli, "eigenvalues", eigenvalues_noting_pid)
+        assert self.spectra(nets, tmp_path / "out", 2) == 0
+        seen = pids.read_text().split()
+        assert len(seen) == 5
+        assert str(os.getpid()) not in seen and len(set(seen)) == 2
+
+    def test_no_worker_process_left_running(self, nets, tmp_path):
+        assert self.spectra(nets, tmp_path / "spec", 2, "--rescale") == 0
+        assert multiprocessing.active_children() == []
+        assert main(["sample", "--model-file", str(nets / "fitted.json"), "--samples", "6",
+                     "--seed", "3", "--write-networks", "4", "--threads", "2",
+                     "--out", str(tmp_path / "ens")]) == 0
+        assert multiprocessing.active_children() == []
+
+
+class TestValidateWindowIndex:
+    @pytest.mark.parametrize("window", ["-1", "-2", "1"])
+    def test_index_outside_the_windows_is_a_usage_error(self, pipeline, tmp_path, capsys,
+                                                        window):
+        rc = main(["validate", "--model-file", str(pipeline / "fit/fitted.json"),
+                   "--transactions", str(pipeline / "data/transactions.csv"),
+                   "--year", "2005", "--delta-t", "30", "--window", window,
+                   "--out", str(tmp_path / "val")])
+        assert rc == 1
+        assert f"field 'window': index {window} out of range (have 1)" in capsys.readouterr().err
+        assert not (tmp_path / "val" / "validation.json").exists()
+
+
+class TestIntegerConfigFields:
+    """A config's integer fields take whole numbers only: no fraction is cut, no bool is 1."""
+
+    def configs(self, root):
+        model, tx = str(root / "fit/fitted.json"), str(root / "data/transactions.csv")
+        return {
+            "synth": {"nodes": 6, "fitness_dist": "constant(1)", "model": "fdcm",
+                      "density": 0.3, "seed": 2, "year": 2005, "days": 3},
+            "sample": {"model_file": model, "samples": 3, "seed": 1, "write_networks": 2},
+            "validate": {"model_file": model, "transactions": tx, "year": 2005,
+                         "delta_t": 30, "window": 0},
+            "aggregate": {"transactions": tx, "year": 2005, "delta_t": 10},
+            "spectra": {"networks": str(root / "ens/samples"), "threads": 1},
+        }
+
+    def run(self, pipeline, tmp_path, command, override):
+        cfg = self.configs(pipeline)[command]
+        cfg.update(override)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        return main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("command,field", [
+        ("synth", "nodes"), ("synth", "days"), ("synth", "seed"), ("synth", "year"),
+        ("sample", "samples"), ("sample", "seed"), ("sample", "write_networks"),
+        ("validate", "delta_t"), ("validate", "window"), ("validate", "year"),
+        ("aggregate", "delta_t"), ("spectra", "threads"),
+    ])
+    @pytest.mark.parametrize("value", [6.9, 2.7, 0.5, -1.5, True, False, float("inf")])
+    def test_non_integral_number_or_bool_is_a_usage_error(self, pipeline, tmp_path, capsys,
+                                                          command, field, value):
+        assert self.run(pipeline, tmp_path, command, {field: value}) == 1
+        err = capsys.readouterr().err
+        assert f"field '{field}' has invalid value {value!r}" in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_the_example_of_a_truncated_node_count(self, pipeline, tmp_path):
+        assert self.run(pipeline, tmp_path, "synth", {"nodes": 6.9, "days": 2.7}) == 1
+        assert not (tmp_path / "o" / "fitness.csv").exists()
+
+    @pytest.mark.parametrize("command,field,value", [
+        ("synth", "nodes", 6.0), ("sample", "samples", 3.0), ("validate", "window", 0.0)])
+    def test_integral_float_is_taken_as_its_integer(self, pipeline, tmp_path, command, field,
+                                                    value):
+        assert self.run(pipeline, tmp_path, command, {field: value}) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"][field] == value

@@ -85,6 +85,14 @@ class TestGenerateEnsemble:
         np.testing.assert_array_equal(s1.densities, s4.densities)
         np.testing.assert_array_equal(s1.lambda_max, s4.lambda_max)
         assert s1.mean_lambda_max == s4.mean_lambda_max
+        # more workers than samples
+        for m, workers in ((1, 4), (5, 2), (5, 4)):
+            serial = generate_ensemble(model, EnsembleConfig(m, 11), threads=1)
+            pooled = generate_ensemble(model, EnsembleConfig(m, 11), threads=workers)
+            for name in ("densities", "reciprocities", "lambda_max"):
+                np.testing.assert_array_equal(getattr(serial, name), getattr(pooled, name))
+            assert (serial.mean_density, serial.std_density, serial.lambda_fallbacks) == \
+                (pooled.mean_density, pooled.std_density, pooled.lambda_fallbacks)
 
     def test_density_matches_binomial_error_bar(self):
         n = 50

@@ -7,7 +7,8 @@ names that row's line, and in CLI exit code 2. The bulk edge-list reader
 and the distinct-value CSV writer match their row-by-row and cell-by-cell
 references. A mutated config, model, report, node, edge-list, fitness or
 transactions file must end the CLI with exit code 0, 1, 2 or 3 and at most
-a one-line message, never a traceback.
+a one-line message, never a traceback. An integer config field refuses a
+number with a fraction and a bool with exit code 1.
 """
 
 import contextlib
@@ -605,12 +606,21 @@ def artifacts(tmp_path_factory):
         "fitness": str(root / "data/fitness.csv"), "model": "fgrm", "density": 0.3,
         "reciprocity": 0.4, "solver": {"max_iterations": 200, "residual_tolerance": 1e-10}},
         indent=2))
+    (root / "validate.json").write_text(json.dumps({
+        "model_file": str(root / "fit/fitted.json"),
+        "transactions": str(root / "data/transactions.csv"),
+        "year": 2005, "delta_t": 4, "window": 1}, indent=2))
     return root
 
 
 mutation_text = st.text(st.sampled_from(',"\n{}[]:0123456789.-+eEnaifNIxz '), max_size=6)
+# what an integer field must refuse (a number with a fraction, a bool) or range-check
+# (a negative count or index)
+non_integral = st.floats().filter(lambda x: not x.is_integer())
+negative = st.integers(max_value=-1) | st.sampled_from([-1, -2])
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | non_integral | negative,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=5)
@@ -675,6 +685,62 @@ def test_cli_fit_survives_a_mutated_config(artifacts, data):
         config = Path(tmp) / "config.json"
         config.write_text(text, encoding="utf-8")
         _assert_clean_exit(["fit", "--config", str(config), "--out", str(Path(tmp) / "out")])
+
+
+@MUTATION_FUZZ
+@given(st.data())
+def test_cli_validate_survives_a_mutated_config(artifacts, data):
+    text = _mutate_json(data.draw, (artifacts / "validate.json").read_text())
+    with _tmp() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(text, encoding="utf-8")
+        _assert_clean_exit(["validate", "--config", str(config),
+                            "--out", str(Path(tmp) / "out")])
+
+
+INTEGER_FIELDS = {
+    "validate": ("year", "delta_t", "window"),
+    "sample": ("samples", "seed", "write_networks"),
+    "spectra": ("threads",),
+    "synth": ("nodes", "days", "seed", "year"),
+}
+
+
+def _integer_field_config(artifacts, command):
+    if command == "validate":
+        return json.loads((artifacts / "validate.json").read_text())
+    if command == "sample":
+        return {"model_file": str(artifacts / "fit/fitted.json"), "samples": 3, "seed": 1,
+                "write_networks": 2}
+    if command == "spectra":
+        return {"networks": str(artifacts / "ens/samples"), "threads": 2}
+    return {"nodes": 5, "fitness_dist": "constant(1)", "model": "fdcm", "density": 0.3,
+            "seed": 2, "year": 2005, "days": 3}
+
+
+@MUTATION_FUZZ
+@given(st.data())
+def test_cli_integer_fields_refuse_fractions_and_bools(artifacts, data):
+    """A fraction or a bool is a usage error, and so is a negative window index; any
+    other negative value ends in a clean exit."""
+    command = data.draw(st.sampled_from(sorted(INTEGER_FIELDS)))
+    field = data.draw(st.sampled_from(INTEGER_FIELDS[command]))
+    value = data.draw(non_integral | st.booleans() | negative)
+    cfg = _integer_field_config(artifacts, command)
+    cfg[field] = value
+    with _tmp() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+    if isinstance(value, (bool, float)):
+        assert rc == 1 and f"field '{field}' has invalid value" in err.getvalue()
+    elif field == "window":
+        assert rc == 1 and "out of range" in err.getvalue()
+    else:  # a negative year has no windows, a negative count is refused or writes none
+        assert rc in (0, 1, 2) and "Traceback" not in err.getvalue()
+        assert len(err.getvalue().strip().splitlines()) == (1 if rc else 0)
 
 
 @MUTATION_FUZZ

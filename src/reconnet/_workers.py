@@ -3,7 +3,9 @@
 numpy's dense eigensolver holds the GIL, so threads do not run it in
 parallel. A forked worker inherits the mapped function and what it closes
 over (a model, its link matrix) unpickled; only items and results cross
-the pipe.
+the pipe. Where numpy's BLAS is OpenBLAS, the workers split this process's
+BLAS threads between them, so the workers' BLAS pools together are no
+larger than this process's.
 """
 
 from __future__ import annotations
@@ -15,9 +17,28 @@ import threading
 _fn = None  # set in each worker by the pool's initializer, never in the caller
 
 
-def _install(fn) -> None:
+def _install(fn, blas_share) -> None:
     global _fn
     _fn = fn
+    if blas_share is not None:
+        set_threads, count = blas_share
+        set_threads(count)
+
+
+def _openblas():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None for another BLAS."""
+    import ctypes
+    from numpy._core import _multiarray_umath
+
+    # a symbol lookup in numpy's extension also searches the BLAS it links
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        try:
+            return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except AttributeError:
+            pass
+    return None
 
 
 def _call(item):
@@ -42,7 +63,11 @@ def ordered_map(fn, items, workers: int | None) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = math.ceil(len(items) / workers)
-    with ProcessPoolExecutor(math.ceil(len(items) / chunk),  # no worker without a chunk
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install, initargs=(fn,)) as pool:
+    workers = math.ceil(len(items) / chunk)  # no worker without a chunk
+    # unshared, each worker's BLAS pool would be as large as this process's;
+    # on a 2-core box that made an unpinned spectra 2-20x slower than split
+    blas = _openblas()
+    blas_share = blas and (blas[1], max(1, blas[0]() // workers))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install, initargs=(fn, blas_share)) as pool:
         return list(pool.map(_call, items, chunksize=chunk))

@@ -4,8 +4,8 @@ Every dyad is drawn with a single uniform variate via inverse CDF over the
 four outcomes in the fixed order (empty, ->, <-, <->); that gives the
 correct joint law for reciprocity-coupled models with one RNG call per
 pair. Sample k of an ensemble uses a sub-seed derived from the master
-seed via a splittable counter scheme, so summaries are independent of the
-number of worker processes that draw them.
+seed via a splittable counter scheme, so it depends only on the master
+seed and k, not on how many samples are drawn or in what order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._workers import ordered_map
 from .errors import DegenerateEnsembleError, DomainError
 from .graph import DirectedNetwork
 from .models import FittedModel, dyad_probability_arrays
@@ -121,12 +120,10 @@ def sample_network(model: FittedModel, seed: int) -> DirectedNetwork:
 
 
 def generate_ensemble(model: FittedModel, config: EnsembleConfig,
-                      compute_lambda: bool = True, threads: int | None = None) -> EnsembleSummary:
+                      compute_lambda: bool = True) -> EnsembleSummary:
     """Sample M networks and collect density, reciprocity and lambda_max.
 
-    ``threads`` worker processes draw the samples (see ``ordered_map``). The
-    result is identical for any worker count: sample k depends only on
-    derive_subseed(master_seed, k).
+    Sample k depends only on derive_subseed(master_seed, k).
     """
     sampler = _DyadSampler(model)
     n = sampler.n
@@ -144,7 +141,7 @@ def generate_ensemble(model: FittedModel, config: EnsembleConfig,
         lam, fell_back = spectral.spectral_radius(a) if compute_lambda else (None, False)
         return d, r, lam, fell_back
 
-    results = ordered_map(one, range(m), threads)
+    results = [one(k) for k in range(m)]
 
     densities = np.array([x[0] for x in results])
     reciprocities = np.array([x[1] for x in results])

@@ -90,3 +90,19 @@ def test_one_worker_per_chunk(monkeypatch):
     assert ordered_map(lambda k: -k, range(5), 4) == [0, -1, -2, -3, -4]
     assert ordered_map(lambda k: -k, range(4), 2) == [0, -1, -2, -3]
     assert started == [3, 2]
+
+
+def test_workers_split_this_process_blas_threads():
+    blas = _workers._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get_threads, set_threads = blas
+    here = get_threads()
+    try:
+        for mine, workers, share in ((4, 2, 2), (3, 2, 1), (1, 2, 1), (4, 3, 1)):
+            set_threads(mine)
+            assert ordered_map(lambda k: get_threads(), range(workers), workers) == \
+                [share] * workers
+            assert get_threads() == mine
+    finally:
+        set_threads(here)

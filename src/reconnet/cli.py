@@ -92,13 +92,17 @@ def _threads(cfg) -> int:
     env = os.environ.get("RECON_NET_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            name, threads = "RECON_NET_THREADS", int(env)
         except ValueError:
             raise ConfigurationError(f"RECON_NET_THREADS={env!r} is not an integer") from None
-    # by default, the CPUs this process may run on where the platform says, else all of them
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return max(1, _option(cfg, "threads", _integer, cpus))
+    else:
+        # by default, the CPUs this process may run on where the platform says, else all of them
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        name, threads = "field 'threads'", _option(cfg, "threads", _integer, max(1, cpus))
+    if threads < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {threads}")
+    return threads
 
 
 def _text(value) -> str:
@@ -298,6 +302,9 @@ def _cmd_sample(cfg, out):
     model = read_model(_need_path(cfg, "model_file"))
     samples = _need(cfg, "samples", _integer)
     seed = _need(cfg, "seed", _integer)
+    n_write = _option(cfg, "write_networks", _integer, 0)
+    if n_write < 0:
+        raise ConfigurationError(f"field 'write_networks' must be >= 0, got {n_write}")
     # drawn here, not in worker processes: starting two took longer than the 20
     # samples and 4 written networks they would share (README, Performance notes)
     summary = generate_ensemble(
@@ -317,7 +324,6 @@ def _cmd_sample(cfg, out):
         "reciprocities": summary.reciprocities,
         "lambda_max": summary.lambda_max,
     })
-    n_write = _option(cfg, "write_networks", _integer, 0)
     if n_write > 0:
         sample_dir = out / "samples"
         sample_dir.mkdir(exist_ok=True)

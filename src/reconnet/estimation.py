@@ -1,13 +1,13 @@
 """Moment-matching estimation: a bracketed Newton solve for the density-only
-model, bounded trust-region least squares for the others.
+model, one iteration loop for the others (damped Newton steps for the
+two-parameter fitness model, fixed-point sweeps for the degree models).
 
 Every fit solves (expected - target) / target = 0 componentwise, so one
 tolerance serves targets that differ by orders of magnitude. Parameters
-are the exponentials of Lagrange multipliers and live in the open box
-(lower_bound, inf); positivity is enforced by the box itself, not by a
-log reparameterization. Fitness values are rescaled to unit mean
-internally (the kernels are exactly scale-covariant), so the all-ones
-start is a sensible origin regardless of currency units.
+are the exponentials of Lagrange multipliers and stay at or above
+``lower_bound``. Fitness values are rescaled to unit mean internally (the
+kernels are exactly scale-covariant), so the all-ones start is a sensible
+origin regardless of currency units.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ import numpy as np
 
 from .errors import DataValidationError, DomainError, NonConvergenceError, NumericalError
 from .ingest import FitnessData
-from .models import FittedModel, ModelKind, link_probability
-
-# u * alt products above this are clamped during iteration; the solver only
-# visits that region transiently and the optimum is orders of magnitude away.
-_CLAMP = 1e100
+from .models import FittedModel, ModelKind
 
 
 @dataclass
@@ -59,57 +55,44 @@ class SolverReport:
                 f"after {self.iterations} evaluations in {self.seconds:.3f}s")
 
 
-def solve_bounded_least_squares(residual, n_params: int,
-                                config: SolverConfig | None = None,
-                                jac=None) -> tuple[np.ndarray, SolverReport]:
-    """Trust-region-reflective least squares on the positive orthant.
+def solve_bounded_least_squares(step, n_params: int,
+                                config: SolverConfig | None = None) -> tuple[np.ndarray, SolverReport]:
+    """Iterate a step map on [lower_bound, inf) until its residual is small.
 
-    ``residual`` maps a parameter vector to a residual vector; ``jac`` is
-    an optional analytic Jacobian, otherwise forward differences with
-    relative step 1e-8 are used. Convergence means the max-abs residual at
-    the returned point is within config.residual_tolerance; a non-converged
-    report is returned rather than raised, the caller decides.
+    ``step`` maps x to (the residual at x, the next x). The iteration starts
+    at all-ones or ``config.initial_point`` and floors each next x at
+    ``config.lower_bound``. It stops when the max-abs residual is within
+    ``config.residual_tolerance``, after ``config.max_iterations`` steps, or
+    when no parameter would move by more than ``config.step_tolerance``
+    relative, and returns the last x whose residual it took. A non-converged
+    report is returned, not raised; a non-finite residual raises
+    NumericalError. (``perfbench/layers.py`` traces this older name.)
     """
     config = config or SolverConfig()
     if config.initial_point is not None:
-        x0 = np.asarray(config.initial_point, dtype=float)
-        if x0.shape != (n_params,):
-            raise DomainError(f"initial point has shape {x0.shape}, expected ({n_params},)")
-        if (x0 <= config.lower_bound).any():
+        x = np.asarray(config.initial_point, dtype=float)
+        if x.shape != (n_params,):
+            raise DomainError(f"initial point has shape {x.shape}, expected ({n_params},)")
+        if (x <= config.lower_bound).any():
             raise DomainError("initial point must lie strictly inside the bounds")
     else:
-        x0 = np.ones(n_params)
-
-    def wrapped(x):
-        f = np.atleast_1d(np.asarray(residual(x), dtype=float))
-        if not np.isfinite(f).all():
+        x = np.ones(n_params)
+    start, iterations = time.perf_counter(), 0
+    while True:
+        residual, new = step(x)
+        iterations += 1
+        residual = np.asarray(residual, dtype=float)
+        if not np.isfinite(residual).all():
             raise NumericalError(f"residual returned non-finite values at x={x!r}")
-        return f
-
-    # scipy.optimize takes most of a second to import, and only these fits need it
-    from scipy.optimize import least_squares
-
-    start = time.perf_counter()
-    result = least_squares(
-        wrapped, x0,
-        jac=jac if jac is not None else "2-point",
-        bounds=(config.lower_bound, np.inf),
-        method="trf",
-        xtol=config.step_tolerance,
-        ftol=1e-15,
-        gtol=1e-15,
-        diff_step=1e-8,
-        max_nfev=config.max_iterations,
-    )
-    elapsed = time.perf_counter() - start
-    norm = float(np.max(np.abs(result.fun))) if result.fun.size else 0.0
-    report = SolverReport(
-        iterations=int(result.nfev),
-        residual_norm=norm,
-        converged=norm <= config.residual_tolerance,
-        seconds=elapsed,
-    )
-    return result.x, report
+        norm = float(np.max(np.abs(residual), initial=0.0))
+        new = np.maximum(new, config.lower_bound)
+        if norm <= config.residual_tolerance or iterations >= config.max_iterations \
+                or (np.abs(new - x) <= config.step_tolerance * x).all():
+            break
+        x = new
+    return x, SolverReport(iterations=iterations, residual_norm=norm,
+                           converged=norm <= config.residual_tolerance,
+                           seconds=time.perf_counter() - start)
 
 
 def _normalized_fitness(fitness: FitnessData):
@@ -231,14 +214,37 @@ def fit_fdcm(fitness: FitnessData, d_target: float,
                        report=report(evaluations, abs(f), True))
 
 
-def _fgrm_sums(uv, alt):
+def _fgrm_equations(uv, alt, t_link, r_target):
+    """Residual of the fgrm targets at (u, v), and its Jacobian in (log u, log v).
+
+    The residual is ((s_link - L) / L, (s_both / s_link - r) / r), with
+    s_link and s_both the expected links and reciprocated links (at r = 0
+    the second entry is not divided). Overflow gives non-finite values.
+    """
     u, v = uv
-    m = np.minimum(u * alt, _CLAMP)
-    q = np.minimum((v * v) * m * m.T, _CLAMP)
-    w = 1.0 + m + m.T + q
-    s_link = float(np.sum((m + q) / w))
-    s_both = float(np.sum(q / w))
-    return m, q, w, s_link, s_both
+    r_scale = r_target if r_target > 0 else 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = u * alt
+        mt = m.T
+        q = (v * v) * m * mt
+        w = (1.0 + q) + (m + mt)
+        w2 = w * w
+        # numpy scalars, so that a sum of 0 divides to NaN rather than raising
+        s_link = np.sum((m + q) / w)
+        s_both = np.sum(q / w)
+        # derivatives in log u and log v
+        ds_link_du = np.sum(((m + 2.0 * q) * w - (m + q) * (m + mt + 2.0 * q)) / w2)
+        ds_link_dv = np.sum(2.0 * q * (1.0 + mt) / w2)
+        ds_both_du = np.sum(q * (2.0 + m + mt) / w2)
+        ds_both_dv = np.sum(2.0 * q * (1.0 + m + mt) / w2)
+        s2 = s_link * s_link
+        residual = np.array([(s_link - t_link) / t_link, (s_both / s_link - r_target) / r_scale])
+        jac = np.array([
+            [ds_link_du / t_link, ds_link_dv / t_link],
+            [(ds_both_du * s_link - s_both * ds_link_du) / (s2 * r_scale),
+             (ds_both_dv * s_link - s_both * ds_link_dv) / (s2 * r_scale)],
+        ])
+    return residual, jac
 
 
 def fit_fgrm(fitness: FitnessData, d_target: float, r_target: float,
@@ -246,8 +252,14 @@ def fit_fgrm(fitness: FitnessData, d_target: float, r_target: float,
     """Tune (u, v) to the density and ratio-of-sums reciprocity targets.
 
     The reciprocity constraint is sum(p_both) / sum(p_link) = r over
-    ordered pairs, exactly the ensemble-level ratio. When several roots
-    exist, the one reached from the all-ones start is reported.
+    ordered pairs, exactly the ensemble-level ratio. Newton steps in
+    (log u, log v) start from all-ones; a step whose residual is non-finite
+    or larger is halved. When several roots exist, the one this path
+    reaches is reported. As in ``fit_fdcm``, (u, v) is the Newton step from
+    the last point evaluated, whose residual the report gives; the report
+    counts evaluations. At r = 0 any small v meets the tolerance, so v is
+    pinned at ``config.lower_bound`` and u alone (and an initial point)
+    fits the density.
     """
     if not 0.0 < d_target < 1.0:
         raise DomainError(f"density target must be in (0,1), got {d_target}")
@@ -256,44 +268,52 @@ def fit_fgrm(fitness: FitnessData, d_target: float, r_target: float,
     n = fitness.n
     if n < 2:
         raise DomainError(f"density/reciprocity fit needs at least 2 nodes, got {n}")
+    config = config or SolverConfig()
     alt, scale = _normalized_fitness(fitness)
     t_link = n * (n - 1) * d_target
     if _positive_dyads(alt) == 0:
         raise NonConvergenceError("no dyad has a positive fitness product to carry a link")
-    r_scale = r_target if r_target > 0 else 1.0
+    free = 2 if r_target > 0 else 1
+    evaluations, last = 0, None
 
-    def resid(uv):
-        _, _, _, s_link, s_both = _fgrm_sums(uv, alt)
-        return np.array([
-            (s_link - t_link) / t_link,
-            (s_both / s_link - r_target) / r_scale,
-        ])
+    def equations(x):
+        # the accepted trial of one step is the next step's start: evaluate it once
+        nonlocal evaluations, last
+        if last is None or not np.array_equal(last[0], x):
+            evaluations += 1
+            uv = (x[0], x[1] if free == 2 else config.lower_bound)
+            last = (x, *_fgrm_equations(uv, alt, t_link, r_target))
+        return last[1], last[2]
 
-    def jac(uv):
-        u, v = uv
-        m, q, w, s_link, s_both = _fgrm_sums(uv, alt)
-        w2 = w * w
-        mt = m.T
-        ds_link_du = float(np.sum(((m + 2.0 * q) * w - (m + q) * (m + mt + 2.0 * q)) / w2)) / u
-        ds_link_dv = float(np.sum(2.0 * q * (1.0 + mt) / w2)) / v
-        ds_both_du = float(np.sum(q * (2.0 + m + mt) / w2)) / u
-        ds_both_dv = float(np.sum(2.0 * q * (1.0 + m + mt) / w2)) / v
-        s2 = s_link * s_link
-        return np.array([
-            [ds_link_du / t_link, ds_link_dv / t_link],
-            [(ds_both_du * s_link - s_both * ds_link_du) / (s2 * r_scale),
-             (ds_both_dv * s_link - s_both * ds_link_dv) / (s2 * r_scale)],
-        ])
+    def newton_step(x):
+        f, jac = equations(x)
+        try:
+            return f, np.linalg.solve(jac[:free, :free], -f[:free])
+        except np.linalg.LinAlgError:
+            return f, np.full(free, np.nan)
 
-    x, report = solve_bounded_least_squares(resid, 2, config, jac=jac)
+    def damped_newton(x):
+        f, delta = newton_step(x)
+        norm = np.max(np.abs(f))
+        while norm > config.residual_tolerance and np.isfinite(delta).all() \
+                and np.max(np.abs(delta)) > config.step_tolerance:
+            with np.errstate(over="ignore"):
+                trial = x * np.exp(delta)
+            if np.max(np.abs(equations(trial)[0])) <= norm:  # False for NaN
+                return f, trial
+            delta = delta / 2.0
+        return f, x
+
+    x, report = solve_bounded_least_squares(damped_newton, free, config)
+    report.iterations = evaluations
     if not report.converged:
         raise NonConvergenceError("density/reciprocity fit did not converge", report)
-    return FittedModel(ModelKind.FGRM, {"u": float(x[0]) / scale, "v": float(x[1])},
+    delta = newton_step(x)[1]  # from the cache: the last point evaluated
+    if np.isfinite(delta).all():
+        x = x * np.exp(delta)
+    v = float(x[1]) if free == 2 else config.lower_bound
+    return FittedModel(ModelKind.FGRM, {"u": float(x[0]) / scale, "v": v},
                        fitness=fitness, report=report)
-
-
-def _relative(expected, target):
-    return (expected - target) / np.maximum(target, 1.0)
 
 
 def fit_degree_model(kind: ModelKind, *, k_in=None, k_out=None, l_recip=None,
@@ -307,20 +327,30 @@ def fit_degree_model(kind: ModelKind, *, k_in=None, k_out=None, l_recip=None,
     rejected before solving.
     """
     kind = ModelKind(kind)
-    if kind is ModelKind.DCM:
-        return _fit_dcm(k_in, k_out, config)
-    if kind is ModelKind.GRM:
-        return _fit_grm(k_in, k_out, l_recip, config)
-    if kind is ModelKind.RCM:
-        return _fit_rcm(k_mono_out, k_mono_in, k_recip, config)
-    raise DomainError(f"{kind.value} is not a degree-sequence model")
-
-
-def _check_handshake(out_seq, in_seq, out_name, in_name):
+    names = {ModelKind.DCM: ("k_out", "k_in"), ModelKind.GRM: ("k_out", "k_in", "l_recip"),
+             ModelKind.RCM: ("k_mono_out", "k_mono_in", "k_recip")}.get(kind)
+    if names is None:
+        raise DomainError(f"{kind.value} is not a degree-sequence model")
+    given = {"k_out": k_out, "k_in": k_in, "l_recip": l_recip, "k_mono_out": k_mono_out,
+             "k_mono_in": k_mono_in, "k_recip": k_recip}
+    if any(given[name] is None for name in names):
+        raise DataValidationError(f"{kind.value} requires {', '.join(names)}")
+    n = len(given[names[0]])
+    targets = [_check_degrees(name, given[name], n) for name in names[:2]]
     # exact for integer sequences; float targets (expected values) get slack
-    if abs(out_seq.sum() - in_seq.sum()) > 1e-9 * max(1.0, out_seq.sum()):
-        raise DataValidationError(
-            f"sum({out_name})={out_seq.sum()} != sum({in_name})={in_seq.sum()}")
+    if abs(targets[0].sum() - targets[1].sum()) > 1e-9 * max(1.0, targets[0].sum()):
+        raise DataValidationError(f"sum({names[0]})={targets[0].sum()} != "
+                                  f"sum({names[1]})={targets[1].sum()}")
+    if kind is ModelKind.GRM:
+        if not 0 <= float(l_recip) <= n * (n - 1):
+            raise DataValidationError(f"l_recip={l_recip} outside [0, {n * (n - 1)}]")
+        targets.append([float(l_recip)])
+    elif kind is ModelKind.RCM:
+        k_recip = _check_degrees("k_recip", k_recip, n)
+        if np.allclose(k_recip, np.round(k_recip)) and int(round(k_recip.sum())) % 2 != 0:
+            raise DataValidationError("sum of reciprocated degrees must be even")
+        targets.append(k_recip)
+    return _fit_by_sweeps(kind, np.concatenate(targets), n, config)
 
 
 def _check_degrees(name, k, n):
@@ -332,95 +362,54 @@ def _check_degrees(name, k, n):
     return k
 
 
-def _fit_dcm(k_in, k_out, config):
-    if k_in is None or k_out is None:
-        raise DataValidationError("dcm requires k_in and k_out")
-    n = len(k_out)
-    k_out = _check_degrees("k_out", k_out, n)
-    k_in = _check_degrees("k_in", k_in, n)
-    _check_handshake(k_out, k_in, "k_out", "k_in")
+def _fit_by_sweeps(kind, target, n, config):
+    """Block Gauss-Seidel sweeps of a degree model's fixed-point equations.
 
-    def resid(theta):
-        p = _independent_link_matrix(theta[:n], theta[n:])
-        return np.concatenate([
-            _relative(p.sum(axis=1), k_out),
-            _relative(p.sum(axis=0), k_in),
-        ])
+    The equations are those of Squartini & Garlaschelli (NJP 13, 083001,
+    2011) and Vallarano et al. (Sci. Rep. 11, 15227, 2021). Each multiplier
+    is scaled by its target over its expected value: x and y together, then
+    z from the new x and y. An expected value is linear in its own
+    multiplier, except grm's reciprocated links, which are quadratic in z
+    (hence the square root); so a fixed point meets the targets. The
+    sweep's first pass gives the residual at its start point.
+    """
+    m, t3, w = (np.empty((n, n)) for _ in range(3))  # work arrays, allocated once per fit
 
-    x, report = solve_bounded_least_squares(resid, 2 * n, config)
+    def expected(theta):
+        # the targets' expected values at multipliers theta, both in the order x, y[, z]
+        np.multiply.outer(theta[:n], theta[n:2 * n], out=m)
+        np.fill_diagonal(m, 0.0)
+        if kind is ModelKind.DCM:
+            np.divide(m, np.add(m, 1.0, out=w), out=m)  # P(i->j) = m / (1 + m)
+            return np.concatenate([m.sum(axis=1), m.sum(axis=0)])
+        if kind is ModelKind.GRM:
+            np.multiply(m, m.T, out=t3)
+            np.multiply(t3, theta[2 * n] ** 2, out=t3)
+        else:
+            np.multiply.outer(theta[2 * n:], theta[2 * n:], out=t3)
+            np.fill_diagonal(t3, 0.0)
+        np.add(np.add(np.add(m, m.T, out=w), t3, out=w), 1.0, out=w)  # 1 + m + m^T + t3
+        np.divide(t3, w, out=t3)  # P(both links)
+        np.divide(m, w, out=m)  # P(i->j only)
+        if kind is ModelKind.GRM:
+            np.add(m, t3, out=m)
+            return np.concatenate([m.sum(axis=1), m.sum(axis=0), [t3.sum()]])
+        return np.concatenate([m.sum(axis=1), m.sum(axis=0), t3.sum(axis=1)])
+
+    power = 0.5 if kind is ModelKind.GRM else 1.0
+
+    def sweep(theta):
+        first = expected(theta)
+        theta = theta.copy()
+        theta[:2 * n] *= target[:2 * n] / first[:2 * n]
+        if kind is not ModelKind.DCM:
+            theta[2 * n:] *= (target[2 * n:] / expected(theta)[2 * n:]) ** power
+        return (first - target) / np.maximum(target, 1.0), theta
+
+    x, report = solve_bounded_least_squares(sweep, len(target), config)
     if not report.converged:
-        raise NonConvergenceError("degree fit did not converge", report)
-    return FittedModel(ModelKind.DCM, {"x": x[:n], "y": x[n:]}, report=report)
-
-
-def _fit_grm(k_in, k_out, l_recip, config):
-    if k_in is None or k_out is None or l_recip is None:
-        raise DataValidationError("grm requires k_in, k_out and l_recip")
-    n = len(k_out)
-    k_out = _check_degrees("k_out", k_out, n)
-    k_in = _check_degrees("k_in", k_in, n)
-    _check_handshake(k_out, k_in, "k_out", "k_in")
-    l_recip = float(l_recip)
-    if l_recip < 0 or l_recip > n * (n - 1):
-        raise DataValidationError(f"l_recip={l_recip} outside [0, {n * (n - 1)}]")
-
-    def resid(theta):
-        x, y, z = theta[:n], theta[n:2 * n], theta[2 * n]
-        m1 = np.outer(x, y)
-        np.fill_diagonal(m1, 0.0)
-        q = (z * z) * m1 * m1.T
-        w = 1.0 + m1 + m1.T + q
-        p_link = (m1 + q) / w
-        return np.concatenate([
-            _relative(p_link.sum(axis=1), k_out),
-            _relative(p_link.sum(axis=0), k_in),
-            np.atleast_1d(_relative(np.sum(q / w), l_recip)),
-        ])
-
-    x, report = solve_bounded_least_squares(resid, 2 * n + 1, config)
-    if not report.converged:
-        raise NonConvergenceError("degree/reciprocity fit did not converge", report)
-    return FittedModel(ModelKind.GRM,
-                       {"x": x[:n], "y": x[n:2 * n], "z": float(x[2 * n])},
-                       report=report)
-
-
-def _fit_rcm(k_mono_out, k_mono_in, k_recip, config):
-    if k_mono_out is None or k_mono_in is None or k_recip is None:
-        raise DataValidationError("rcm requires k_mono_out, k_mono_in and k_recip")
-    n = len(k_mono_out)
-    k_mono_out = _check_degrees("k_mono_out", k_mono_out, n)
-    k_mono_in = _check_degrees("k_mono_in", k_mono_in, n)
-    k_recip = _check_degrees("k_recip", k_recip, n)
-    _check_handshake(k_mono_out, k_mono_in, "k_mono_out", "k_mono_in")
-    is_integer = np.allclose(k_recip, np.round(k_recip))
-    if is_integer and int(round(k_recip.sum())) % 2 != 0:
-        raise DataValidationError("sum of reciprocated degrees must be even")
-
-    def resid(theta):
-        x, y, zv = theta[:n], theta[n:2 * n], theta[2 * n:]
-        m1 = np.outer(x, y)
-        np.fill_diagonal(m1, 0.0)
-        q = np.outer(zv, zv)
-        np.fill_diagonal(q, 0.0)
-        w = 1.0 + m1 + m1.T + q
-        p_mono = m1 / w
-        p_both = q / w
-        return np.concatenate([
-            _relative(p_mono.sum(axis=1), k_mono_out),
-            _relative(p_mono.sum(axis=0), k_mono_in),
-            _relative(p_both.sum(axis=1), k_recip),
-        ])
-
-    x, report = solve_bounded_least_squares(resid, 3 * n, config)
-    if not report.converged:
-        raise NonConvergenceError("reciprocal degree fit did not converge", report)
-    return FittedModel(ModelKind.RCM,
-                       {"x": x[:n], "y": x[n:2 * n], "z": x[2 * n:]},
-                       report=report)
-
-
-def _independent_link_matrix(x, y):
-    m = np.outer(x, y)
-    np.fill_diagonal(m, 0.0)
-    return link_probability(m)
+        raise NonConvergenceError(f"{kind.value} fit did not converge", report)
+    params = {"x": x[:n], "y": x[n:2 * n]}
+    if kind is not ModelKind.DCM:
+        params["z"] = x[2 * n] if kind is ModelKind.GRM else x[2 * n:]
+    return FittedModel(kind, params, report=report)

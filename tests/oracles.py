@@ -3,14 +3,16 @@
 import csv
 import datetime as dt
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from reconnet import DirectedNetwork, FitnessData
 from reconnet.ensemble import derive_subseed, sample_networks
-from reconnet.errors import DataValidationError, DomainError, NonConvergenceError, ParseError
-from reconnet.estimation import _CLAMP, _normalized_fitness, solve_bounded_least_squares
+from reconnet.errors import (DataValidationError, DomainError, NonConvergenceError, NumericalError,
+                             ParseError)
+from reconnet.estimation import SolverConfig, SolverReport, _normalized_fitness
 from reconnet.ingest import TransactionRecord, csv_reader, line_of_row, open_text, trading_days
 from reconnet.models import FittedModel, ModelKind
 
@@ -114,30 +116,54 @@ def aggregate_record_loop(records, window):
     return DirectedNetwork.from_weight_matrix(w, labels=tuple(labels))
 
 
+# z * alt products above this are clamped during iteration; the solver only
+# visits that region transiently and the optimum is orders of magnitude away.
+_CLAMP = 1e100
+
+
 def fit_fdcm_trust_region(fitness, d_target, config=None):
     """The density-only fit by bounded trust-region least squares on z.
 
-    The generic solver on the one residual (sum m/(1+m) - L) / L with its
-    analytic derivative, from the all-ones start: the reference the
-    bracketed Newton solve of ``fit_fdcm`` must agree with.
+    scipy's trust-region-reflective solver on the one residual
+    (sum m/(1+m) - L) / L with its analytic derivative, from the all-ones
+    start or ``config.initial_point``, on the box (lower_bound, inf): the
+    reference the bracketed Newton solve of ``fit_fdcm`` must agree with.
     """
+    from scipy.optimize import least_squares
+
+    config = config or SolverConfig()
     alt, scale = _normalized_fitness(fitness)
     n = fitness.n
     target = n * (n - 1) * d_target
 
     def resid(x):
         m = np.minimum(x[0] * alt, _CLAMP)
-        return np.array([(np.sum(m / (1.0 + m)) - target) / target])
+        f = np.array([(np.sum(m / (1.0 + m)) - target) / target])
+        if not np.isfinite(f).all():
+            raise NumericalError(f"residual returned non-finite values at x={x!r}")
+        return f
 
     def jac(x):
         m = np.minimum(x[0] * alt, _CLAMP)
         den = 1.0 + m
         return np.array([[np.sum(alt / (den * den)) / target]])
 
-    x, report = solve_bounded_least_squares(resid, 1, config, jac=jac)
+    x0 = np.ones(1)
+    if config.initial_point is not None:
+        x0 = np.asarray(config.initial_point, dtype=float)
+        if x0.shape != (1,) or not x0[0] > config.lower_bound:
+            raise DomainError(f"initial point {x0!r} must be one value above the bound")
+    start = time.perf_counter()
+    result = least_squares(resid, x0, jac=jac, bounds=(config.lower_bound, np.inf),
+                           method="trf", xtol=config.step_tolerance, ftol=1e-15, gtol=1e-15,
+                           max_nfev=config.max_iterations)
+    norm = float(np.max(np.abs(result.fun)))
+    report = SolverReport(iterations=int(result.nfev), residual_norm=norm,
+                          converged=norm <= config.residual_tolerance,
+                          seconds=time.perf_counter() - start)
     if not report.converged:
         raise NonConvergenceError("density fit did not converge", report)
-    return FittedModel(ModelKind.FDCM, {"z": float(x[0]) / scale},
+    return FittedModel(ModelKind.FDCM, {"z": float(result.x[0]) / scale},
                        fitness=fitness, report=report)
 
 

@@ -636,12 +636,73 @@ class TestDefaultThreads:
         assert cli._threads({}) == 3
 
 
-def test_cli_import_leaves_scipy_optimize_and_multiprocessing_out():
-    code = ("import sys, reconnet.cli; "
-            "print('scipy.optimize' in sys.modules, 'multiprocessing' in sys.modules)")
+class TestCountsBelowTheirMinimum:
+    """A worker count below 1 or a negative number of written networks is a usage error."""
+
+    @pytest.mark.parametrize("threads", ["-3", "0"])
+    def test_spectra_threads(self, pipeline, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.delenv("RECON_NET_THREADS", raising=False)
+        rc = main(["spectra", "--networks", str(pipeline / "ens/samples"),
+                   "--threads", threads, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"field 'threads' must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "spectra.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_environment_threads(self, pipeline, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("RECON_NET_THREADS", threads)
+        rc = main(["spectra", "--networks", str(pipeline / "ens/samples"),
+                   "--threads", "2", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"RECON_NET_THREADS must be >= 1, got {int(threads)}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_one_thread_is_accepted(self, pipeline, tmp_path, monkeypatch):
+        monkeypatch.setenv("RECON_NET_THREADS", "1")
+        assert main(["spectra", "--networks", str(pipeline / "ens/samples"),
+                     "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("count", ["-2", "-1"])
+    def test_sample_write_networks(self, pipeline, tmp_path, capsys, count):
+        rc = main(["sample", "--model-file", str(pipeline / "fit/fitted.json"),
+                   "--samples", "3", "--seed", "1", "--write-networks", count,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"field 'write_networks' must be >= 0, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "samples").exists()
+        assert not (tmp_path / "o" / "ensemble.json").exists()
+
+    def test_sample_writes_no_networks_at_zero(self, pipeline, tmp_path):
+        assert main(["sample", "--model-file", str(pipeline / "fit/fitted.json"),
+                     "--samples", "3", "--seed", "1", "--write-networks", "0",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert not (tmp_path / "o" / "samples").exists()
+
+
+def _modules_after(code):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False False"
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_scipy_optimize_and_multiprocessing_out():
+    code = ("import sys, reconnet, reconnet.cli; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules), "
+            "'multiprocessing' in sys.modules)")
+    assert _modules_after(code) == ["False", "False"]
+
+
+def test_fgrm_synth_and_fit_load_no_scipy(tmp_path):
+    code = ("import sys; from reconnet.cli import main; "
+            f"data, fit = {str(tmp_path / 'data')!r}, {str(tmp_path / 'fit')!r}; "
+            "assert main(['synth', '--nodes', '30', '--fitness-dist', 'lognormal(0,1)', "
+            "'--model', 'fgrm', '--density', '0.1', '--reciprocity', '0.3', '--days', '3', "
+            "'--year', '2005', '--seed', '4', '--out', data]) == 0; "
+            "assert main(['fit', '--fitness', data + '/fitness.csv', '--model', 'fgrm', "
+            "'--density', '0.2', '--reciprocity', '0.35', '--out', fit]) == 0; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert _modules_after(code) == ["[]"]
+    assert (tmp_path / "fit" / "fitted.json").exists()
 
 
 class TestSpectraWorkers:

@@ -15,7 +15,6 @@ from oracles import (
 
 from reconnet import FitnessData, FittedModel, ModelKind, dyad_probability_arrays
 from reconnet.errors import DomainError
-from reconnet.estimation import _independent_link_matrix
 from reconnet.models import link_probability
 
 
@@ -252,10 +251,3 @@ class TestLinkProbability:
         p = link_probability(m)
         assert p[:5].tobytes() == (m[:5] / (1.0 + m[:5])).tobytes()
         assert (p[5:] == 1.0).all()
-
-    def test_dcm_fit_links_are_the_plain_quotient_for_finite_products(self):
-        x, y = np.logspace(-150, 155, 30), np.logspace(150, -150, 30)
-        m = np.outer(x, y)
-        assert np.isfinite(m).all() and (m > 1e300).any()
-        np.fill_diagonal(m, 0.0)
-        assert _independent_link_matrix(x, y).tobytes() == (m / (1.0 + m)).tobytes()

@@ -721,11 +721,13 @@ def _integer_field_config(artifacts, command):
 @MUTATION_FUZZ
 @given(st.data())
 def test_cli_integer_fields_refuse_fractions_and_bools(artifacts, data):
-    """A fraction or a bool is a usage error, and so is a negative window index; any
-    other negative value ends in a clean exit."""
+    """A fraction or a bool is a usage error, and so is a negative window index, a
+    worker count below 1 or a negative number of networks to write; any other
+    negative value ends in a clean exit."""
     command = data.draw(st.sampled_from(sorted(INTEGER_FIELDS)))
     field = data.draw(st.sampled_from(INTEGER_FIELDS[command]))
-    value = data.draw(non_integral | st.booleans() | negative)
+    value = data.draw(non_integral | st.booleans() | negative
+                      | (st.just(0) if field == "threads" else st.nothing()))
     cfg = _integer_field_config(artifacts, command)
     cfg[field] = value
     with _tmp() as tmp:
@@ -738,6 +740,9 @@ def test_cli_integer_fields_refuse_fractions_and_bools(artifacts, data):
         assert rc == 1 and f"field '{field}' has invalid value" in err.getvalue()
     elif field == "window":
         assert rc == 1 and "out of range" in err.getvalue()
+    elif field in ("threads", "write_networks"):
+        assert rc == 1 and f"field '{field}' must be >= {int(field == 'threads')}, got {value}" \
+            in err.getvalue()
     else:  # a negative year has no windows, a negative count is refused or writes none
         assert rc in (0, 1, 2) and "Traceback" not in err.getvalue()
         assert len(err.getvalue().strip().splitlines()) == (1 if rc else 0)

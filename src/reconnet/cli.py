@@ -305,6 +305,9 @@ def _cmd_sample(cfg, out):
     n_write = _option(cfg, "write_networks", _integer, 0)
     if n_write < 0:
         raise ConfigurationError(f"field 'write_networks' must be >= 0, got {n_write}")
+    if n_write > samples:
+        raise ConfigurationError(
+            f"field 'write_networks' ({n_write}) exceeds field 'samples' ({samples})")
     # drawn here, not in worker processes: starting two took longer than the 20
     # samples and 4 written networks they would share (README, Performance notes)
     summary = generate_ensemble(
@@ -334,7 +337,7 @@ def _cmd_sample(cfg, out):
         fitted = sample_dir / "fitted.json"
         write_model(fitted, model)
         paths.extend([nodes, fitted])
-        seeds = [derive_subseed(seed, k) for k in range(min(n_write, samples))]
+        seeds = [derive_subseed(seed, k) for k in range(n_write)]
         for k, net in enumerate(sample_networks(model, seeds)):
             p = sample_dir / f"sample_{k:05d}.csv"
             write_network(p, net)
@@ -536,7 +539,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; explicit flags win")
         p.add_argument("--out", help="output directory")
         p.add_argument("--threads", type=int,
-                       help="worker processes (RECON_NET_THREADS overrides)")
+                       help="worker processes (RECON_NET_THREADS overrides)" if name == "spectra"
+                       else "accepted and ignored: only spectra reads it")
         for flag, kwargs in specs:
             p.add_argument(flag, **kwargs)
         return p

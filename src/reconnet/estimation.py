@@ -95,14 +95,18 @@ def solve_bounded_least_squares(step, n_params: int,
                            seconds=time.perf_counter() - start)
 
 
-def _normalized_fitness(fitness: FitnessData):
+def _normalized_fitness(fitness: FitnessData, out=None):
+    """The fitness products rescaled to unit-mean factors, zero diagonal, and the scale.
+
+    ``out``, an n x n array, receives the matrix instead of a new one.
+    """
     a = fitness.assets
     l = fitness.liabilities
     # a mean that overflows is inf: every normalised fitness is then 0, and no dyad can link
     with np.errstate(over="ignore"):
         scale_a = float(a[a > 0].mean())
         scale_l = float(l[l > 0].mean())
-    alt = np.outer(a / scale_a, l / scale_l)
+    alt = np.outer(a / scale_a, l / scale_l, out=out)
     np.fill_diagonal(alt, 0.0)
     return alt, scale_a * scale_l
 
@@ -132,33 +136,54 @@ def fdcm_target_reachable(fitness: FitnessData, d_target: float,
                                  (config or SolverConfig()).residual_tolerance)
 
 
+def _probability_of_odds(m, out):
+    """m / (1 + m) into ``out``, taken as 1 / (1 + 1/m) without overflow: 1 at m = inf, 0 at 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, m, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
 def fit_fdcm(fitness: FitnessData, d_target: float,
              config: SolverConfig | None = None) -> FittedModel:
     """Tune the single parameter z so the expected link density matches.
 
-    Solves sum m / (1 + m) = L over the positive entries of alt, with
-    m = z * alt and L = n (n - 1) d, by Newton's method in s = log z. The
-    residual and its slope come from one pass over alt. Newton steps stay
-    inside a bracket of the root and fall back to bisection when they would
-    leave it; the lower end starts at the s where sum m = L, below the root
-    because m / (1 + m) <= m. Each evaluation counts against
-    ``config.max_iterations``; the fit stops once the relative residual is
-    within ``config.residual_tolerance``, and fails when the budget is spent,
-    a step falls below ``config.step_tolerance`` (relative, in s) first, or
-    the target comes within the tolerance of the number of positive entries
-    (only z -> infinity approaches it). z is the Newton step
-    from the last point evaluated, whose residual the report gives.
+    Solves sum m / (1 + m) = L over the positive entries of alt, the
+    fitness products rescaled to unit-mean factors, with m = z * alt and
+    L = n (n - 1) d (see ``_solve_density``).
     """
     if not 0.0 < d_target < 1.0:
         raise DomainError(f"density target must be in (0,1), got {d_target}")
     n = fitness.n
     if n < 2:
         raise DomainError(f"density fit needs at least 2 nodes, got {n}")
-    config = config or SolverConfig()
     alt, scale = _normalized_fitness(fitness)
-    positive = _positive_dyads(alt)
     alt = alt[alt > 0]
-    target = n * (n - 1) * d_target
+    z, report = _solve_density(alt, alt.size, n * (n - 1) * d_target, scale,
+                               config or SolverConfig())
+    return FittedModel(ModelKind.FDCM, {"z": z}, fitness=fitness, report=report)
+
+
+def _solve_density(alt, positive: int, target: float, scale: float, config: SolverConfig,
+                   work=None) -> tuple[float, SolverReport]:
+    """z with sum m / (1 + m) = target, m = z * scale * alt, over the ``positive`` entries of alt.
+
+    alt is a flat array of normalised fitness products; its other entries
+    are 0, which link with probability 0 and add exactly 0 to every sum.
+    Newton's method in s = log(z * scale). The residual and its slope come
+    from one pass over alt, taken in the rows of ``work`` (3 x len(alt) or
+    larger; allocated when None). Newton steps stay inside a bracket of the
+    root and fall back to bisection when they would leave it; the lower end
+    starts at the s where sum m = target, below the root because
+    m / (1 + m) <= m. Each evaluation counts against
+    ``config.max_iterations``; the fit stops once the relative residual is
+    within ``config.residual_tolerance``. It raises NonConvergenceError when
+    the budget is spent, a step falls below ``config.step_tolerance``
+    (relative, in s) first, or the target comes within the tolerance of the
+    number of positive entries (only z -> infinity approaches it). z is the
+    Newton step from the last point evaluated, whose residual the report
+    gives.
+    """
     start = time.perf_counter()
 
     def report(evaluations, residual, converged):
@@ -179,15 +204,18 @@ def fit_fdcm(fitness: FitnessData, d_target: float,
         if not x0[0] > config.lower_bound:
             raise DomainError("initial point must lie strictly inside the bounds")
         s = math.log(x0[0])
+    if work is None:
+        work = np.empty((3, alt.size))
+    m, p, q = (row[:alt.size] for row in work)
     tol, step_tol = config.residual_tolerance, config.step_tolerance
     evaluations, step = 0, math.inf
     while True:
-        # 1 / (1 + 1/m) is m / (1 + m) without overflow: exactly 1 at m = inf, 0 at m = 0
-        with np.errstate(over="ignore", divide="ignore"):
-            m = np.exp(s) * alt
-            p = 1.0 / (1.0 + 1.0 / m)
-            f = (float(p.sum()) - target) / target
-            slope = float((p / (1.0 + m)).sum()) / target  # df/ds
+        # at exp(s) = inf a zero entry gives NaN, and the step is a bisection, as at f > 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(np.exp(s), alt, out=m)
+        _probability_of_odds(m, out=p)
+        f = (float(p.sum()) - target) / target
+        slope = float(np.divide(p, np.add(m, 1.0, out=q), out=q).sum()) / target  # df/ds
         evaluations += 1
         # a step can land exactly on the root (f == 0), so test convergence first
         converged = abs(f) <= tol
@@ -206,12 +234,55 @@ def fit_fdcm(fitness: FitnessData, d_target: float,
         s = max(s - f / slope, s_min)
     with np.errstate(over="ignore"):
         z = float(np.exp(s)) / scale
-    converged = converged and 0.0 < z < math.inf
-    if not converged:
+    if not (converged and 0.0 < z < math.inf):
         raise NonConvergenceError("density fit did not converge",
                                   report(evaluations, abs(f), False))
-    return FittedModel(ModelKind.FDCM, {"z": z}, fitness=fitness,
-                       report=report(evaluations, abs(f), True))
+    return z, report(evaluations, abs(f), True)
+
+
+class DensityFitter:
+    """Density-only fits at many density targets, each with its expected reciprocity.
+
+    Holds the work arrays for one node count, so that a scan over many
+    windows allocates them once. ``use`` sets the fitness; ``reciprocity``
+    fits a density target as ``fit_fdcm`` does and gives the fitted
+    model's expected reciprocity.
+    """
+
+    def __init__(self, n: int, config: SolverConfig | None = None):
+        self.n = n
+        self.config = config or SolverConfig()
+        self._alt = np.empty((n, n))
+        self._work = np.empty((3, n * n))
+
+    def use(self, fitness: FitnessData) -> None:
+        if fitness.n != self.n:
+            raise DomainError(f"fitness has {fitness.n} nodes, the fitter {self.n}")
+        alt, self._scale = _normalized_fitness(fitness, out=self._alt)
+        self._positive = _positive_dyads(alt)
+
+    def reciprocity(self, d_target: float) -> float | None:
+        """sum(p * p^T) / sum(p) at the z fitted to ``d_target``: links are independent.
+
+        None when no finite z reaches the target (see ``fdcm_target_reachable``).
+        A fit that does not converge raises NonConvergenceError.
+        """
+        if not d_target > 0.0:  # a target of 1 or more is unreachable, not an error
+            raise DomainError(f"density target must be positive, got {d_target}")
+        n = self.n
+        target = n * (n - 1) * d_target
+        if not _below_positive_dyads(target, self._positive, self.config.residual_tolerance):
+            return None
+        # the whole matrix, zeros and all: compressing it to its positive entries
+        # costs more than the sums over the zeros do
+        z, _ = _solve_density(self._alt.ravel(), self._positive, target, self._scale,
+                              self.config, self._work)
+        m, p = (row.reshape(n, n) for row in self._work[:2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(self._alt, z * self._scale, out=m)
+        _probability_of_odds(m, out=p)
+        # the fit puts sum(p) within the tolerance of target > 0
+        return float(np.multiply(p, p.T, out=m).sum()) / float(p.sum())
 
 
 def _fgrm_equations(uv, alt, t_link, r_target):

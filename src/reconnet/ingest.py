@@ -324,14 +324,19 @@ class YearIndex:
     order: np.ndarray
     bounds: np.ndarray
 
-    def network(self, window: AggregationWindow) -> DirectedNetwork:
-        """The window's snapshot: the records of its days summed per cell."""
+    def day_range(self, window: AggregationWindow) -> tuple[int, int]:
+        """The window's days as positions ``first:stop`` in ``days``."""
         first = bisect.bisect_left(self.days, window.days[0]) if window.days else 0
         stop = first + len(window.days)
         if window.year != self.year or self.days[first:stop] != window.days:
             raise ConfigurationError(
                 f"window {window.window_index} (delta_t={window.delta_t}) is not a run of "
                 f"consecutive trading days of the {self.year} index")
+        return first, stop
+
+    def network(self, window: AggregationWindow) -> DirectedNetwork:
+        """The window's snapshot: the records of its days summed per cell."""
+        first, stop = self.day_range(window)
         # back into file order: each cell then adds its amounts in the order a
         # running sum over the file would, so the weights match it bit for bit
         rows = np.sort(self.order[self.bounds[first]:self.bounds[stop]])

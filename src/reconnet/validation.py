@@ -7,11 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import expected_metrics
 from .errors import DomainError, SingularityError, UndefinedAUCError
-from .estimation import SolverConfig, fdcm_target_reachable, fit_fdcm
-from .graph import DirectedNetwork, degrees_strengths
-from .ingest import FitnessData, aggregate, build_windows, fitness_from_strengths, index_year
+from .estimation import DensityFitter, SolverConfig
+from .graph import DirectedNetwork
+from .ingest import FitnessData, build_windows, index_year
 from .models import FittedModel, dyad_probability_arrays
 
 log = logging.getLogger(__name__)
@@ -111,7 +110,10 @@ def scan_aggregations(records, year: int, delta_t_list,
     row. Fitness defaults to the strengths realized in the window itself;
     passing ``fitness`` pins one external vector for all windows.
     ``records`` is a ``TransactionTable`` or a sequence of records; the
-    year's records are indexed once and every window is cut from the index.
+    year's records are indexed once, and each window's links and strengths
+    are taken from the index without building its network (a strength is
+    a sum of daily sums, so its last bits can differ from the row sums of
+    ``aggregate``'s weights).
     """
     delta_t_list = list(delta_t_list)
     if any(b <= a for a, b in zip(delta_t_list, delta_t_list[1:])):
@@ -119,29 +121,49 @@ def scan_aggregations(records, year: int, delta_t_list,
     rows: list[ScanRow] = []
     window_rows: list[WindowRow] = []
     index = index_year(records, year)
+    n, n_days = len(index.labels), len(index.days)
+    # the year's records in day order, so that each window's records are one slice
+    cell = index.cell[index.order]
+    amount = index.amount[index.order]
+    # per day and bank, the amounts lent and borrowed: a window's strengths
+    # are the sums of its days' rows
+    lent, borrowed = np.zeros((2, n_days, n))
+    for k, day in enumerate(map(slice, index.bounds[:-1], index.bounds[1:])):
+        for table, node in zip((lent, borrowed), np.divmod(cell[day], n)):
+            table[k] = np.bincount(node, weights=amount[day], minlength=n)
+    links = np.zeros(n * n, dtype=bool)
+    square = links.reshape(n, n)
+    both = np.empty((n, n), dtype=bool)
+    fdcm = DensityFitter(n if fitness is None else fitness.n, solver_config)
+    if fitness is not None:
+        fdcm.use(fitness)
     for delta_t in delta_t_list:
-        windows = build_windows(index, year, delta_t)
         skipped = 0
         per_window: list[WindowRow] = []
-        for window in windows:
-            net = aggregate(index, window)
-            metrics = degrees_strengths(net)
-            if metrics.link_count == 0 or metrics.r is None:
+        for window in build_windows(index, year, delta_t):
+            first, stop = index.day_range(window)
+            links.fill(False)
+            links[cell[index.bounds[first]:index.bounds[stop]]] = True
+            link_count = int(np.count_nonzero(links))
+            if link_count == 0:
                 skipped += 1
                 continue
-            fit_fit = fitness if fitness is not None else fitness_from_strengths(net)
-            if not fdcm_target_reachable(fit_fit, metrics.d, solver_config):
+            if fitness is None:
+                fdcm.use(FitnessData(assets=lent[first:stop].sum(axis=0),
+                                     liabilities=borrowed[first:stop].sum(axis=0)))
+            d = link_count / (n * (n - 1))
+            r_fdcm = fdcm.reciprocity(d)
+            if r_fdcm is None:
                 skipped += 1
                 continue
-            model = fit_fdcm(fit_fit, metrics.d, config=solver_config)
-            _, r_fdcm = expected_metrics(model)
+            r = int(np.count_nonzero(np.logical_and(square, square.T, out=both))) / link_count
             per_window.append(WindowRow(
                 delta_t=delta_t,
                 window_index=window.window_index,
-                density=metrics.d,
-                reciprocity=metrics.r,
+                density=d,
+                reciprocity=r,
                 r_fdcm=r_fdcm,
-                rho=rho(metrics.r, r_fdcm),
+                rho=rho(r, r_fdcm),
             ))
         window_rows.extend(per_window)
         if per_window:

@@ -9,12 +9,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from reconnet import DirectedNetwork, FitnessData
-from reconnet.ensemble import derive_subseed, sample_networks
+from reconnet.ensemble import derive_subseed, expected_metrics, sample_networks
 from reconnet.errors import (DataValidationError, DomainError, NonConvergenceError, NumericalError,
                              ParseError)
-from reconnet.estimation import SolverConfig, SolverReport, _normalized_fitness
-from reconnet.ingest import TransactionRecord, csv_reader, line_of_row, open_text, trading_days
+from reconnet.estimation import (SolverConfig, SolverReport, _normalized_fitness,
+                                 fdcm_target_reachable, fit_fdcm)
+from reconnet.graph import degrees_strengths
+from reconnet.ingest import (TransactionRecord, aggregate, build_windows, csv_reader,
+                             fitness_from_strengths, index_year, line_of_row, open_text,
+                             trading_days)
 from reconnet.models import FittedModel, ModelKind
+from reconnet.validation import (RhoScanResult, ScanRow, WindowRow, extract_rho_landmarks,
+                                 rho)
 
 
 def char_poly_roots_4x4(a):
@@ -114,6 +120,47 @@ def aggregate_record_loop(records, window):
         if r.date in day_set:
             w[index[r.lender], index[r.borrower]] += r.amount
     return DirectedNetwork.from_weight_matrix(w, labels=tuple(labels))
+
+
+def scan_window_by_window(records, year, delta_t_list, fitness=None, solver_config=None):
+    """The reciprocity-gap scan through one validated network per window.
+
+    Each window is aggregated into a ``DirectedNetwork``; its density,
+    reciprocity and strengths come from ``degrees_strengths`` and
+    ``fitness_from_strengths``, and its r_fdcm from ``fit_fdcm`` and the
+    dyad arrays of ``expected_metrics``, with the same skip rules as
+    ``scan_aggregations``: the reference its index-based loop must agree with.
+    """
+    index = index_year(records, year)
+    rows, window_rows = [], []
+    for delta_t in delta_t_list:
+        skipped, per_window = 0, []
+        for window in build_windows(index, year, delta_t):
+            net = aggregate(index, window)
+            metrics = degrees_strengths(net)
+            if metrics.link_count == 0:
+                skipped += 1
+                continue
+            fit_fitness = fitness if fitness is not None else fitness_from_strengths(net)
+            if not fdcm_target_reachable(fit_fitness, metrics.d, solver_config):
+                skipped += 1
+                continue
+            _, r_fdcm = expected_metrics(fit_fdcm(fit_fitness, metrics.d, config=solver_config))
+            per_window.append(WindowRow(delta_t, window.window_index, metrics.d, metrics.r,
+                                        r_fdcm, rho(metrics.r, r_fdcm)))
+        window_rows.extend(per_window)
+        if per_window:
+            rows.append(ScanRow(delta_t, len(per_window), skipped,
+                                *(float(np.mean([getattr(w, name) for w in per_window]))
+                                  for name in ("density", "reciprocity", "r_fdcm", "rho"))))
+        else:
+            rows.append(ScanRow(delta_t, 0, skipped, *(float("nan"),) * 4))
+    result = RhoScanResult(rows=rows, windows=window_rows)
+    usable = [(row.delta_t, row.mean_rho) for row in rows if not row.missing]
+    if usable:
+        result.t_min, result.rho_min, result.t_max, result.rho_max, result.t_0 = \
+            extract_rho_landmarks(*zip(*usable))
+    return result
 
 
 # z * alt products above this are clamped during iteration; the solver only

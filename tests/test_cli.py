@@ -672,6 +672,16 @@ class TestCountsBelowTheirMinimum:
         assert not (tmp_path / "o" / "samples").exists()
         assert not (tmp_path / "o" / "ensemble.json").exists()
 
+    def test_sample_refuses_to_write_more_networks_than_it_draws(self, pipeline, tmp_path,
+                                                                 capsys):
+        rc = main(["sample", "--model-file", str(pipeline / "fit/fitted.json"),
+                   "--samples", "3", "--seed", "1", "--write-networks", "4",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "field 'write_networks' (4) exceeds field 'samples' (3)" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "samples").exists()
+        assert not (tmp_path / "o" / "ensemble.json").exists()
+
     def test_sample_writes_no_networks_at_zero(self, pipeline, tmp_path):
         assert main(["sample", "--model-file", str(pipeline / "fit/fitted.json"),
                      "--samples", "3", "--seed", "1", "--write-networks", "0",

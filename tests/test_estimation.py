@@ -17,7 +17,7 @@ from reconnet import (
     solve_bounded_least_squares,
 )
 from reconnet.errors import DataValidationError, DomainError, NonConvergenceError, NumericalError
-from reconnet.estimation import _normalized_fitness, fdcm_target_reachable
+from reconnet.estimation import DensityFitter, _normalized_fitness, fdcm_target_reachable
 
 UNIT4 = FitnessData(np.ones(4), np.ones(4))
 
@@ -261,6 +261,42 @@ class TestFdcmNewtonAgainstTrustRegion:
     def test_one_node_is_a_domain_error(self):
         with pytest.raises(DomainError):
             fit_fdcm(FitnessData(np.ones(1), np.ones(1)), 0.5)
+
+
+class TestDensityFitter:
+    def test_reciprocity_is_that_of_the_fitted_model(self):
+        rng = np.random.default_rng(5)
+        fitter = DensityFitter(30)
+        for _ in range(3):  # the same work arrays serve fitness after fitness
+            a, l = rng.lognormal(0, 2, 30), rng.lognormal(0, 2, 30)
+            a[4] = l[9] = 0.0
+            fitness = FitnessData(a, l)
+            fitter.use(fitness)
+            for d in (0.01, 0.1, 0.5):
+                want = expected_metrics(fit_fdcm(fitness, d))[1]
+                assert fitter.reciprocity(d) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_unreachable_target_is_none_and_no_error(self):
+        fitter = DensityFitter(6)
+        a = np.zeros(6)
+        a[2] = 3.0
+        fitter.use(FitnessData(a, np.roll(a, 2)))  # one dyad with a positive product
+        assert fitter.reciprocity(1 / 30) is None
+        assert fitter.reciprocity(1.0) is None
+        assert fitter.reciprocity(0.9 / 30) == 0.0  # its reverse can never link
+
+    def test_errors(self):
+        fitter = DensityFitter(4)
+        with pytest.raises(DomainError):
+            fitter.use(FitnessData(np.ones(5), np.ones(5)))
+        fitter.use(UNIT4)
+        for d in (0.0, -0.1, float("nan")):
+            with pytest.raises(DomainError):
+                fitter.reciprocity(d)
+        fitter = DensityFitter(4, SolverConfig(max_iterations=1))
+        fitter.use(UNIT4)
+        with pytest.raises(NonConvergenceError):
+            fitter.reciprocity(0.2)
 
 
 class TestFitFgrm:

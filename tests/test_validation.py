@@ -1,8 +1,10 @@
+import dataclasses
+import datetime
 import math
 
 import numpy as np
 import pytest
-from oracles import aggregate_record_loop, pairwise_auc
+from oracles import aggregate_record_loop, pairwise_auc, scan_window_by_window
 
 from reconnet import (
     DirectedNetwork,
@@ -10,6 +12,8 @@ from reconnet import (
     FittedModel,
     ModelKind,
     TransactionRecord,
+    TransactionTable,
+    aggregate,
     build_windows,
     cross_entropy,
     degrees_strengths,
@@ -17,15 +21,18 @@ from reconnet import (
     expected_metrics,
     extract_rho_landmarks,
     fit_fdcm,
+    fit_fgrm,
     fitness_from_strengths,
     mann_whitney_auc,
     rho,
     roc_auc,
     sample_network,
     scan_aggregations,
+    synth_fitness,
     synth_transactions,
 )
-from reconnet.errors import DomainError, SingularityError, UndefinedAUCError
+from reconnet.errors import DomainError, NonConvergenceError, SingularityError, UndefinedAUCError
+from reconnet.estimation import SolverConfig
 from reconnet.ingest import trading_days
 
 
@@ -223,6 +230,7 @@ class TestScan:
         for delta_t in (1, 5, 10):
             for window in build_windows(records, 2003, delta_t):
                 net = aggregate_record_loop(records, window)
+                assert np.array_equal(aggregate(records, window).weights, net.weights)
                 m = degrees_strengths(net)
                 if m.link_count == 0:
                     continue
@@ -230,7 +238,11 @@ class TestScan:
                 want.append((delta_t, window.window_index, m.d, m.r, r_fdcm, rho(m.r, r_fdcm)))
         got = [(w.delta_t, w.window_index, w.density, w.reciprocity, w.r_fdcm, w.rho)
                for w in result.windows]
-        assert got == want
+        # the scan sums strengths in day order, not per cell in file order: the
+        # fit's input, hence r_fdcm and rho, may differ in the last bits
+        assert [g[:4] for g in got] == [w[:4] for w in want]
+        assert [g[4] for g in got] == pytest.approx([w[4] for w in want], rel=1e-12, abs=0)
+        assert [g[5] for g in got] == pytest.approx([w[5] for w in want], rel=0, abs=1e-12)
         assert [row.window_count for row in result.rows] == [20, 4, 2]
 
     def test_window_no_finite_z_reaches_is_skipped(self):
@@ -244,6 +256,56 @@ class TestScan:
         assert [(w.delta_t, w.window_index) for w in result.windows] == [(1, 1), (2, 0)]
         pinned = scan_aggregations(records, 2007, [1], fitness=FitnessData(np.ones(3), np.ones(3)))
         assert (pinned.rows[0].window_count, pinned.rows[0].skipped_windows) == (2, 0)
+
+    @staticmethod
+    def _stream_with_edge_windows(seed):
+        """A synth stream plus a day with one loan and a trading day with none."""
+        fitness = synth_fitness(30, "lognormal(0,1)", seed)
+        truth = fit_fgrm(fitness, 0.08, 0.3)
+        records = synth_transactions(truth, 2009, 40, seed=derive_subseed(seed, 1)).records()
+        last = max(r.date for r in records)
+        records.append(TransactionRecord(last + datetime.timedelta(days=1), records[0].lender,
+                                         records[0].borrower, 2.5))
+        table = TransactionTable.from_records(records)
+        # a date of the calendar that no row refers to: its window has no links
+        empty = table.dates[-1] + datetime.timedelta(days=1)
+        return fitness, dataclasses.replace(table, dates=table.dates + (empty,))
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_matches_the_window_by_window_oracle(self, seed, pinned):
+        fitness, table = self._stream_with_edge_windows(seed)
+        grid = [1, 2, 3, 5, 8, 13, 21, 42]
+        pin = fitness if pinned else None
+        got = scan_aggregations(table, 2009, grid, fitness=pin)
+        want = scan_window_by_window(table, 2009, grid, fitness=pin)
+        exact = ("delta_t", "window_index", "density", "reciprocity")
+        assert [[getattr(w, k) for k in exact] for w in got.windows] == \
+            [[getattr(w, k) for k in exact] for w in want.windows]
+        assert [w.r_fdcm for w in got.windows] == \
+            pytest.approx([w.r_fdcm for w in want.windows], rel=1e-12, abs=0)
+        assert [w.rho for w in got.windows] == \
+            pytest.approx([w.rho for w in want.windows], rel=0, abs=1e-12)
+        exact = ("delta_t", "window_count", "skipped_windows", "mean_density", "mean_reciprocity")
+        assert repr([[getattr(r, k) for k in exact] for r in got.rows]) == \
+            repr([[getattr(r, k) for k in exact] for r in want.rows])
+        assert [r.mean_r_fdcm for r in got.rows] == \
+            pytest.approx([r.mean_r_fdcm for r in want.rows], rel=1e-12, abs=0, nan_ok=True)
+        assert [r.mean_rho for r in got.rows] == \
+            pytest.approx([r.mean_rho for r in want.rows], rel=0, abs=1e-12, nan_ok=True)
+        assert (got.t_min, got.t_0, got.t_max) == (want.t_min, want.t_0, want.t_max)
+        assert [got.rho_min, got.rho_max] == \
+            pytest.approx([want.rho_min, want.rho_max], rel=0, abs=1e-12)
+        # the edge windows are there: at delta_t = 1 the loan-less day and,
+        # with the window's own strengths, the one-loan day are skipped
+        assert got.rows[0].skipped_windows == (1 if pinned else 2)
+
+    def test_nonconvergence_propagates_like_the_oracle(self):
+        _, table = self._stream_with_edge_windows(1)
+        config = SolverConfig(max_iterations=1)
+        for scan in (scan_aggregations, scan_window_by_window):
+            with pytest.raises(NonConvergenceError):
+                scan(table, 2009, [5], solver_config=config)
 
     def test_relabeling_invariance_of_rho(self):
         # rho depends only on the two scalar reciprocities

@@ -111,31 +111,6 @@ def _normalized_fitness(fitness: FitnessData, out=None):
     return alt, scale_a * scale_l
 
 
-def _below_positive_dyads(target: float, positive: int, tolerance: float) -> bool:
-    # each dyad links with probability below 1, and with 0 where the fitness product
-    # is 0: a target within the tolerance of the number of positive entries, or
-    # above it, is reached by no finite parameters
-    return target < positive * (1.0 - tolerance)
-
-
-def _positive_dyads(alt) -> int:
-    """Dyads whose fitness product is positive: the only ones that can carry a link."""
-    return int(np.count_nonzero(alt > 0))
-
-
-def fdcm_target_reachable(fitness: FitnessData, d_target: float,
-                          config: SolverConfig | None = None) -> bool:
-    """Whether some finite z gives the density-only model expected density ``d_target``.
-
-    The test ``fit_fdcm`` applies before it solves: the expected number of
-    links stays below the number of dyads with positive fitness product.
-    """
-    n = fitness.n
-    positive = _positive_dyads(_normalized_fitness(fitness)[0])
-    return _below_positive_dyads(n * (n - 1) * d_target, positive,
-                                 (config or SolverConfig()).residual_tolerance)
-
-
 def _probability_of_odds(m, out):
     """m / (1 + m) into ``out``, taken as 1 / (1 + 1/m) without overflow: 1 at m = inf, 0 at 0."""
     with np.errstate(divide="ignore", over="ignore"):
@@ -150,134 +125,149 @@ def fit_fdcm(fitness: FitnessData, d_target: float,
 
     Solves sum m / (1 + m) = L over the positive entries of alt, the
     fitness products rescaled to unit-mean factors, with m = z * alt and
-    L = n (n - 1) d (see ``_solve_density``).
+    L = n (n - 1) d (see ``DensityFitter.fit``).
     """
     if not 0.0 < d_target < 1.0:
         raise DomainError(f"density target must be in (0,1), got {d_target}")
     n = fitness.n
     if n < 2:
         raise DomainError(f"density fit needs at least 2 nodes, got {n}")
-    alt, scale = _normalized_fitness(fitness)
-    alt = alt[alt > 0]
-    z, report = _solve_density(alt, alt.size, n * (n - 1) * d_target, scale,
-                               config or SolverConfig())
+    fitter = DensityFitter(n, config)
+    fitter.use(fitness)
+    z, report = fitter.fit(d_target)
     return FittedModel(ModelKind.FDCM, {"z": z}, fitness=fitness, report=report)
 
 
-def _solve_density(alt, positive: int, target: float, scale: float, config: SolverConfig,
-                   work=None) -> tuple[float, SolverReport]:
-    """z with sum m / (1 + m) = target, m = z * scale * alt, over the ``positive`` entries of alt.
-
-    alt is a flat array of normalised fitness products; its other entries
-    are 0, which link with probability 0 and add exactly 0 to every sum.
-    Newton's method in s = log(z * scale). The residual and its slope come
-    from one pass over alt, taken in the rows of ``work`` (3 x len(alt) or
-    larger; allocated when None). Newton steps stay inside a bracket of the
-    root and fall back to bisection when they would leave it; the lower end
-    starts at the s where sum m = target, below the root because
-    m / (1 + m) <= m. Each evaluation counts against
-    ``config.max_iterations``; the fit stops once the relative residual is
-    within ``config.residual_tolerance``. It raises NonConvergenceError when
-    the budget is spent, a step falls below ``config.step_tolerance``
-    (relative, in s) first, or the target comes within the tolerance of the
-    number of positive entries (only z -> infinity approaches it). z is the
-    Newton step from the last point evaluated, whose residual the report
-    gives.
-    """
-    start = time.perf_counter()
-
-    def report(evaluations, residual, converged):
-        return SolverReport(iterations=evaluations, residual_norm=residual,
-                            converged=converged, seconds=time.perf_counter() - start)
-
-    if not _below_positive_dyads(target, positive, config.residual_tolerance):
-        raise NonConvergenceError(
-            f"density target ({target:.6g} links) reaches the number of dyads with positive "
-            f"fitness ({positive})", report(0, abs(target - positive) / target, False))
-    s_min = math.log(config.lower_bound)
-    lo, hi = max(math.log(target / alt.sum()), s_min), math.inf
-    s = lo
-    if config.initial_point is not None:
-        x0 = np.asarray(config.initial_point, dtype=float)
-        if x0.shape != (1,):
-            raise DomainError(f"initial point has shape {x0.shape}, expected (1,)")
-        if not x0[0] > config.lower_bound:
-            raise DomainError("initial point must lie strictly inside the bounds")
-        s = math.log(x0[0])
-    if work is None:
-        work = np.empty((3, alt.size))
-    m, p, q = (row[:alt.size] for row in work)
-    tol, step_tol = config.residual_tolerance, config.step_tolerance
-    evaluations, step = 0, math.inf
-    while True:
-        # at exp(s) = inf a zero entry gives NaN, and the step is a bisection, as at f > 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(np.exp(s), alt, out=m)
-        _probability_of_odds(m, out=p)
-        f = (float(p.sum()) - target) / target
-        slope = float(np.divide(p, np.add(m, 1.0, out=q), out=q).sum()) / target  # df/ds
-        evaluations += 1
-        # a step can land exactly on the root (f == 0), so test convergence first
-        converged = abs(f) <= tol
-        if converged or evaluations >= config.max_iterations \
-                or abs(step) <= step_tol * (step_tol + abs(s)):
-            break
-        if f < 0:
-            lo = max(lo, s)
-        else:
-            hi = min(hi, s)
-        new = s - f / slope if slope > 0 else math.nan
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi) if hi < math.inf else max(lo, s + 1.0)
-        step, s = new - s, new
-    if converged and slope > 0:
-        s = max(s - f / slope, s_min)
-    with np.errstate(over="ignore"):
-        z = float(np.exp(s)) / scale
-    if not (converged and 0.0 < z < math.inf):
-        raise NonConvergenceError("density fit did not converge",
-                                  report(evaluations, abs(f), False))
-    return z, report(evaluations, abs(f), True)
+_BLOCK_ENTRIES = 8192  # entries of alt that DensityFitter.use compresses at a time
 
 
 class DensityFitter:
-    """Density-only fits at many density targets, each with its expected reciprocity.
+    """Fits of the density-only model at many density targets, and their expected reciprocity.
 
-    Holds the work arrays for one node count, so that a scan over many
-    windows allocates them once. ``use`` sets the fitness; ``reciprocity``
-    fits a density target as ``fit_fdcm`` does and gives the fitted
-    model's expected reciprocity.
+    Holds the normalised fitness, its positive entries and the work arrays
+    for one node count, so that a scan over many windows allocates them
+    once. ``use`` sets the fitness; ``fit`` solves for z; ``reachable``
+    tells whether some finite z reaches a density; ``reciprocity`` gives
+    the fitted model's expected reciprocity.
     """
 
     def __init__(self, n: int, config: SolverConfig | None = None):
         self.n = n
         self.config = config or SolverConfig()
         self._alt = np.empty((n, n))
-        self._work = np.empty((3, n * n))
+        # the positive entries of alt, then two rows for the Newton loop and r_fdcm;
+        # one block: split in two, a scan took ten times the page faults in a
+        # long-lived process
+        self._buffer, *self._work = np.empty((3, n * n))
 
     def use(self, fitness: FitnessData) -> None:
+        """Normalise ``fitness`` and keep its positive products, the only dyads that can link."""
         if fitness.n != self.n:
             raise DomainError(f"fitness has {fitness.n} nodes, the fitter {self.n}")
         alt, self._scale = _normalized_fitness(fitness, out=self._alt)
-        self._positive = _positive_dyads(alt)
+        # row-major, as alt[alt > 0], a block of rows at a time: the temporaries
+        # stay small (np.compress with out= is several times slower)
+        rows, end = max(1, _BLOCK_ENTRIES // self.n), 0
+        for first in range(0, self.n, rows):
+            block = alt[first:first + rows]
+            kept = block[block > 0]
+            self._buffer[end:end + kept.size] = kept
+            end += kept.size
+        self._positive = self._buffer[:end]
+        self._positive_sum = self._positive.sum()
+
+    def reachable(self, d_target: float) -> bool:
+        """Whether some finite z gives expected density ``d_target``.
+
+        Each dyad links with probability below 1, and with 0 where its
+        fitness product is 0: a target number of links within the tolerance
+        of the number of positive products, or above it, is reached by no
+        finite z. A target that is not positive is a DomainError.
+        """
+        if not d_target > 0.0:
+            raise DomainError(f"density target must be positive, got {d_target}")
+        n = self.n
+        return n * (n - 1) * d_target < self._positive.size * (1.0 - self.config.residual_tolerance)
+
+    def fit(self, d_target: float) -> tuple[float, SolverReport]:
+        """z with sum m / (1 + m) = n (n - 1) d_target, m = z * scale * alt, over the positive alt.
+
+        Newton's method in s = log(z * scale). The residual and its slope
+        come from one pass over the positive entries. Newton steps stay
+        inside a bracket of the root and fall back to bisection when they
+        would leave it; the lower end starts at the s where sum m = target,
+        below the root because m / (1 + m) <= m. Each evaluation counts
+        against ``config.max_iterations``; the fit stops once the relative
+        residual is within ``config.residual_tolerance``. It raises
+        NonConvergenceError when the budget is spent, a step falls below
+        ``config.step_tolerance`` (relative, in s) first, or the target is
+        not ``reachable``. z is the Newton step from the last point
+        evaluated, whose residual the report gives.
+        """
+        start = time.perf_counter()
+
+        def report(evaluations, residual, converged):
+            return SolverReport(iterations=evaluations, residual_norm=residual,
+                                converged=converged, seconds=time.perf_counter() - start)
+
+        config, alt = self.config, self._positive
+        target = self.n * (self.n - 1) * d_target
+        if not self.reachable(d_target):
+            raise NonConvergenceError(
+                f"density target ({target:.6g} links) reaches the number of dyads with positive "
+                f"fitness ({alt.size})", report(0, abs(target - alt.size) / target, False))
+        s_min = math.log(config.lower_bound)
+        lo, hi = max(math.log(target / self._positive_sum), s_min), math.inf
+        s = lo
+        if config.initial_point is not None:
+            x0 = np.asarray(config.initial_point, dtype=float)
+            if x0.shape != (1,):
+                raise DomainError(f"initial point has shape {x0.shape}, expected (1,)")
+            if not x0[0] > config.lower_bound:
+                raise DomainError("initial point must lie strictly inside the bounds")
+            s = math.log(x0[0])
+        m, p = (row[:alt.size] for row in self._work)
+        tol, step_tol = config.residual_tolerance, config.step_tolerance
+        evaluations, step = 0, math.inf
+        while True:
+            with np.errstate(over="ignore"):
+                np.multiply(np.exp(s), alt, out=m)
+            _probability_of_odds(m, out=p)
+            f = (float(p.sum()) - target) / target
+            slope = float(np.divide(p, np.add(m, 1.0, out=m), out=m).sum()) / target  # df/ds
+            evaluations += 1
+            # a step can land exactly on the root (f == 0), so test convergence first
+            converged = abs(f) <= tol
+            if converged or evaluations >= config.max_iterations \
+                    or abs(step) <= step_tol * (step_tol + abs(s)):
+                break
+            if f < 0:
+                lo = max(lo, s)
+            else:
+                hi = min(hi, s)
+            new = s - f / slope if slope > 0 else math.nan
+            if not lo < new < hi:
+                new = 0.5 * (lo + hi) if hi < math.inf else max(lo, s + 1.0)
+            step, s = new - s, new
+        if converged and slope > 0:
+            s = max(s - f / slope, s_min)
+        with np.errstate(over="ignore"):
+            z = float(np.exp(s)) / self._scale
+        if not (converged and 0.0 < z < math.inf):
+            raise NonConvergenceError("density fit did not converge",
+                                      report(evaluations, abs(f), False))
+        return z, report(evaluations, abs(f), True)
 
     def reciprocity(self, d_target: float) -> float | None:
         """sum(p * p^T) / sum(p) at the z fitted to ``d_target``: links are independent.
 
-        None when no finite z reaches the target (see ``fdcm_target_reachable``).
-        A fit that does not converge raises NonConvergenceError.
+        None when the target is not ``reachable``. A fit that does not
+        converge raises NonConvergenceError.
         """
-        if not d_target > 0.0:  # a target of 1 or more is unreachable, not an error
-            raise DomainError(f"density target must be positive, got {d_target}")
-        n = self.n
-        target = n * (n - 1) * d_target
-        if not _below_positive_dyads(target, self._positive, self.config.residual_tolerance):
+        if not self.reachable(d_target):  # a target of 1 or more is unreachable, not an error
             return None
-        # the whole matrix, zeros and all: compressing it to its positive entries
-        # costs more than the sums over the zeros do
-        z, _ = _solve_density(self._alt.ravel(), self._positive, target, self._scale,
-                              self.config, self._work)
-        m, p = (row.reshape(n, n) for row in self._work[:2])
+        z, _ = self.fit(d_target)
+        m, p = (row.reshape(self.n, self.n) for row in self._work)
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(self._alt, z * self._scale, out=m)
         _probability_of_odds(m, out=p)
@@ -342,7 +332,7 @@ def fit_fgrm(fitness: FitnessData, d_target: float, r_target: float,
     config = config or SolverConfig()
     alt, scale = _normalized_fitness(fitness)
     t_link = n * (n - 1) * d_target
-    if _positive_dyads(alt) == 0:
+    if not (alt > 0).any():
         raise NonConvergenceError("no dyad has a positive fitness product to carry a link")
     free = 2 if r_target > 0 else 1
     evaluations, last = 0, None

@@ -136,13 +136,16 @@ def spectrum_scatter(path, eigenvalues, mean_tau=None, title="Spectral bulk") ->
     _write(path, c)
 
 
-def rho_curve(path, series, title="Reciprocity gap by aggregation period") -> None:
-    """One polyline per (label, delta_ts, rhos) triple plus the zero line."""
+def rho_curve(path, series, title="Reciprocity gap by aggregation period") -> bool:
+    """One polyline per (label, delta_ts, rhos) triple plus the zero line.
+
+    Returns whether it wrote the file: with no defined point it writes none.
+    """
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if not math.isnan(y)]
     if not xs_all or not ys_all:
         print("rho_curve: nothing to plot", file=sys.stderr)
-        return
+        return False
     pad = 0.1 * (max(ys_all) - min(ys_all) or 0.1)
     c = _Canvas(min(xs_all), max(xs_all), min(min(ys_all), 0.0) - pad,
                 max(max(ys_all), 0.0) + pad,
@@ -156,6 +159,7 @@ def rho_curve(path, series, title="Reciprocity gap by aggregation period") -> No
         c.polyline([a for a, _ in keep], [b for _, b in keep], color)
         c.label(str(label), k, color)
     _write(path, c)
+    return True
 
 
 def roc_curve(path, fpr, tpr, auc=None, title="ROC") -> None:
@@ -168,12 +172,13 @@ def roc_curve(path, fpr, tpr, auc=None, title="ROC") -> None:
     _write(path, c)
 
 
-def tau_histogram(path, values, bins=40, title="Dyad correlation") -> None:
+def tau_histogram(path, values, bins=40, title="Dyad correlation") -> bool:
+    """Histogram of the finite values; returns whether it wrote the file (none without one)."""
     vals = np.asarray(values, dtype=float)
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
         print("tau_histogram: nothing to plot", file=sys.stderr)
-        return
+        return False
     lo, hi = float(vals.min()), float(vals.max())
     if hi == lo:
         lo, hi = lo - 0.05, hi + 0.05
@@ -184,10 +189,11 @@ def tau_histogram(path, values, bins=40, title="Dyad correlation") -> None:
         if counts[k]:
             c.bar(edges[k], edges[k + 1], float(counts[k]), _PALETTE[0])
     _write(path, c)
+    return True
 
 
 def emit_figures(results, kind: str, out_dir) -> list[Path]:
-    """Dispatch one figure kind to its renderer; returns written paths.
+    """Dispatch one figure kind to its renderer; returns the paths this call wrote.
 
     ``results`` carries kind-specific data: an eigenvalue array (plus
     optional mean tau) for spectrum_scatter, (label, x, y) series for
@@ -205,14 +211,12 @@ def emit_figures(results, kind: str, out_dir) -> list[Path]:
         return [path]
     if kind == "rho_curve":
         path = out_dir / "rho_curve.svg"
-        rho_curve(path, results)
-        return [path] if path.exists() else []
+        return [path] if rho_curve(path, results) else []
     if kind == "roc_curve":
         path = out_dir / "roc_curve.svg"
         roc_curve(path, results.fpr, results.tpr, auc=results.auc)
         return [path]
     if kind == "tau_histogram":
         path = out_dir / "tau_histogram.svg"
-        tau_histogram(path, results)
-        return [path] if path.exists() else []
+        return [path] if tau_histogram(path, results) else []
     raise ValueError(f"unknown figure kind {kind!r}")

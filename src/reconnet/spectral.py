@@ -86,22 +86,15 @@ def eigenvalues(matrix) -> Spectrum:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    order = np.lexsort((-vals.real, -np.abs(vals)))
-    vals = vals[order]
+    vals = vals[np.lexsort((-vals.real, -np.abs(vals)))]
     # moduli equal up to eigensolver accuracy count as ties, re-ranked by
-    # real part (a 3-cycle's roots of unity differ in |.| only by ULPs)
+    # real part (a 3-cycle's roots of unity differ in |.| only by ULPs): a
+    # run of neighbours within the tolerance is one group
     mods = np.abs(vals)
     tol = 1e-8 * max(1.0, float(mods[0])) if len(vals) else 0.0
-    i = 0
-    while i < len(vals):
-        j = i + 1
-        while j < len(vals) and mods[j - 1] - mods[j] <= tol:
-            j += 1
-        if j - i > 1:
-            block = vals[i:j]
-            vals[i:j] = block[np.argsort(-block.real, kind="stable")]
-        i = j
-    return Spectrum(values=vals)
+    group = np.zeros(len(vals), dtype=np.intp)
+    np.cumsum(mods[:-1] - mods[1:] > tol, out=group[1:])
+    return Spectrum(values=vals[np.lexsort((-vals.real, group))])
 
 
 _POWER_RTOL = 1e-12

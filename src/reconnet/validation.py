@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, UndefinedAUCError
+from .errors import DataValidationError, DomainError, SingularityError, UndefinedAUCError
 from .estimation import DensityFitter, SolverConfig
 from .graph import DirectedNetwork
 from .ingest import FitnessData, build_windows, index_year
@@ -108,7 +108,10 @@ def scan_aggregations(records, year: int, delta_t_list,
     finite z of the model reaches (a single link, say), are skipped and
     counted; a delta_t where every window was skipped is kept as a missing
     row. Fitness defaults to the strengths realized in the window itself;
-    passing ``fitness`` pins one external vector for all windows.
+    passing ``fitness`` pins one external vector for all windows, one entry
+    per bank active in the year (another count is a DataValidationError).
+    Every fit runs through one ``DensityFitter`` over the positive fitness
+    products, as ``fit_fdcm`` does.
     ``records`` is a ``TransactionTable`` or a sequence of records; the
     year's records are indexed once, and each window's links and strengths
     are taken from the index without building its network (a strength is
@@ -122,6 +125,8 @@ def scan_aggregations(records, year: int, delta_t_list,
     window_rows: list[WindowRow] = []
     index = index_year(records, year)
     n, n_days = len(index.labels), len(index.days)
+    if fitness is not None and fitness.n != n:
+        raise DataValidationError(f"fitness has {fitness.n} nodes, year {year} has {n} banks")
     # the year's records in day order, so that each window's records are one slice
     cell = index.cell[index.order]
     amount = index.amount[index.order]
@@ -134,7 +139,7 @@ def scan_aggregations(records, year: int, delta_t_list,
     links = np.zeros(n * n, dtype=bool)
     square = links.reshape(n, n)
     both = np.empty((n, n), dtype=bool)
-    fdcm = DensityFitter(n if fitness is None else fitness.n, solver_config)
+    fdcm = DensityFitter(n, solver_config)
     if fitness is not None:
         fdcm.use(fitness)
     for delta_t in delta_t_list:

@@ -12,8 +12,7 @@ from reconnet import DirectedNetwork, FitnessData
 from reconnet.ensemble import derive_subseed, expected_metrics, sample_networks
 from reconnet.errors import (DataValidationError, DomainError, NonConvergenceError, NumericalError,
                              ParseError)
-from reconnet.estimation import (SolverConfig, SolverReport, _normalized_fitness,
-                                 fdcm_target_reachable, fit_fdcm)
+from reconnet.estimation import SolverConfig, SolverReport, _normalized_fitness, fit_fdcm
 from reconnet.graph import degrees_strengths
 from reconnet.ingest import (TransactionRecord, aggregate, build_windows, csv_reader,
                              fitness_from_strengths, index_year, line_of_row, open_text,
@@ -21,6 +20,31 @@ from reconnet.ingest import (TransactionRecord, aggregate, build_windows, csv_re
 from reconnet.models import FittedModel, ModelKind
 from reconnet.validation import (RhoScanResult, ScanRow, WindowRow, extract_rho_landmarks,
                                  rho)
+
+
+def spectrum_order_by_blocks(matrix):
+    """Eigenvalues of ``matrix`` by decreasing modulus, ties re-ranked block by block.
+
+    ``numpy.linalg.eigvals`` sorted by modulus, then real part, both
+    descending; then each maximal run of neighbours whose moduli differ by
+    at most 1e-8 times max(1, the largest modulus) is sorted by real part
+    (stable): the walk over the runs that ``spectral.eigenvalues`` must
+    order like.
+    """
+    vals = np.linalg.eigvals(np.asarray(matrix, dtype=float))
+    vals = vals[np.lexsort((-vals.real, -np.abs(vals)))]
+    mods = np.abs(vals)
+    tol = 1e-8 * max(1.0, float(mods[0])) if len(vals) else 0.0
+    i = 0
+    while i < len(vals):
+        j = i + 1
+        while j < len(vals) and mods[j - 1] - mods[j] <= tol:
+            j += 1
+        if j - i > 1:
+            block = vals[i:j]
+            vals[i:j] = block[np.argsort(-block.real, kind="stable")]
+        i = j
+    return vals
 
 
 def char_poly_roots_4x4(a):
@@ -122,6 +146,17 @@ def aggregate_record_loop(records, window):
     return DirectedNetwork.from_weight_matrix(w, labels=tuple(labels))
 
 
+def _density_reachable(fitness, d, config=None):
+    """Whether n (n - 1) d links stay below the dyads with positive normalised fitness product.
+
+    Only those dyads can link, each with probability below 1, so a target
+    within the residual tolerance of their number is reached by no finite z.
+    """
+    n = fitness.n
+    positive = np.count_nonzero(_normalized_fitness(fitness)[0] > 0)
+    return n * (n - 1) * d < positive * (1.0 - (config or SolverConfig()).residual_tolerance)
+
+
 def scan_window_by_window(records, year, delta_t_list, fitness=None, solver_config=None):
     """The reciprocity-gap scan through one validated network per window.
 
@@ -142,7 +177,7 @@ def scan_window_by_window(records, year, delta_t_list, fitness=None, solver_conf
                 skipped += 1
                 continue
             fit_fitness = fitness if fitness is not None else fitness_from_strengths(net)
-            if not fdcm_target_reachable(fit_fitness, metrics.d, solver_config):
+            if not _density_reachable(fit_fitness, metrics.d, solver_config):
                 skipped += 1
                 continue
             _, r_fdcm = expected_metrics(fit_fdcm(fit_fitness, metrics.d, config=solver_config))

@@ -554,6 +554,39 @@ class TestScanSkipsUnreachableWindows:
         assert rows[1].split(",")[:3] == ["1", "1", "1"]
 
 
+class TestScanPinnedFitness:
+    @pytest.mark.parametrize("rows", [3, 21])
+    def test_fitness_of_another_node_count_is_a_data_error(self, pipeline, tmp_path, capsys,
+                                                           rows):
+        # the year's stream has 20 banks; no window may be fitted with another count
+        write_fitness_csv(tmp_path / "f.csv", FitnessData(np.ones(rows), np.ones(rows)))
+        out = tmp_path / "o"
+        assert main(["scan", "--transactions", str(pipeline / "data/transactions.csv"),
+                     "--year", "2005", "--delta-t", "1:30:7", "--fitness", str(tmp_path / "f.csv"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"fitness has {rows} nodes" in err and "has 20 banks" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestScanManifestListsOnlyItsFigures:
+    def test_a_figure_left_by_an_earlier_run_is_not_listed(self, tmp_path):
+        out = tmp_path / "o"
+        tx = tmp_path / "tx.csv"
+        tx.write_text(TestScanSkipsUnreachableWindows.STREAM)
+        argv = ["scan", "--transactions", str(tx), "--year", "2007", "--delta-t", "1",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert "rho_curve.svg" in {o["path"] for o in
+                                   json.loads((out / "manifest.json").read_text())["outputs"]}
+        # one link a day: every window is skipped and there is nothing to plot
+        tx.write_text("date,lender,borrower,amount\n2007-01-02,A,B,1\n2007-01-03,B,C,1\n")
+        assert main(argv) == 0
+        assert (out / "rho_curve.svg").exists()  # the earlier run's file is left alone
+        names = {o["path"] for o in json.loads((out / "manifest.json").read_text())["outputs"]}
+        assert names == {"rho_scan.csv", "rho_windows.csv", "scan.json"}
+
+
 class TestSynthAmountSigma:
     """A spread that is no lognormal sigma is a usage error; one whose amounts overflow is bad data."""
 

@@ -17,9 +17,15 @@ from reconnet import (
     solve_bounded_least_squares,
 )
 from reconnet.errors import DataValidationError, DomainError, NonConvergenceError, NumericalError
-from reconnet.estimation import DensityFitter, _normalized_fitness, fdcm_target_reachable
+from reconnet.estimation import DensityFitter, _normalized_fitness
 
 UNIT4 = FitnessData(np.ones(4), np.ones(4))
+
+
+def _reachable(fitness, d):
+    fitter = DensityFitter(fitness.n)
+    fitter.use(fitness)
+    return fitter.reachable(d)
 
 
 class TestSolver:
@@ -170,7 +176,7 @@ class TestFdcmNewtonAgainstTrustRegion:
         w = np.zeros((6, 6))
         w[2, 4] = 3.0
         fitness = fitness_from_strengths(DirectedNetwork.from_weight_matrix(w))
-        assert not fdcm_target_reachable(fitness, 1 / 30)
+        assert not _reachable(fitness, 1 / 30)
         for fit in (fit_fdcm, fit_fdcm_trust_region):
             with pytest.raises(NonConvergenceError) as err:
                 fit(fitness, 1 / 30)
@@ -188,14 +194,14 @@ class TestFdcmNewtonAgainstTrustRegion:
         positive = np.count_nonzero(_normalized_fitness(fitness)[0])
         assert positive == (36 if tiny == 1e-200 else 43)
         for links in (positive - 1, positive):
-            assert fdcm_target_reachable(fitness, links / 56) == (links < positive)
+            assert _reachable(fitness, links / 56) == (links < positive)
 
     def test_fitness_whose_mean_overflows_reaches_no_target(self):
         # the mean of the positive entries is inf: every normalised product is 0
         big = np.array([1e308, 0.0, 1e308, 0.0])
         fitness = FitnessData(big, big[::-1].copy())
         with np.errstate(over="ignore"):
-            assert not fdcm_target_reachable(fitness, 2 / 12)
+            assert not _reachable(fitness, 2 / 12)
             with pytest.raises(NonConvergenceError):
                 fit_fdcm(fitness, 2 / 12)
             with pytest.raises(NonConvergenceError):
@@ -207,12 +213,12 @@ class TestFdcmNewtonAgainstTrustRegion:
         a = np.zeros(10)
         a[:2] = [1.0, 2.0]
         fitness = FitnessData(a, a.copy())
-        assert not fdcm_target_reachable(fitness, d)
+        assert not _reachable(fitness, d)
         for fit in (fit_fdcm, fit_fdcm_trust_region):
             with pytest.raises(NonConvergenceError) as err:
                 fit(fitness, d)
             assert not err.value.report.converged
-        assert fdcm_target_reachable(fitness, 1.9 / 90)
+        assert _reachable(fitness, 1.9 / 90)
         self.assert_same_root(fitness, 1.9 / 90)
 
     def test_evaluation_budget(self):
@@ -276,6 +282,31 @@ class TestDensityFitter:
                 want = expected_metrics(fit_fdcm(fitness, d))[1]
                 assert fitter.reciprocity(d) == pytest.approx(want, rel=1e-12, abs=0)
 
+    def test_fit_is_fit_fdcm_bit_for_bit(self):
+        # fitness after fitness on one fitter, with more and then fewer positive
+        # products than before: no entry of an earlier fitness may leak in
+        # (at n = 100 the positive entries are copied in two blocks of rows)
+        rng = np.random.default_rng(6)
+        fitter = DensityFitter(100)
+        fits = 0
+        for zeros in (0.0, 0.5, 0.1, 0.7, 0.3):
+            a, l = rng.lognormal(0, 2, 100), rng.lognormal(0, 2, 100)
+            a[rng.random(100) < zeros] = 0.0
+            l[rng.random(100) < zeros] = 0.0
+            fitness = FitnessData(a, l)
+            fitter.use(fitness)
+            for d in (0.005, 0.05, 0.2):
+                if not fitter.reachable(d):
+                    continue
+                fits += 1
+                z, report = fitter.fit(d)
+                model = fit_fdcm(fitness, d)
+                assert z == model.params["z"]
+                assert report.iterations == model.report.iterations
+                assert report.residual_norm == model.report.residual_norm
+                assert report.converged and model.report.converged
+        assert fits >= 12
+
     def test_unreachable_target_is_none_and_no_error(self):
         fitter = DensityFitter(6)
         a = np.zeros(6)
@@ -291,8 +322,9 @@ class TestDensityFitter:
             fitter.use(FitnessData(np.ones(5), np.ones(5)))
         fitter.use(UNIT4)
         for d in (0.0, -0.1, float("nan")):
-            with pytest.raises(DomainError):
-                fitter.reciprocity(d)
+            for call in (fitter.reachable, fitter.fit, fitter.reciprocity):
+                with pytest.raises(DomainError):
+                    call(d)
         fitter = DensityFitter(4, SolverConfig(max_iterations=1))
         fitter.use(UNIT4)
         with pytest.raises(NonConvergenceError):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import char_poly_roots_4x4, fgrm_tau, match_sets
+from oracles import char_poly_roots_4x4, fgrm_tau, match_sets, spectrum_order_by_blocks
 
 from reconnet import (
     DirectedNetwork,
@@ -52,6 +52,20 @@ class TestEigenvalues:
     def test_sorted_by_modulus_then_real(self):
         spec = eigenvalues(np.diag([1.0, -3.0, 2.0, 3.0]))
         assert list(spec.values.real) == [3.0, -3.0, 2.0, 1.0]
+
+    def test_ties_ordered_like_the_block_walk(self):
+        rng = np.random.default_rng(8)
+        matrices = [np.zeros((0, 0)), np.zeros((1, 1)), np.eye(5), np.ones((6, 6)) - np.eye(6)]
+        matrices += [np.roll(np.eye(k), 1, axis=1) for k in (2, 3, 4, 7, 12)]
+        for n in (2, 5, 20, 60, 150):
+            for density in (0.05, 0.3):
+                a = (rng.random((n, n)) < density).astype(float)
+                np.fill_diagonal(a, 0.0)
+                matrices += [a, np.maximum(a, a.T)]
+        for a in matrices:
+            got = eigenvalues(a).values
+            want = spectrum_order_by_blocks(a)
+            assert got.shape == want.shape and (got == want).all(), a.shape
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericalError):

@@ -44,7 +44,6 @@ from .ingest import (
     read_transactions,
     synth_fitness,
     synth_transactions,
-    trading_calendar,
 )
 from .models import FittedModel, ModelKind, dyad_probability_arrays
 from .spectral import (

@@ -185,7 +185,7 @@ def _finite_number(value) -> bool:
 
 
 def parse_delta_ts(text) -> list[int]:
-    """'a:b' or 'a:b:step' inclusive ranges, or a comma list of integers."""
+    """'a:b' or 'a:b:step' inclusive ranges, or a comma list of integers in 1..366."""
     text = str(text).strip()
     try:
         if ":" in text:
@@ -198,15 +198,18 @@ def parse_delta_ts(text) -> list[int]:
                 raise ValueError
             if lo < 1 or hi < lo or step < 1:
                 raise ValueError
-            return list(range(lo, hi + 1, step))
-        values = sorted({int(p) for p in text.split(",")})
-        if not values or values[0] < 1:
-            raise ValueError
-        return values
+            values = range(lo, hi + 1, step)
+        else:
+            values = sorted({int(p) for p in text.split(",")})
+            if not values or values[0] < 1:
+                raise ValueError
     except ValueError:
         raise ConfigurationError(
             f"field 'delta_t' must be 'a:b[:step]' or a comma list of days >= 1, got {text!r}"
         ) from None
+    if values[-1] > 366:  # no year has more trading days, so no window would fit
+        raise ConfigurationError(f"field 'delta_t' must be at most 366 days, got {values[-1]}")
+    return list(values)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +256,7 @@ def _cmd_aggregate(cfg, out):
     year = _need(cfg, "year", _integer)
     delta_t = _need(cfg, "delta_t", _integer)
     index = index_year(table, year)
-    windows = build_windows(index, year, delta_t)
+    windows = build_windows(table, year, delta_t)
     net_dir = out / "networks"
     net_dir.mkdir(exist_ok=True)
     paths = []
@@ -443,7 +446,8 @@ def _cmd_validate(cfg, out):
     if not 0 <= window_index < len(windows):
         raise ConfigurationError(
             f"field 'window': index {window_index} out of range (have {len(windows)})")
-    net = aggregate(table, windows[window_index])
+    window = windows[window_index]
+    net = aggregate(index_year(table, year, window.days), window)
     if net.n != model.n:
         raise DataValidationError(f"model has {model.n} nodes, window has {net.n}")
 

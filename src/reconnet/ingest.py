@@ -272,37 +272,12 @@ class TransactionTable:
     amount: np.ndarray
     maturity: list
 
-    @classmethod
-    def from_records(cls, records) -> TransactionTable:
-        records = list(records)
-        dates = sorted({r.date for r in records})
-        labels = sorted({name for r in records for name in (r.lender, r.borrower)})
-        date_code = {d: k for k, d in enumerate(dates)}
-        label_code = {name: k for k, name in enumerate(labels)}
-
-        def codes(values, code):
-            return np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(records))
-
-        return cls(dates=tuple(dates), day=codes((r.date for r in records), date_code),
-                   labels=tuple(labels),
-                   lender=codes((r.lender for r in records), label_code),
-                   borrower=codes((r.borrower for r in records), label_code),
-                   amount=np.array([r.amount for r in records], dtype=float),
-                   maturity=[r.maturity for r in records])
-
     def records(self) -> list[TransactionRecord]:
         labels = self.labels
         return [TransactionRecord(date, labels[i], labels[j], amount, maturity)
                 for date, i, j, amount, maturity in zip(
                     map(self.dates.__getitem__, self.day.tolist()), self.lender.tolist(),
                     self.borrower.tolist(), self.amount.tolist(), self.maturity)]
-
-
-def trading_calendar(records) -> list[dt.date]:
-    """Distinct dates present in the data, sorted ascending."""
-    if isinstance(records, TransactionTable):
-        return list(records.dates)
-    return sorted({r.date for r in records})
 
 
 @dataclass(frozen=True)
@@ -334,28 +309,15 @@ class YearIndex:
                 f"consecutive trading days of the {self.year} index")
         return first, stop
 
-    def network(self, window: AggregationWindow) -> DirectedNetwork:
-        """The window's snapshot: the records of its days summed per cell."""
-        first, stop = self.day_range(window)
-        # back into file order: each cell then adds its amounts in the order a
-        # running sum over the file would, so the weights match it bit for bit
-        rows = np.sort(self.order[self.bounds[first]:self.bounds[stop]])
-        n = len(self.labels)
-        w = np.bincount(self.cell[rows], weights=self.amount[rows], minlength=n * n)
-        return DirectedNetwork.from_weight_matrix(w.reshape(n, n), labels=self.labels)
 
+def index_year(table: TransactionTable, year: int, days=None) -> YearIndex:
+    """Index the rows of ``table`` in ``year`` for cutting windows from them.
 
-def index_year(records, year: int, days=None) -> YearIndex:
-    """Index the records of ``year`` for cutting windows from them.
-
-    ``records`` is a ``TransactionTable`` or a sequence of records. The
-    node set is every bank active anywhere in the year. The index covers
-    the year's trading calendar, or only ``days`` (sorted, distinct days of
-    the year) when given: a caller that needs one window then indexes only
-    its records.
+    The node set is every bank active anywhere in the year. The index
+    covers the year's trading calendar, or only ``days`` (sorted, distinct
+    days of the year) when given: a caller that needs one window then
+    indexes only its rows.
     """
-    table = records if isinstance(records, TransactionTable) else \
-        TransactionTable.from_records(records)
     if days is None:
         days = [d for d in table.dates if d.year == year]
     elif any(d.year != year for d in days) or any(b <= a for a, b in zip(days, days[1:])):
@@ -381,37 +343,32 @@ def index_year(records, year: int, days=None) -> YearIndex:
         order=order, bounds=np.searchsorted(day[order], np.arange(len(days) + 1)))
 
 
-def build_windows(records, year: int, delta_t: int) -> list[AggregationWindow]:
-    """All complete delta_t-day windows of one year, in chronological order.
-
-    ``records`` may be a ``YearIndex`` of the year, whose days are then the
-    calendar.
-    """
+def build_windows(table: TransactionTable, year: int, delta_t: int) -> list[AggregationWindow]:
+    """All complete delta_t-day windows of one year, in chronological order."""
     if delta_t < 1:
         raise ConfigurationError(f"delta_t must be >= 1, got {delta_t}")
-    if isinstance(records, YearIndex):
-        if records.year != year:
-            raise ConfigurationError(f"index covers {records.year}, not {year}")
-        days = records.days
-    else:
-        days = [d for d in trading_calendar(records) if d.year == year]
+    days = [d for d in table.dates if d.year == year]
     return [AggregationWindow(year=year, delta_t=delta_t, window_index=k,
                               days=tuple(days[k * delta_t:(k + 1) * delta_t]))
             for k in range(len(days) // delta_t)]
 
 
-def aggregate(records, window: AggregationWindow) -> DirectedNetwork:
+def aggregate(index: YearIndex, window: AggregationWindow) -> DirectedNetwork:
     """Collapse the window's transactions into one weighted snapshot.
 
     a_ij = 1 iff at least one loan i -> j falls inside the window; weights
     are the amounts summed in file order. The node set covers the whole
-    year, so windows of one year share a common N. ``records`` may be a
-    ``YearIndex`` of the window's year, built once for many windows;
-    otherwise only the window's records are indexed.
+    year, so windows of one year share a common N. ``index`` is the
+    window's year, indexed once for many windows or only over the window's
+    days for one.
     """
-    if not isinstance(records, YearIndex):
-        records = index_year(records, window.year, window.days)
-    return records.network(window)
+    first, stop = index.day_range(window)
+    # back into file order: each cell then adds its amounts in the order a
+    # running sum over the file would, so the weights match it bit for bit
+    rows = np.sort(index.order[index.bounds[first]:index.bounds[stop]])
+    n = len(index.labels)
+    w = np.bincount(index.cell[rows], weights=index.amount[rows], minlength=n * n)
+    return DirectedNetwork.from_weight_matrix(w.reshape(n, n), labels=index.labels)
 
 
 def fitness_from_strengths(net: DirectedNetwork) -> FitnessData:

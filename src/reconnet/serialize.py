@@ -151,14 +151,12 @@ def read_fitness_csv(path) -> tuple[FitnessData, list[str]]:
     return FitnessData(assets=np.array(assets), liabilities=np.array(liabilities)), labels
 
 
-def write_transactions_csv(path, transactions) -> None:
-    """Write a ``TransactionTable``, or a sequence of records, as a transactions CSV.
+def write_transactions_csv(path, table: TransactionTable) -> None:
+    """Write a ``TransactionTable`` as a transactions CSV.
 
     Amounts are written through ``fmt`` and a missing maturity as an empty
     field. Each distinct date is formatted once.
     """
-    table = transactions if isinstance(transactions, TransactionTable) else \
-        TransactionTable.from_records(transactions)
     dates = np.array([d.isoformat() for d in table.dates], dtype=object)
     labels = np.array(table.labels, dtype=object)
     write_csv(path, ["date", "lender", "borrower", "amount", "maturity"],

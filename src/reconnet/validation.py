@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DataValidationError, DomainError, SingularityError, UndefinedAUCError
 from .estimation import DensityFitter, SolverConfig
 from .graph import DirectedNetwork
-from .ingest import FitnessData, build_windows, index_year
+from .ingest import FitnessData, TransactionTable, build_windows, index_year
 from .models import FittedModel, dyad_probability_arrays
 
 log = logging.getLogger(__name__)
@@ -97,7 +97,7 @@ def extract_rho_landmarks(delta_ts, rhos):
     return delta_ts[i_min], rhos[i_min], delta_ts[i_max], rhos[i_max], t_0
 
 
-def scan_aggregations(records, year: int, delta_t_list,
+def scan_aggregations(table: TransactionTable, year: int, delta_t_list,
                       fitness: FitnessData | None = None,
                       solver_config: SolverConfig | None = None) -> RhoScanResult:
     """Reciprocity-gap scan of the density-only model across window lengths.
@@ -112,19 +112,23 @@ def scan_aggregations(records, year: int, delta_t_list,
     per bank active in the year (another count is a DataValidationError).
     Every fit runs through one ``DensityFitter`` over the positive fitness
     products, as ``fit_fdcm`` does.
-    ``records`` is a ``TransactionTable`` or a sequence of records; the
-    year's records are indexed once, and each window's links and strengths
-    are taken from the index without building its network (a strength is
-    a sum of daily sums, so its last bits can differ from the row sums of
-    ``aggregate``'s weights).
+    The year's rows of ``table`` are indexed once, and each window's links
+    and strengths are taken from the index without building its network
+    (a strength is a sum of daily sums, so its last bits can differ from
+    the row sums of ``aggregate``'s weights). A year with fewer trading
+    days than the smallest delta_t is a DataValidationError.
     """
     delta_t_list = list(delta_t_list)
     if any(b <= a for a, b in zip(delta_t_list, delta_t_list[1:])):
         raise DomainError("delta_t values must be strictly increasing")
     rows: list[ScanRow] = []
     window_rows: list[WindowRow] = []
-    index = index_year(records, year)
+    index = index_year(table, year)
     n, n_days = len(index.labels), len(index.days)
+    if delta_t_list and n_days < delta_t_list[0]:
+        raise DataValidationError(
+            f"no complete windows for year {year}: {n_days} trading days, "
+            f"smallest delta_t {delta_t_list[0]}")
     if fitness is not None and fitness.n != n:
         raise DataValidationError(f"fitness has {fitness.n} nodes, year {year} has {n} banks")
     # the year's records in day order, so that each window's records are one slice
@@ -134,8 +138,8 @@ def scan_aggregations(records, year: int, delta_t_list,
     # are the sums of its days' rows
     lent, borrowed = np.zeros((2, n_days, n))
     for k, day in enumerate(map(slice, index.bounds[:-1], index.bounds[1:])):
-        for table, node in zip((lent, borrowed), np.divmod(cell[day], n)):
-            table[k] = np.bincount(node, weights=amount[day], minlength=n)
+        for totals, node in zip((lent, borrowed), np.divmod(cell[day], n)):
+            totals[k] = np.bincount(node, weights=amount[day], minlength=n)
     links = np.zeros(n * n, dtype=bool)
     square = links.reshape(n, n)
     both = np.empty((n, n), dtype=bool)
@@ -145,7 +149,7 @@ def scan_aggregations(records, year: int, delta_t_list,
     for delta_t in delta_t_list:
         skipped = 0
         per_window: list[WindowRow] = []
-        for window in build_windows(index, year, delta_t):
+        for window in build_windows(table, year, delta_t):
             first, stop = index.day_range(window)
             links.fill(False)
             links[cell[index.bounds[first]:index.bounds[stop]]] = True

@@ -14,9 +14,9 @@ from reconnet.errors import (DataValidationError, DomainError, NonConvergenceErr
                              ParseError)
 from reconnet.estimation import SolverConfig, SolverReport, _normalized_fitness, fit_fdcm
 from reconnet.graph import degrees_strengths
-from reconnet.ingest import (TransactionRecord, aggregate, build_windows, csv_reader,
-                             fitness_from_strengths, index_year, line_of_row, open_text,
-                             trading_days)
+from reconnet.ingest import (TransactionRecord, TransactionTable, aggregate, build_windows,
+                             csv_reader, fitness_from_strengths, index_year, line_of_row,
+                             open_text, trading_days)
 from reconnet.models import FittedModel, ModelKind
 from reconnet.validation import (RhoScanResult, ScanRow, WindowRow, extract_rho_landmarks,
                                  rho)
@@ -125,6 +125,25 @@ def pairwise_auc(scores, labels):
     return float(wins) / (len(pos) * len(neg))
 
 
+def table_of(records):
+    """The ``TransactionTable`` of a sequence of records, rows in the same order."""
+    records = list(records)
+    dates = sorted({r.date for r in records})
+    labels = sorted({name for r in records for name in (r.lender, r.borrower)})
+    date_code = {d: k for k, d in enumerate(dates)}
+    label_code = {name: k for k, name in enumerate(labels)}
+
+    def codes(values, code):
+        return np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(records))
+
+    return TransactionTable(dates=tuple(dates), day=codes((r.date for r in records), date_code),
+                            labels=tuple(labels),
+                            lender=codes((r.lender for r in records), label_code),
+                            borrower=codes((r.borrower for r in records), label_code),
+                            amount=np.array([r.amount for r in records], dtype=float),
+                            maturity=[r.maturity for r in records])
+
+
 def aggregate_record_loop(records, window):
     """Window snapshot by a running sum over the records in file order.
 
@@ -157,7 +176,7 @@ def _density_reachable(fitness, d, config=None):
     return n * (n - 1) * d < positive * (1.0 - (config or SolverConfig()).residual_tolerance)
 
 
-def scan_window_by_window(records, year, delta_t_list, fitness=None, solver_config=None):
+def scan_window_by_window(table, year, delta_t_list, fitness=None, solver_config=None):
     """The reciprocity-gap scan through one validated network per window.
 
     Each window is aggregated into a ``DirectedNetwork``; its density,
@@ -166,11 +185,11 @@ def scan_window_by_window(records, year, delta_t_list, fitness=None, solver_conf
     dyad arrays of ``expected_metrics``, with the same skip rules as
     ``scan_aggregations``: the reference its index-based loop must agree with.
     """
-    index = index_year(records, year)
+    index = index_year(table, year)
     rows, window_rows = [], []
     for delta_t in delta_t_list:
         skipped, per_window = 0, []
-        for window in build_windows(index, year, delta_t):
+        for window in build_windows(table, year, delta_t):
             net = aggregate(index, window)
             metrics = degrees_strengths(net)
             if metrics.link_count == 0:

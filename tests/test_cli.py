@@ -56,6 +56,13 @@ class TestParseDeltaTs:
             with pytest.raises(ConfigurationError):
                 parse_delta_ts(bad)
 
+    def test_at_most_the_days_of_a_year(self):
+        assert parse_delta_ts("366") == [366]
+        assert parse_delta_ts("1:366")[-1] == 366
+        for bad in ("367", "1:367", "2,400"):
+            with pytest.raises(ConfigurationError, match="at most 366"):
+                parse_delta_ts(bad)
+
 
 class TestFloatFormat:
     @pytest.mark.parametrize("seed", range(20))
@@ -566,6 +573,44 @@ class TestScanPinnedFitness:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"fitness has {rows} nodes" in err and "has 20 banks" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestNoCompleteWindow:
+    """A year with fewer trading days than the smallest delta_t has nothing to scan."""
+
+    def run(self, pipeline, out, command, year, delta_t):
+        argv = [command, "--transactions", str(pipeline / "data/transactions.csv"),
+                "--year", year, "--delta-t", delta_t, "--out", str(out)]
+        if command == "validate":
+            argv += ["--model-file", str(pipeline / "fit/fitted.json")]
+        return main(argv)
+
+    @pytest.mark.parametrize("command", ["scan", "validate"])
+    @pytest.mark.parametrize("year,delta_t", [("2006", "1"), ("2005", "40")])
+    def test_is_a_data_error(self, pipeline, tmp_path, capsys, command, year, delta_t):
+        out = tmp_path / "o"
+        assert self.run(pipeline, out, command, year, delta_t) == 2
+        err = capsys.readouterr().err
+        assert f"no complete windows for year {year}" in err and f"delta_t {delta_t}" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_scan_keeps_a_delta_t_without_windows_as_a_missing_row(self, pipeline, tmp_path):
+        out = tmp_path / "o"
+        assert self.run(pipeline, out, "scan", "2005", "30,40") == 0
+        rows = [r.split(",")[:2] for r in (out / "rho_scan.csv").read_text().splitlines()[1:]]
+        assert rows == [["30", "1"], ["40", "0"]]
+
+    def test_aggregate_writes_only_the_metrics_header(self, pipeline, tmp_path):
+        out = tmp_path / "o"
+        assert self.run(pipeline, out, "aggregate", "2005", "40") == 0
+        assert (out / "metrics.csv").read_text().splitlines() == \
+            ["delta_t,window_index,n,links,recip_links,density,reciprocity"]
+
+    def test_delta_t_above_366_is_a_usage_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert self.run(pipeline, out, "scan", "2005", "1:367") == 1
+        assert "at most 366" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     aggregate_record_loop,
     synth_transactions_per_record,
+    table_of,
     write_transactions_per_row,
 )
 
@@ -22,16 +23,13 @@ from reconnet import (
     build_windows,
     derive_subseed,
     fitness_from_strengths,
-    parse_transactions,
     sample_network,
     synth_fitness,
     synth_transactions,
-    trading_calendar,
 )
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
 from reconnet.ingest import (
     TransactionRecord,
-    TransactionTable,
     YearIndex,
     index_year,
     read_transactions,
@@ -49,16 +47,21 @@ FIXTURE = """date,lender,borrower,amount
 
 
 def parse(text):
-    return parse_transactions(io.StringIO(text))
+    return read_transactions(io.StringIO(text))
+
+
+def snapshot(table, window):
+    """The window's network, cut from an index of its days only."""
+    return aggregate(index_year(table, window.year, window.days), window)
 
 
 class TestParsing:
     def test_single_record_with_maturity(self):
-        recs = parse("date,lender,borrower,amount,maturity\n2007-03-01,B1,B2,10.5,ON\n")
-        assert len(recs) == 1
-        r = recs[0]
-        assert r.date == dt.date(2007, 3, 1)
-        assert (r.lender, r.borrower, r.amount, r.maturity) == ("B1", "B2", 10.5, "ON")
+        table = parse("date,lender,borrower,amount,maturity\n2007-03-01,B1,B2,10.5,ON\n")
+        assert table.dates == (dt.date(2007, 3, 1),) and table.labels == ("B1", "B2")
+        assert (table.day.tolist(), table.lender.tolist(), table.borrower.tolist()) == \
+            ([0], [0], [1])
+        assert (table.amount.tolist(), table.maturity) == ([10.5], ["ON"])
 
     def test_negative_amount_rejected_with_line(self):
         with pytest.raises(DataValidationError) as err:
@@ -93,13 +96,12 @@ class TestParsing:
             parse("")
 
     def test_bytes_stream(self):
-        recs = parse_transactions(FIXTURE.encode("utf-8"))
-        assert len(recs) == 5
+        table = read_transactions(FIXTURE.encode("utf-8"))
+        assert len(table.day) == 5
 
     def test_calendar_is_distinct_sorted_dates(self):
-        recs = parse(FIXTURE)
-        cal = trading_calendar(recs)
-        assert cal == [dt.date(2007, 3, 1), dt.date(2007, 3, 2), dt.date(2007, 3, 5)]
+        table = parse(FIXTURE)
+        assert table.dates == (dt.date(2007, 3, 1), dt.date(2007, 3, 2), dt.date(2007, 3, 5))
 
 
 class TestWindows:
@@ -113,8 +115,8 @@ class TestWindows:
         recs = parse(FIXTURE)
         windows = build_windows(recs, 2007, 1)
         assert [w.window_index for w in windows] == [0, 1, 2]
-        all_days = [d for w in windows for d in w.days]
-        assert all_days == trading_calendar(recs)
+        all_days = tuple(d for w in windows for d in w.days)
+        assert all_days == recs.dates
 
     def test_bad_delta_t(self):
         with pytest.raises(ConfigurationError):
@@ -125,7 +127,7 @@ class TestAggregate:
     def test_collapse_rule(self):
         recs = parse("date,lender,borrower,amount\n"
                      "2007-03-01,B1,B2,5\n2007-03-01,B1,B2,7\n")
-        net = aggregate(recs, build_windows(recs, 2007, 1)[0])
+        net = snapshot(recs, build_windows(recs, 2007, 1)[0])
         i, j = net.labels.index("B1"), net.labels.index("B2")
         assert net.adjacency[i, j] == 1
         assert net.weights[i, j] == 12.0
@@ -133,13 +135,13 @@ class TestAggregate:
     def test_out_of_window_excluded(self):
         recs = parse(FIXTURE)
         first_day = build_windows(recs, 2007, 1)[0]
-        net = aggregate(recs, first_day)
+        net = snapshot(recs, first_day)
         b3, b1 = net.labels.index("B3"), net.labels.index("B1")
         assert net.adjacency[b3, b1] == 0  # B3->B1 happens on day 2
 
     def test_yearly_window_hand_enumerated(self):
         recs = parse(FIXTURE)
-        net = aggregate(recs, build_windows(recs, 2007, 3)[0])
+        net = snapshot(recs, build_windows(recs, 2007, 3)[0])
         assert net.labels == ("B1", "B2", "B3")
         want_w = np.array([
             [0.0, 13.0, 0.0],   # B1->B2: 10.5 + 2.5
@@ -152,23 +154,24 @@ class TestAggregate:
     def test_node_set_constant_across_windows(self):
         recs = parse(FIXTURE)
         for w in build_windows(recs, 2007, 1):
-            assert aggregate(recs, w).labels == ("B1", "B2", "B3")
+            assert snapshot(recs, w).labels == ("B1", "B2", "B3")
 
     def test_union_property(self):
         recs = parse(FIXTURE)
-        yearly = aggregate(recs, build_windows(recs, 2007, 3)[0]).adjacency
+        yearly = snapshot(recs, build_windows(recs, 2007, 3)[0]).adjacency
         union = np.zeros_like(yearly)
         for w in build_windows(recs, 2007, 1):
-            union |= aggregate(recs, w).adjacency
+            union |= snapshot(recs, w).adjacency
         np.testing.assert_array_equal(union, yearly)
 
     def test_weight_split_merge(self):
         # both batches touch all three banks, so the label spaces align
         recs = parse(FIXTURE)
         window = build_windows(recs, 2007, 3)[0]
-        whole = aggregate(recs, window)
-        part1 = aggregate(recs[:3], window)
-        part2 = aggregate(recs[3:], window)
+        whole = snapshot(recs, window)
+        records = recs.records()
+        part1 = snapshot(table_of(records[:3]), window)
+        part2 = snapshot(table_of(records[3:]), window)
         assert part1.labels == part2.labels == whole.labels
         np.testing.assert_array_equal(part1.weights + part2.weights, whole.weights)
 
@@ -206,20 +209,21 @@ class TestIndexedAggregation:
     @settings(max_examples=150, deadline=None)
     @given(streams(), st.sampled_from([2006, 2007]), st.integers(1, 9), st.data())
     def test_every_window_matches_the_record_loop(self, records, year, delta_t, data):
-        index = index_year(records, year)
-        windows = build_windows(records, year, delta_t)
-        assert build_windows(index, year, delta_t) == windows
+        table = table_of(records)
+        index = index_year(table, year)
+        windows = build_windows(table, year, delta_t)
         # a single window over the whole year as well
         days = index.days
         if days:
             windows.append(AggregationWindow(year, len(days), 0, days))
         cut = data.draw(st.integers(0, len(records)))
+        head = table_of(records[:cut])
         for window in windows:
             want = aggregate_record_loop(records, window)
             assert_same_network(aggregate(index, window), want)
-            assert_same_network(aggregate(records, window), want)
+            assert_same_network(aggregate(index_year(table, year, window.days), window), want)
             # a subset of the records on a window built from all of them
-            assert_same_network(aggregate(records[:cut], window),
+            assert_same_network(aggregate(index_year(head, year, window.days), window),
                                 aggregate_record_loop(records[:cut], window))
 
     @settings(max_examples=100, deadline=None)
@@ -227,20 +231,19 @@ class TestIndexedAggregation:
     def test_index_from_a_table_equals_the_index_from_records(self, records, year, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "transactions.csv"
-            write_transactions_csv(path, records)
+            write_transactions_csv(path, table_of(records))
             table = read_transactions(path)
-        calendar = [d for d in trading_calendar(records) if d.year == year]
+        calendar = [d for d in table.dates if d.year == year]
         first = data.draw(st.integers(0, len(calendar)))
         days = calendar[first:first + data.draw(st.integers(0, 3))]
         for kwargs in ({}, {"days": days}):
-            want = index_year(records, year, **kwargs)
-            for got in (index_year(table, year, **kwargs),
-                        index_year(TransactionTable.from_records(records), year, **kwargs)):
-                assert (got.year, got.labels, got.days) == (want.year, want.labels, want.days)
-                for name in ("cell", "amount", "order", "bounds"):
-                    a, b = getattr(got, name), getattr(want, name)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert build_windows(table, year, 2) == build_windows(records, year, 2)
+            want = index_year(table_of(records), year, **kwargs)
+            got = index_year(table, year, **kwargs)
+            assert (got.year, got.labels, got.days) == (want.year, want.labels, want.days)
+            for name in ("cell", "amount", "order", "bounds"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert build_windows(table, year, 2) == build_windows(table_of(records), year, 2)
 
     def test_shuffled_stream_sums_in_file_order(self):
         # in floating point, (1 + 1) + 1e16 is 1e16 + 2 but (1e16 + 1) + 1 is 1e16
@@ -248,8 +251,9 @@ class TestIndexedAggregation:
                 TransactionRecord(dt.date(2007, 1, 3), "A", "B", 1.0),
                 TransactionRecord(dt.date(2007, 1, 2), "A", "B", 1e16),
                 TransactionRecord(dt.date(2007, 1, 2), "B", "A", 2.0)]
-        window = build_windows(recs, 2007, 2)[0]
-        net = aggregate(index_year(recs, 2007), window)
+        table = table_of(recs)
+        window = build_windows(table, 2007, 2)[0]
+        net = aggregate(index_year(table, 2007), window)
         assert net.weights[0, 1] == 1e16 + 2.0 != (1e16 + 1.0) + 1.0
         assert_same_network(net, aggregate_record_loop(recs, window))
 
@@ -257,7 +261,7 @@ class TestIndexedAggregation:
         recs = parse(FIXTURE)
         index = index_year(recs, 2007)
         assert index.labels == ("B1", "B2", "B3")
-        assert index.days == tuple(trading_calendar(recs))
+        assert index.days == recs.dates
         np.testing.assert_array_equal(index.cell, [0 * 3 + 1, 1 * 3 + 2, 1, 2 * 3 + 0, 3])
         np.testing.assert_array_equal(index.amount, [10.5, 4.0, 2.5, 7.0, 1.0])
         np.testing.assert_array_equal(index.bounds, [0, 2, 4, 5])
@@ -274,7 +278,8 @@ class TestIndexedAggregation:
         recs = parse(FIXTURE + "2008-01-02,B4,B1,3.0\n")
         index = index_year(recs, 2007)
         assert "B4" not in index.labels and len(index.amount) == 5
-        assert build_windows(index, 2007, 1) == build_windows(recs, 2007, 1)
+        assert index.days == recs.dates[:3]
+        assert [w.days for w in build_windows(recs, 2007, 1)] == [(d,) for d in index.days]
 
     def test_window_outside_the_index_rejected(self):
         recs = parse(FIXTURE)
@@ -282,8 +287,6 @@ class TestIndexedAggregation:
         index = index_year(recs, 2007, windows[0].days)
         with pytest.raises(ConfigurationError):
             aggregate(index, windows[1])
-        with pytest.raises(ConfigurationError):
-            build_windows(index, 2008, 1)
 
     def test_unsorted_days_rejected(self):
         recs = parse(FIXTURE)
@@ -291,29 +294,30 @@ class TestIndexedAggregation:
             index_year(recs, 2007, [dt.date(2007, 3, 2), dt.date(2007, 3, 1)])
 
     def test_empty_stream_gives_an_empty_index(self):
-        index = index_year([], 2007)
+        empty = table_of([])
+        index = index_year(empty, 2007)
         assert isinstance(index, YearIndex) and index.labels == index.days == ()
-        assert build_windows(index, 2007, 1) == []
+        assert build_windows(empty, 2007, 1) == []
 
 
 class TestFitness:
     def test_single_loan(self):
         recs = parse("date,lender,borrower,amount\n2007-03-01,B1,B2,5\n")
-        fit = fitness_from_strengths(aggregate(recs, build_windows(recs, 2007, 1)[0]))
+        fit = fitness_from_strengths(snapshot(recs, build_windows(recs, 2007, 1)[0]))
         np.testing.assert_array_equal(fit.assets, [5.0, 0.0])
         np.testing.assert_array_equal(fit.liabilities, [0.0, 5.0])
 
     def test_reciprocal_loans(self):
         recs = parse("date,lender,borrower,amount\n"
                      "2007-03-01,B1,B2,2\n2007-03-01,B2,B1,3\n")
-        fit = fitness_from_strengths(aggregate(recs, build_windows(recs, 2007, 1)[0]))
+        fit = fitness_from_strengths(snapshot(recs, build_windows(recs, 2007, 1)[0]))
         np.testing.assert_array_equal(fit.assets, [2.0, 3.0])
         np.testing.assert_array_equal(fit.liabilities, [3.0, 2.0])
 
     def test_fixture_totals_match_volume(self):
         recs = parse(FIXTURE)
-        fit = fitness_from_strengths(aggregate(recs, build_windows(recs, 2007, 3)[0]))
-        total = sum(r.amount for r in recs)
+        fit = fitness_from_strengths(snapshot(recs, build_windows(recs, 2007, 3)[0]))
+        total = sum(recs.amount.tolist())
         assert fit.assets.sum() == pytest.approx(total)
         assert fit.liabilities.sum() == pytest.approx(total)
 
@@ -413,7 +417,7 @@ class TestSynthAgainstPerRecordOracle:
         write_transactions_csv(tmp_path / "table.csv", table)
         write_transactions_per_row(tmp_path / "oracle.csv", records)
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-        want = TransactionTable.from_records(records)
+        want = table_of(records)
         assert (table.dates, table.labels, table.maturity) == \
             (want.dates, want.labels, want.maturity)
         for name in ("day", "lender", "borrower", "amount"):

@@ -26,6 +26,7 @@ from oracles import (
     parse_transactions_row_by_row,
     read_fitness_row_by_row,
     read_network_row_by_row,
+    table_of,
     write_csv_per_cell,
     write_transactions_per_row,
 )
@@ -36,7 +37,6 @@ from reconnet.errors import DataValidationError, ParseError, ReconError
 from reconnet.ingest import (
     FitnessData,
     TransactionRecord,
-    TransactionTable,
     parse_transactions,
     read_transactions,
 )
@@ -82,11 +82,11 @@ def transaction_records(draw):
 def test_transactions_round_trip(records):
     with _tmp() as tmp:
         path = Path(tmp) / "transactions.csv"
-        write_transactions_csv(path, records)
+        want = table_of(records)
+        write_transactions_csv(path, want)
         assert parse_transactions(path) == records
         table = read_transactions(path)
     assert table.records() == records
-    want = TransactionTable.from_records(records)
     assert (table.dates, table.labels, table.maturity) == (want.dates, want.labels, want.maturity)
     for name in ("day", "lender", "borrower", "amount"):
         got, expected = getattr(table, name), getattr(want, name)
@@ -113,10 +113,9 @@ def test_transactions_writer_matches_the_per_row_writer(records):
     with _tmp() as tmp:
         want = Path(tmp) / "oracle.csv"
         write_transactions_per_row(want, records)
-        for source in (records, TransactionTable.from_records(records)):
-            got = Path(tmp) / "table.csv"
-            write_transactions_csv(got, source)
-            assert got.read_bytes() == want.read_bytes()
+        got = Path(tmp) / "table.csv"
+        write_transactions_csv(got, table_of(records))
+        assert got.read_bytes() == want.read_bytes()
 
 
 @FUZZ

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import aggregate_record_loop, pairwise_auc, scan_window_by_window
+from oracles import aggregate_record_loop, pairwise_auc, scan_window_by_window, table_of
 
 from reconnet import (
     DirectedNetwork,
@@ -12,7 +12,6 @@ from reconnet import (
     FittedModel,
     ModelKind,
     TransactionRecord,
-    TransactionTable,
     aggregate,
     build_windows,
     cross_entropy,
@@ -31,9 +30,10 @@ from reconnet import (
     synth_fitness,
     synth_transactions,
 )
-from reconnet.errors import DomainError, NonConvergenceError, SingularityError, UndefinedAUCError
+from reconnet.errors import (DataValidationError, DomainError, NonConvergenceError,
+                             SingularityError, UndefinedAUCError)
 from reconnet.estimation import SolverConfig
-from reconnet.ingest import trading_days
+from reconnet.ingest import index_year, trading_days
 
 
 class TestRho:
@@ -225,12 +225,14 @@ class TestScan:
             i, j = rng.choice(12, 2, replace=False)
             records.append(TransactionRecord(days[rng.integers(20)], banks[i], banks[j],
                                              float(rng.lognormal(0.0, 2.0))))
-        result = scan_aggregations(records, 2003, [1, 5, 10])
+        table = table_of(records)
+        result = scan_aggregations(table, 2003, [1, 5, 10])
         want = []
         for delta_t in (1, 5, 10):
-            for window in build_windows(records, 2003, delta_t):
+            for window in build_windows(table, 2003, delta_t):
                 net = aggregate_record_loop(records, window)
-                assert np.array_equal(aggregate(records, window).weights, net.weights)
+                assert np.array_equal(
+                    aggregate(index_year(table, 2003, window.days), window).weights, net.weights)
                 m = degrees_strengths(net)
                 if m.link_count == 0:
                     continue
@@ -251,10 +253,11 @@ class TestScan:
         days = trading_days(2007, 2)
         records = [TransactionRecord(days[0], "A", "B", 1.0)] + [
             TransactionRecord(days[1], i, j, 2.0) for i, j in ("AB", "BA", "CA", "BC")]
-        result = scan_aggregations(records, 2007, [1, 2])
+        table = table_of(records)
+        result = scan_aggregations(table, 2007, [1, 2])
         assert [(r.window_count, r.skipped_windows) for r in result.rows] == [(1, 1), (1, 0)]
         assert [(w.delta_t, w.window_index) for w in result.windows] == [(1, 1), (2, 0)]
-        pinned = scan_aggregations(records, 2007, [1], fitness=FitnessData(np.ones(3), np.ones(3)))
+        pinned = scan_aggregations(table, 2007, [1], fitness=FitnessData(np.ones(3), np.ones(3)))
         assert (pinned.rows[0].window_count, pinned.rows[0].skipped_windows) == (2, 0)
 
     @staticmethod
@@ -266,7 +269,7 @@ class TestScan:
         last = max(r.date for r in records)
         records.append(TransactionRecord(last + datetime.timedelta(days=1), records[0].lender,
                                          records[0].borrower, 2.5))
-        table = TransactionTable.from_records(records)
+        table = table_of(records)
         # a date of the calendar that no row refers to: its window has no links
         empty = table.dates[-1] + datetime.timedelta(days=1)
         return fitness, dataclasses.replace(table, dates=table.dates + (empty,))
@@ -313,4 +316,15 @@ class TestScan:
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(DomainError):
-            scan_aggregations([], 2001, [5, 1])
+            scan_aggregations(table_of([]), 2001, [5, 1])
+
+    def test_year_shorter_than_the_smallest_delta_t_has_nothing_to_scan(self):
+        days = trading_days(2007, 3)
+        table = table_of(TransactionRecord(day, "A", "B", 1.0) for day in days)
+        for year, grid in ((2007, [4, 5]), (2008, [1])):
+            with pytest.raises(DataValidationError, match=f"no complete windows for year {year}"):
+                scan_aggregations(table, year, grid)
+        # a delta_t longer than the year beside a shorter one is a missing row
+        result = scan_aggregations(table, 2007, [3, 4])
+        assert [(r.delta_t, r.window_count, r.missing) for r in result.rows] == \
+            [(3, 0, True), (4, 0, True)]

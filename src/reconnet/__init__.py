@@ -41,11 +41,11 @@ from .ingest import (
     build_windows,
     fitness_from_strengths,
     parse_transactions,
-    read_transactions,
     synth_fitness,
     synth_transactions,
 )
 from .models import FittedModel, ModelKind, dyad_probability_arrays
+from .serialize import read_transactions
 from .spectral import (
     BulkShape,
     Spectrum,

@@ -49,7 +49,6 @@ from .ingest import (
     aggregate,
     build_windows,
     index_year,
-    read_transactions,
     synth_days,
     synth_fitness,
     synth_transactions,
@@ -63,6 +62,7 @@ from .serialize import (
     read_model,
     read_network,
     read_nodes,
+    read_transactions,
     write_csv,
     write_fitness_csv,
     write_json,
@@ -359,8 +359,9 @@ def _cmd_spectra(cfg, out):
     nodes_path = net_dir / "nodes.csv"
     if not nodes_path.exists():
         raise ConfigurationError(f"missing {nodes_path} (needed to fix the node count)")
-    labels = read_nodes(nodes_path)
-    n = len(labels)
+    n = len(read_nodes(nodes_path))
+    if n < 3:
+        raise DataValidationError(f"{nodes_path} lists {n} nodes; spectra needs at least 3")
     files = sorted(p for p in net_dir.glob("*.csv") if p.name != "nodes.csv")
     if not files:
         raise ConfigurationError(f"no network files in {net_dir}")

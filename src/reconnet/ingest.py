@@ -1,4 +1,6 @@
-"""Transaction-log ingestion, window aggregation, fitness, synthetic data.
+"""Transaction tables, window aggregation, fitness, synthetic data.
+
+The transactions file is read into a ``TransactionTable`` in ``serialize``.
 
 The trading-day calendar is the sorted set of distinct dates observed in
 the data; aggregation windows count trading days, not calendar days, and a
@@ -10,20 +12,16 @@ the year), which keeps density comparable across window lengths.
 from __future__ import annotations
 
 import bisect
-import csv
 import datetime as dt
-import io
 import itertools
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .ensemble import derive_subseed, sample_adjacencies
-from .errors import ConfigurationError, DataValidationError, ParseError
+from .errors import ConfigurationError, DataValidationError
 from .graph import DirectedNetwork
 from .models import FittedModel
 
@@ -85,173 +83,15 @@ class FitnessData:
         return len(self.assets)
 
 
-_HEADER = ["date", "lender", "borrower", "amount"]
-
-
-@contextmanager
-def csv_reader(stream):
-    """A csv reader of ``stream``; in the block, a line it cannot split is a ParseError."""
-    reader = csv.reader(stream)
-    try:
-        yield reader
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
-
-
-_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
-
-
-def decode_utf8(data: bytes, name) -> str:
-    """``data`` as UTF-8 text; other bytes are a ParseError naming ``name`` and the line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(_LINE_BREAK.findall(data, 0, exc.start)) + 1
-        raise ParseError(f"{name}: not UTF-8 text ({exc.reason})", line=line) from None
-
-
-@contextmanager
-def open_text(path, newline=""):
-    """``path`` opened as UTF-8 text.
-
-    Text is decoded in chunks, so a byte that is not UTF-8 can surface
-    before the rows ahead of it are read; in the block it becomes a
-    ParseError with the line of the first such byte, found by reading the
-    file again.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            yield fh
-    except UnicodeDecodeError:
-        decode_utf8(Path(path).read_bytes(), path)
-        raise
-
-
-def read_transactions(source) -> TransactionTable:
-    """Read a transactions CSV (header date,lender,borrower,amount[,maturity]) into columns.
-
-    ``source`` may be a path, a text stream, bytes or a bytes stream
-    (UTF-8). Raises ParseError with the offending line number on malformed
-    rows and on bytes that are not UTF-8, and DataValidationError on
-    semantic violations (an amount that is not positive and finite,
-    self-loops). Rows are read into column lists in one pass and checked as
-    arrays; only a rejected file is read again, to find the line of its
-    first bad row.
-    """
-    if isinstance(source, (str, Path)):
-        with open_text(source) as fh:
-            return read_transactions(fh)
-    if not isinstance(source, bytes) and isinstance(source.read(0), bytes):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = io.StringIO(decode_utf8(source, "transactions"), newline="")
-    elif not source.seekable():
-        source = io.StringIO(source.read(), newline="")
-    start = source.tell()
-
-    reader = csv.reader(source)
-    columns = date_col, lender_col, borrower_col, amount_col, maturity_col = [], [], [], [], []
-    stop = None  # the error that ended the pass early, raised unless an earlier row is bad
-    try:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, expected a header row", line=1) from None
-        header = [h.strip().lower() for h in header]
-        if header != _HEADER and header != _HEADER + ["maturity"]:
-            raise ParseError(
-                f"bad header {header!r}, expected date,lender,borrower,amount[,maturity]", line=1
-            )
-        width = len(header)
-        add_date, add_lender, add_borrower, add_amount, add_maturity = (c.append for c in columns)
-        for row in reader:
-            if len(row) == width:
-                add_date(row[0])
-                add_lender(row[1])
-                add_borrower(row[2])
-                add_amount(row[3])
-                if width == 5:
-                    add_maturity(row[4])
-            elif row:
-                stop = ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
-                break
-    except csv.Error as exc:
-        stop = ParseError(str(exc), line=reader.line_num)
-    n = len(date_col)
-
-    # every distinct field is converted once; a field that does not convert gets code -1
-    parsed = {}
-    for text in set(date_col):
-        try:
-            parsed[text] = dt.date.fromisoformat(text.strip())
-        except ValueError:
-            parsed[text] = None
-    dates = sorted({d for d in parsed.values() if d is not None})
-    date_code = {d: k for k, d in enumerate(dates)}
-    day_of = {text: -1 if d is None else date_code[d] for text, d in parsed.items()}
-    names = {text: text.strip() for text in set(lender_col).union(borrower_col)}
-    labels = sorted({name for name in names.values() if name})
-    label_code = {name: k for k, name in enumerate(labels)}
-    node_of = {text: label_code.get(name, -1) for text, name in names.items()}
-    day = np.fromiter(map(day_of.__getitem__, date_col), dtype=np.intp, count=n)
-    lender = np.fromiter(map(node_of.__getitem__, lender_col), dtype=np.intp, count=n)
-    borrower = np.fromiter(map(node_of.__getitem__, borrower_col), dtype=np.intp, count=n)
-    not_a_number = np.zeros(n, dtype=bool)
-    try:
-        amount = np.fromiter(map(float, amount_col), dtype=float, count=n)
-    except ValueError:
-        amount = np.ones(n)
-        for k, text in enumerate(amount_col):
-            try:
-                amount[k] = float(text)
-            except ValueError:
-                not_a_number[k] = True
-
-    bad = ((day < 0) | (lender < 0) | (borrower < 0) | not_a_number | (lender == borrower)
-           | ~((amount > 0) & (amount < math.inf)))  # NaN fails both comparisons
-    if bad.any():
-        k = int(np.argmax(bad))
-        source.seek(start)
-        line = line_of_row(source, k)
-        if day[k] < 0:
-            raise ParseError(f"bad ISO-8601 date {date_col[k]!r}", line=line)
-        if lender[k] < 0 or borrower[k] < 0:
-            raise ParseError("empty lender or borrower field", line=line)
-        if not_a_number[k]:
-            raise ParseError(f"bad amount {amount_col[k]!r}", line=line)
-        try:
-            TransactionRecord(dates[day[k]], labels[lender[k]], labels[borrower[k]],
-                              float(amount[k]))
-        except DataValidationError as exc:
-            raise DataValidationError(str(exc), line=line) from None
-    if stop is not None:
-        raise stop
-    if width == 5:
-        stripped = {text: text.strip() or None for text in set(maturity_col)}
-        maturity = list(map(stripped.__getitem__, maturity_col))
-    else:
-        maturity = [None] * n
-    return TransactionTable(dates=tuple(dates), day=day, labels=tuple(labels), lender=lender,
-                            borrower=borrower, amount=amount, maturity=maturity)
-
-
-def line_of_row(stream, k: int) -> int | None:
-    """Line number of the k-th nonempty row after the header of a CSV ``stream``."""
-    reader = csv.reader(stream)
-    next(reader)
-    for m, _ in enumerate(row for row in reader if row):
-        if m == k:
-            return reader.line_num
-    return None
-
-
-def parse_transactions(source) -> list[TransactionRecord]:
+def parse_transactions(path) -> list[TransactionRecord]:
     """Parse a transactions CSV (header date,lender,borrower,amount[,maturity]).
 
-    The records of ``read_transactions(source)``, in file order; see there
-    for the accepted sources and the errors raised.
+    The records of ``serialize.read_transactions(path)``, in file order;
+    see there for the errors raised.
     """
-    return read_transactions(source).records()
+    from .serialize import read_transactions  # serialize imports this module
+
+    return read_transactions(path).records()
 
 
 @dataclass(frozen=True, eq=False)

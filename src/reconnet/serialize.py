@@ -1,22 +1,30 @@
-"""Deterministic CSV/JSON artifact writers and readers.
+"""Deterministic CSV/JSON artifact writers, and the readers of every input file.
 
 Numbers go to CSV at 17 significant digits so they round-trip through
 float parsing losslessly; JSON uses sorted keys and the shortest
 round-trip float repr. NaN becomes null in JSON and "nan" in CSV.
+
+Every reader takes a path to a UTF-8 file. A malformed row is a
+ParseError with its line number, as the csv module counts lines.
 """
 
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import io
+import itertools
 import json
 import math
+import re
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DataValidationError, DomainError, ParseError
 from .graph import DirectedNetwork
-from .ingest import FitnessData, TransactionTable, csv_reader, line_of_row, open_text
+from .ingest import FitnessData, TransactionRecord, TransactionTable
 from .models import FittedModel, ModelKind
 
 
@@ -75,6 +83,46 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+# ---------------------------------------------------------------------------
+# Text input: UTF-8 files, rows split by the csv module
+# ---------------------------------------------------------------------------
+
+_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
+
+
+@contextmanager
+def open_text(path, newline=""):
+    """``path`` opened as UTF-8 text.
+
+    Text is decoded in chunks, so a byte that is not UTF-8 can surface
+    before the rows ahead of it are read; in the block it becomes a
+    ParseError naming ``path`` and the line of the first such byte, found
+    by reading the file again.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len(_LINE_BREAK.findall(data, 0, exc.start)) + 1
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})", line=line) from None
+        raise
+
+
+def line_of_row(path, k: int) -> int | None:
+    """Line number of the k-th nonempty row after the header of the CSV file ``path``."""
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for m, _ in enumerate(row for row in reader if row):
+            if m == k:
+                return reader.line_num
+    return None
+
+
 def read_json(path):
     """The JSON value in ``path``; text that is not JSON is a ParseError with its line."""
     with open_text(path, newline=None) as fh:
@@ -96,32 +144,37 @@ def read_csv(path, header, kinds) -> list[list]:
     """The columns of a CSV file whose first row is ``header``.
 
     Field k of every other nonempty row goes through ``kinds[k]`` (``int``,
-    ``float``, ``finite_float``, ``str``, ...). A different header, a row
-    with another number of fields and a field its kind rejects with
-    ValueError are ParseErrors with the line number. A kind may raise
-    DataValidationError for a value it reads but does not accept; that
-    error gets the line number once the row's other fields have been read,
-    so a field that does not parse is reported first.
+    ``float``, ``finite_float``, ``str``, ...). A different header, a line
+    the csv module cannot split, a row with another number of fields and a
+    field its kind rejects with ValueError are ParseErrors with the line
+    number. A kind may raise DataValidationError for a value it reads but
+    does not accept; that error gets the line number once the row's other
+    fields have been read, so a field that does not parse is reported
+    first.
     """
     columns = [[] for _ in header]
-    with open_text(path) as fh, csv_reader(fh) as reader:
-        first = next(reader, None)
-        if first is None or [h.strip().lower() for h in first] != list(header):
-            raise ParseError(f"bad header in {path}, expected {','.join(header)}", line=1)
-        for row in filter(None, reader):
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}",
-                                 line=reader.line_num)
-            invalid = None
-            for column, kind, name, field in zip(columns, kinds, header, row):
-                try:
-                    column.append(kind(field))
-                except ValueError:
-                    raise ParseError(f"bad {name} {field!r}", line=reader.line_num) from None
-                except DataValidationError as exc:
-                    invalid = invalid or exc
-            if invalid is not None:
-                raise DataValidationError(str(invalid), line=reader.line_num)
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None or [h.strip().lower() for h in first] != list(header):
+                raise ParseError(f"bad header in {path}, expected {','.join(header)}", line=1)
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                                     line=reader.line_num)
+                invalid = None
+                for column, kind, name, field in zip(columns, kinds, header, row):
+                    try:
+                        column.append(kind(field))
+                    except ValueError:
+                        raise ParseError(f"bad {name} {field!r}", line=reader.line_num) from None
+                    except DataValidationError as exc:
+                        invalid = invalid or exc
+                if invalid is not None:
+                    raise DataValidationError(str(invalid), line=reader.line_num)
+        except csv.Error as exc:  # a line the csv module cannot split
+            raise ParseError(str(exc), line=reader.line_num) from None
     return columns
 
 
@@ -151,6 +204,9 @@ def read_fitness_csv(path) -> tuple[FitnessData, list[str]]:
     return FitnessData(assets=np.array(assets), liabilities=np.array(liabilities)), labels
 
 
+_TRANSACTIONS_HEADER = ["date", "lender", "borrower", "amount"]
+
+
 def write_transactions_csv(path, table: TransactionTable) -> None:
     """Write a ``TransactionTable`` as a transactions CSV.
 
@@ -159,9 +215,106 @@ def write_transactions_csv(path, table: TransactionTable) -> None:
     """
     dates = np.array([d.isoformat() for d in table.dates], dtype=object)
     labels = np.array(table.labels, dtype=object)
-    write_csv(path, ["date", "lender", "borrower", "amount", "maturity"],
+    write_csv(path, _TRANSACTIONS_HEADER + ["maturity"],
               [dates[table.day], labels[table.lender], labels[table.borrower], table.amount,
                np.array([m or "" for m in table.maturity], dtype=object)])
+
+
+def read_transactions(path) -> TransactionTable:
+    """Read a transactions CSV (header date,lender,borrower,amount[,maturity]) into columns.
+
+    Raises ParseError with the offending line number on malformed rows and
+    on bytes that are not UTF-8, and DataValidationError on semantic
+    violations (an amount that is not positive and finite, self-loops).
+    Rows are read into column lists in one pass and checked as arrays; only
+    a rejected file is read again, to find the line of its first bad row.
+    """
+    columns = date_col, lender_col, borrower_col, amount_col, maturity_col = [], [], [], [], []
+    stop = None  # the error that ended the pass early, raised unless an earlier row is bad
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("empty file, expected a header row", line=1) from None
+            header = [h.strip().lower() for h in header]
+            if header != _TRANSACTIONS_HEADER and header != _TRANSACTIONS_HEADER + ["maturity"]:
+                raise ParseError(
+                    f"bad header {header!r}, expected date,lender,borrower,amount[,maturity]",
+                    line=1)
+            width = len(header)
+            add_date, add_lender, add_borrower, add_amount, add_maturity = \
+                (c.append for c in columns)
+            for row in reader:
+                if len(row) == width:
+                    add_date(row[0])
+                    add_lender(row[1])
+                    add_borrower(row[2])
+                    add_amount(row[3])
+                    if width == 5:
+                        add_maturity(row[4])
+                elif row:
+                    stop = ParseError(f"expected {width} fields, got {len(row)}",
+                                      line=reader.line_num)
+                    break
+        except csv.Error as exc:
+            stop = ParseError(str(exc), line=reader.line_num)
+    n = len(date_col)
+
+    # every distinct field is converted once; a field that does not convert gets code -1
+    parsed = {}
+    for text in set(date_col):
+        try:
+            parsed[text] = dt.date.fromisoformat(text.strip())
+        except ValueError:
+            parsed[text] = None
+    dates = sorted({d for d in parsed.values() if d is not None})
+    date_code = {d: k for k, d in enumerate(dates)}
+    day_of = {text: -1 if d is None else date_code[d] for text, d in parsed.items()}
+    names = {text: text.strip() for text in set(lender_col).union(borrower_col)}
+    labels = sorted({name for name in names.values() if name})
+    label_code = {name: k for k, name in enumerate(labels)}
+    node_of = {text: label_code.get(name, -1) for text, name in names.items()}
+    day = np.fromiter(map(day_of.__getitem__, date_col), dtype=np.intp, count=n)
+    lender = np.fromiter(map(node_of.__getitem__, lender_col), dtype=np.intp, count=n)
+    borrower = np.fromiter(map(node_of.__getitem__, borrower_col), dtype=np.intp, count=n)
+    not_a_number = np.zeros(n, dtype=bool)
+    try:
+        amount = np.fromiter(map(float, amount_col), dtype=float, count=n)
+    except ValueError:
+        amount = np.ones(n)
+        for k, text in enumerate(amount_col):
+            try:
+                amount[k] = float(text)
+            except ValueError:
+                not_a_number[k] = True
+
+    bad = ((day < 0) | (lender < 0) | (borrower < 0) | not_a_number | (lender == borrower)
+           | ~((amount > 0) & (amount < math.inf)))  # NaN fails both comparisons
+    if bad.any():
+        k = int(np.argmax(bad))
+        line = line_of_row(path, k)
+        if day[k] < 0:
+            raise ParseError(f"bad ISO-8601 date {date_col[k]!r}", line=line)
+        if lender[k] < 0 or borrower[k] < 0:
+            raise ParseError("empty lender or borrower field", line=line)
+        if not_a_number[k]:
+            raise ParseError(f"bad amount {amount_col[k]!r}", line=line)
+        try:
+            TransactionRecord(dates[day[k]], labels[lender[k]], labels[borrower[k]],
+                              float(amount[k]))
+        except DataValidationError as exc:
+            raise DataValidationError(str(exc), line=line) from None
+    if stop is not None:
+        raise stop
+    if width == 5:
+        stripped = {text: text.strip() or None for text in set(maturity_col)}
+        maturity = list(map(stripped.__getitem__, maturity_col))
+    else:
+        maturity = [None] * n
+    return TransactionTable(dates=tuple(dates), day=day, labels=tuple(labels), lender=lender,
+                            borrower=borrower, amount=amount, maturity=maturity)
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +405,13 @@ def read_nodes(path) -> list[str]:
 
     Any other row is a ParseError with its line number.
     """
-    labels = []
-    with open_text(path) as fh, csv_reader(fh) as reader:
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["index", "label"]:
-            raise ParseError(f"bad nodes header in {path}", line=1)
-        for row in filter(None, reader):
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line=reader.line_num)
-            if row[0].strip() != str(len(labels)):
-                raise ParseError(f"node index {row[0]!r} out of order, expected {len(labels)}",
-                                 line=reader.line_num)
-            labels.append(row[1])
-    return labels
+    position = itertools.count()
+
+    def index(text):
+        if text.strip() != str(next(position)):
+            raise ValueError("node index out of order")
+
+    return read_csv(path, ["index", "label"], [index, str])[1]
 
 
 def write_network(path, net: DirectedNetwork) -> None:
@@ -281,15 +428,16 @@ def read_network(path, n: int, labels=None) -> DirectedNetwork:
     """Edge list (header source,target,weight) on nodes 0..n-1; repeated links add up.
 
     A row that is not two integer node indices and a weight, a node index
-    outside 0..n-1 and a weight that is not a positive finite number are
-    ParseErrors with the line number: none may wrap onto another node or
-    drop a link unnoticed.
+    outside 0..n-1, a weight that is not a positive finite number and a
+    link from a node to itself are ParseErrors with the line number (the
+    last three name the file too): none may wrap onto another node or drop
+    a link unnoticed.
 
     The body is parsed in bulk by numpy and checked as arrays. numpy takes
     a subset of the rows the csv module and ``int``/``float`` take, with
     the same values. When it fails, or a check fails, the file is read
-    again row by row: that pass names the line of a bad row, and takes
-    what only the csv module reads (quoted fields, ``1_0``, non-ASCII
+    again by ``read_csv``: that pass names the line of a bad row, and
+    takes what only the csv module reads (quoted fields, ``1_0``, non-ASCII
     digits, a file with no rows).
     """
     try:
@@ -304,48 +452,25 @@ def read_network(path, n: int, labels=None) -> DirectedNetwork:
         rows = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
                           ndmin=1, dtype=_EDGE_ROW)
         i, j, weight = rows["source"], rows["target"], rows["weight"]
-        if ((i < 0) | (i >= n) | (j < 0) | (j >= n)).any() \
-                or not ((weight > 0) & (weight < math.inf)).all():  # NaN fails both
-            raise ValueError("a row outside the nodes or a weight that is not positive")
+        if any(bad.any() for bad, _ in _edge_checks(i, j, weight, n)):
+            raise ValueError("a row that fails a check")
     except ValueError:  # a UnicodeDecodeError is one
-        return _read_network_rows(path, n, labels)
-    return _weight_network(i, j, weight, n, labels)
-
-
-def _weight_network(i, j, weight, n, labels):
+        src, dst, weights = read_csv(path, _EDGE_HEADER, [int, int, float])
+        i, j, weight = np.array(src), np.array(dst), np.array(weights, dtype=float)
+        for bad, message in _edge_checks(i, j, weight, n):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ParseError(f"{path}: {message} in row {src[k]},{dst[k]},{weights[k]!r}",
+                                 line=line_of_row(path, k)) from None
     # bincount adds repeated links in file order, as a running sum would
     cell = i.astype(np.intp) * n + j.astype(np.intp)
     w = np.bincount(cell, weights=weight, minlength=n * n).reshape(n, n)
     return DirectedNetwork.from_weight_matrix(w, labels=labels)
 
 
-def _read_network_rows(path, n: int, labels=None) -> DirectedNetwork:
-    """``read_network`` one row at a time, raising the error of the first bad row."""
-    src, dst, weights = [], [], []
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != _EDGE_HEADER:
-            raise ParseError(f"bad edge-list header in {path}", line=1)
-        row = None
-        try:
-            for row in filter(None, reader):
-                i, j, weight = row
-                src.append(int(i))
-                dst.append(int(j))
-                weights.append(float(weight))
-        except UnicodeDecodeError:
-            raise  # a file that is not UTF-8, not a bad row
-        except (ValueError, csv.Error):
-            raise ParseError(f"bad edge row {row!r}", line=reader.line_num) from None
-    i, j, weight = np.array(src), np.array(dst), np.array(weights, dtype=float)
-    for bad, message in (((i < 0) | (i >= n) | (j < 0) | (j >= n),
-                          f"node index outside 0..{n - 1}"),
-                         (~(np.isfinite(weight) & (weight > 0)),
-                          "weight must be positive and finite")):
-        if bad.any():
-            k = int(np.argmax(bad))
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                line = line_of_row(fh, k)
-            raise ParseError(f"{message} in row {src[k]},{dst[k]},{weights[k]!r}", line=line)
-    return _weight_network(i, j, weight, n, labels)
+def _edge_checks(i, j, weight, n):
+    """The checks of an edge list's columns, each as (mask of failing rows, message)."""
+    return (((i < 0) | (i >= n) | (j < 0) | (j >= n), f"node index outside 0..{n - 1}"),
+            (~((weight > 0) & (weight < math.inf)),  # NaN fails both
+             "weight must be positive and finite"),
+            (i == j, "self-loop"))

@@ -135,11 +135,10 @@ def scan_aggregations(table: TransactionTable, year: int, delta_t_list,
     cell = index.cell[index.order]
     amount = index.amount[index.order]
     # per day and bank, the amounts lent and borrowed: a window's strengths
-    # are the sums of its days' rows
-    lent, borrowed = np.zeros((2, n_days, n))
-    for k, day in enumerate(map(slice, index.bounds[:-1], index.bounds[1:])):
-        for totals, node in zip((lent, borrowed), np.divmod(cell[day], n)):
-            totals[k] = np.bincount(node, weights=amount[day], minlength=n)
+    # are the sums of its days' rows; bin day * n + bank adds its records in day order
+    day_bin = np.repeat(np.arange(n_days) * n, np.diff(index.bounds))
+    lent, borrowed = (np.bincount(day_bin + side(cell, n), weights=amount, minlength=n_days * n)
+                      .reshape(n_days, n) for side in (np.floor_divide, np.remainder))
     links = np.zeros(n * n, dtype=bool)
     square = links.reshape(n, n)
     both = np.empty((n, n), dtype=bool)

@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,9 @@ from reconnet.errors import (DataValidationError, DomainError, NonConvergenceErr
 from reconnet.estimation import SolverConfig, SolverReport, _normalized_fitness, fit_fdcm
 from reconnet.graph import degrees_strengths
 from reconnet.ingest import (TransactionRecord, TransactionTable, aggregate, build_windows,
-                             csv_reader, fitness_from_strengths, index_year, line_of_row,
-                             open_text, trading_days)
+                             fitness_from_strengths, index_year, trading_days)
 from reconnet.models import FittedModel, ModelKind
+from reconnet.serialize import line_of_row, open_text
 from reconnet.validation import (RhoScanResult, ScanRow, WindowRow, extract_rho_landmarks,
                                  rho)
 
@@ -268,6 +269,16 @@ def fit_fdcm_trust_region(fitness, d_target, config=None):
                        fitness=fitness, report=report)
 
 
+@contextmanager
+def csv_reader(stream):
+    """A csv reader of ``stream``; in the block, a line it cannot split is a ParseError."""
+    reader = csv.reader(stream)
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def parse_transactions_row_by_row(path):
     """Transactions CSV to records, checking one row at a time.
 
@@ -320,30 +331,30 @@ def read_network_row_by_row(path, n, labels=None):
     message and line.
     """
     src, dst, weights = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["source", "target", "weight"]:
-            raise ParseError(f"bad edge-list header in {path}", line=1)
-        row = None
-        try:
-            for row in filter(None, reader):
-                i, j, weight = row
-                src.append(int(i))
-                dst.append(int(j))
-                weights.append(float(weight))
-        except (ValueError, csv.Error):
-            raise ParseError(f"bad edge row {row!r}", line=reader.line_num) from None
+    header = ["source", "target", "weight"]
+    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh) as reader:
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first] != header:
+            raise ParseError(f"bad header in {path}, expected source,target,weight", line=1)
+        for row in filter(None, reader):
+            if len(row) != 3:
+                raise ParseError(f"expected 3 fields, got {len(row)}", line=reader.line_num)
+            for column, parse, name, field in zip((src, dst, weights), (int, int, float),
+                                                  header, row):
+                try:
+                    column.append(parse(field))
+                except ValueError:
+                    raise ParseError(f"bad {name} {field!r}", line=reader.line_num) from None
     i, j, weight = np.array(src), np.array(dst), np.array(weights, dtype=float)
     for bad, message in (((i < 0) | (i >= n) | (j < 0) | (j >= n),
                           f"node index outside 0..{n - 1}"),
                          (~(np.isfinite(weight) & (weight > 0)),
-                          "weight must be positive and finite")):
+                          "weight must be positive and finite"),
+                         (i == j, "self-loop")):
         if bad.any():
             k = int(np.argmax(bad))
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                line = line_of_row(fh, k)
-            raise ParseError(f"{message} in row {src[k]},{dst[k]},{weights[k]!r}", line=line)
+            raise ParseError(f"{path}: {message} in row {src[k]},{dst[k]},{weights[k]!r}",
+                             line=line_of_row(path, k))
     cell = i.astype(np.intp) * n + j.astype(np.intp)
     w = np.bincount(cell, weights=weight, minlength=n * n).reshape(n, n)
     return DirectedNetwork.from_weight_matrix(w, labels=labels)

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import multiprocessing
 import os
@@ -15,7 +14,7 @@ import pytest
 from reconnet import DirectedNetwork, FittedModel, ModelKind, cli, sample_network
 from reconnet.cli import main, parse_delta_ts
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
-from reconnet.ingest import FitnessData, read_transactions
+from reconnet.ingest import FitnessData
 from reconnet.serialize import (
     fmt,
     model_to_dict,
@@ -25,6 +24,7 @@ from reconnet.serialize import (
     read_model,
     read_network,
     read_nodes,
+    read_transactions,
     write_csv,
     write_fitness_csv,
     write_model,
@@ -108,6 +108,8 @@ class TestReadNetworkRejects:
         "0,1",
         "0,1,1,1",
         "0,x,1",
+        "2,2,1",          # a self-loop
+        '"2",2,1',        # a self-loop only the row-by-row pass reads
     ])
     def test_bad_row_is_parse_error_with_line(self, tmp_path, row):
         path = tmp_path / "e.csv"
@@ -115,6 +117,14 @@ class TestReadNetworkRejects:
         with pytest.raises(ParseError) as err:
             read_network(path, 3)
         assert err.value.line == 3
+
+    def test_bad_field_after_an_out_of_range_row(self, tmp_path):
+        # fields are parsed in one pass, the node range checked after it
+        path = tmp_path / "e.csv"
+        path.write_text("source,target,weight\n0,5,1\n0,1,1.7\n1,x,1\n")
+        with pytest.raises(ParseError) as err:
+            read_network(path, 3)
+        assert err.value.line == 4 and "bad target 'x'" in str(err.value)
 
     def test_spectra_exits_with_data_error(self, tmp_path, capsys):
         net_dir = tmp_path / "nets"
@@ -145,6 +155,24 @@ class TestReadNodes:
         with pytest.raises(ParseError) as err:
             read_nodes(path)
         assert err.value.line == 3
+
+    def test_index_out_of_order_before_a_short_row(self, tmp_path):
+        path = tmp_path / "nodes.csv"
+        path.write_text("index,label\n0,B0\n2,B2\n3\n")
+        with pytest.raises(ParseError) as err:
+            read_nodes(path)
+        assert err.value.line == 3 and "bad index '2'" in str(err.value)
+
+    @pytest.mark.parametrize("labels", [[], ["B0", "B1"]])
+    def test_spectra_on_fewer_than_three_nodes_is_a_data_error(self, tmp_path, capsys, labels):
+        net_dir = tmp_path / "nets"
+        net_dir.mkdir()
+        write_nodes(net_dir / "nodes.csv", labels)
+        (net_dir / "s.csv").write_text("source,target,weight\n0,1,1\n")
+        rc = main(["spectra", "--networks", str(net_dir), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{net_dir / 'nodes.csv'} lists {len(labels)} nodes" in err
 
     def test_spectra_exits_with_data_error(self, tmp_path, capsys):
         net_dir = tmp_path / "nets"
@@ -480,13 +508,6 @@ class TestNonUtf8Input:
         with pytest.raises(ParseError) as err:
             read_network(path, 3)
         assert err.value.line == 5002 and "not UTF-8" in str(err.value)
-
-    def test_transaction_bytes_and_byte_streams(self):
-        content = b"date,lender,borrower,amount\n2007-01-02,A,B,1\n\xff\n"
-        for source in (content, io.BytesIO(content)):
-            with pytest.raises(ParseError) as err:
-                read_transactions(source)
-            assert err.value.line == 3
 
     def run_bad(self, capsys, argv, path):
         assert main(argv) == 2
@@ -838,6 +859,13 @@ class TestSpectraWorkers:
         assert errors[0] == errors[1]
         assert len(errors[0].strip().splitlines()) == 1
         assert "line 4" in errors[0] and "Traceback" not in errors[0]
+
+    def test_self_loop_names_its_file_and_line(self, nets, tmp_path, capsys):
+        (nets / "s2.csv").write_text("source,target,weight\n0,1,1\n2,2,1\n")
+        assert self.spectra(nets, tmp_path / "o", 2) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert f"line 3: {nets / 's2.csv'}: self-loop" in err
 
     def test_eigensolves_run_in_worker_processes(self, nets, tmp_path, monkeypatch):
         pids = tmp_path / "pids"

@@ -527,8 +527,7 @@ class TestDegreeFitsOnSampledNetworks:
     @pytest.fixture(scope="class", params=[21, 36, 40])
     def day_adjacency(self, request, tmp_path_factory):
         from reconnet.cli import main
-        from reconnet.ingest import read_transactions
-        from reconnet.serialize import read_fitness_csv
+        from reconnet.serialize import read_fitness_csv, read_transactions
 
         out = tmp_path_factory.mktemp(f"degree{request.param}")
         assert main(["synth", "--nodes", "100", "--fitness-dist", "lognormal(0,1)",

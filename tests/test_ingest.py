@@ -1,5 +1,4 @@
 import datetime as dt
-import io
 import tempfile
 from pathlib import Path
 
@@ -32,10 +31,14 @@ from reconnet.ingest import (
     TransactionRecord,
     YearIndex,
     index_year,
-    read_transactions,
     trading_days,
 )
-from reconnet.serialize import read_fitness_csv, write_fitness_csv, write_transactions_csv
+from reconnet.serialize import (
+    read_fitness_csv,
+    read_transactions,
+    write_fitness_csv,
+    write_transactions_csv,
+)
 
 FIXTURE = """date,lender,borrower,amount
 2007-03-01,B1,B2,10.5
@@ -47,7 +50,10 @@ FIXTURE = """date,lender,borrower,amount
 
 
 def parse(text):
-    return read_transactions(io.StringIO(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "transactions.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return read_transactions(path)
 
 
 def snapshot(table, window):
@@ -94,10 +100,6 @@ class TestParsing:
     def test_empty_file(self):
         with pytest.raises(ParseError):
             parse("")
-
-    def test_bytes_stream(self):
-        table = read_transactions(FIXTURE.encode("utf-8"))
-        assert len(table.day) == 5
 
     def test_calendar_is_distinct_sorted_dates(self):
         table = parse(FIXTURE)

@@ -38,12 +38,12 @@ from reconnet.ingest import (
     FitnessData,
     TransactionRecord,
     parse_transactions,
-    read_transactions,
 )
 from reconnet.serialize import (
     read_fitness_csv,
     read_network,
     read_nodes,
+    read_transactions,
     write_csv,
     write_fitness_csv,
     write_network,
@@ -300,8 +300,6 @@ def test_read_transactions_accepts_and_rejects_like_the_row_by_row_parser(conten
         path.write_bytes(content.encode("utf-8"))
         want = _outcome(parse_transactions_row_by_row, path)
         assert _outcome(lambda p: read_transactions(p).records(), path) == want
-        with open(path, "rb") as fh:  # a binary stream goes through the same checks
-            assert _outcome(lambda _: read_transactions(fh).records(), path) == want
 
 
 @st.composite
@@ -439,6 +437,8 @@ def _network_outcome(read, path):
 
 @settings(max_examples=400, deadline=None)
 @given(edge_files())
+@example("source,target,weight\n0,1,1\n2,2,1\n0,4,1\n")  # a self-loop, then a bad node
+@example('source,target,weight\n"3",3,1\n0,1,0\n')  # a bad weight after a quoted self-loop
 def test_read_network_accepts_and_rejects_like_the_row_by_row_reader(content):
     with _tmp() as tmp:
         path = Path(tmp) / "edges.csv"

@@ -35,7 +35,6 @@ from .graph import (
 from .ingest import (
     AggregationWindow,
     FitnessData,
-    TransactionRecord,
     TransactionTable,
     aggregate,
     build_windows,

@@ -256,7 +256,7 @@ def _cmd_aggregate(cfg, out):
     year = _need(cfg, "year", _integer)
     delta_t = _need(cfg, "delta_t", _integer)
     index = index_year(table, year)
-    windows = build_windows(table, year, delta_t)
+    windows = build_windows(index, delta_t)
     net_dir = out / "networks"
     net_dir.mkdir(exist_ok=True)
     paths = []
@@ -360,8 +360,9 @@ def _cmd_spectra(cfg, out):
     if not nodes_path.exists():
         raise ConfigurationError(f"missing {nodes_path} (needed to fix the node count)")
     n = len(read_nodes(nodes_path))
-    if n < 3:
-        raise DataValidationError(f"{nodes_path} lists {n} nodes; spectra needs at least 3")
+    if not 3 <= n <= MAX_NODES:
+        raise DataValidationError(
+            f"{nodes_path} lists {n} nodes; spectra needs 3..{MAX_NODES}")
     files = sorted(p for p in net_dir.glob("*.csv") if p.name != "nodes.csv")
     if not files:
         raise ConfigurationError(f"no network files in {net_dir}")
@@ -441,14 +442,14 @@ def _cmd_validate(cfg, out):
     year = _need(cfg, "year", _integer)
     delta_t = _need(cfg, "delta_t", _integer)
     window_index = _option(cfg, "window", _integer, 0)
-    windows = build_windows(table, year, delta_t)
+    index = index_year(table, year)
+    windows = build_windows(index, delta_t)
     if not windows:
         raise DataValidationError(f"no complete windows for year {year}, delta_t {delta_t}")
     if not 0 <= window_index < len(windows):
         raise ConfigurationError(
             f"field 'window': index {window_index} out of range (have {len(windows)})")
-    window = windows[window_index]
-    net = aggregate(index_year(table, year, window.days), window)
+    net = aggregate(index, windows[window_index])
     if net.n != model.n:
         raise DataValidationError(f"model has {model.n} nodes, window has {net.n}")
 

@@ -11,7 +11,6 @@ the year), which keeps density comparable across window lengths.
 
 from __future__ import annotations
 
-import bisect
 import datetime as dt
 import itertools
 import math
@@ -22,41 +21,24 @@ import numpy as np
 
 from .ensemble import derive_subseed, sample_adjacencies
 from .errors import ConfigurationError, DataValidationError
-from .graph import DirectedNetwork
+from .graph import MAX_NODES, DirectedNetwork
 from .models import FittedModel
-
-
-@dataclass
-class TransactionRecord:
-    """One loan: lender -> borrower of a positive amount on a given date."""
-
-    date: dt.date
-    lender: str
-    borrower: str
-    amount: float
-    maturity: str | None = None
-
-    def __post_init__(self):
-        if not 0 < self.amount < math.inf:  # NaN fails both comparisons
-            raise DataValidationError(f"amount must be positive and finite, got {self.amount}")
-        if self.lender == self.borrower:
-            raise DataValidationError(f"self-loop transaction for {self.lender!r}")
 
 
 @dataclass(frozen=True)
 class AggregationWindow:
-    """delta_t consecutive trading days within one year."""
+    """delta_t consecutive trading days: positions ``first:stop`` of a ``YearIndex``'s days."""
 
-    year: int
     delta_t: int
     window_index: int
-    days: tuple[dt.date, ...]
 
-    def __post_init__(self):
-        if len(self.days) != self.delta_t:
-            raise ConfigurationError(
-                f"window holds {len(self.days)} days, expected delta_t={self.delta_t}"
-            )
+    @property
+    def first(self) -> int:
+        return self.window_index * self.delta_t
+
+    @property
+    def stop(self) -> int:
+        return self.first + self.delta_t
 
 
 @dataclass
@@ -71,6 +53,8 @@ class FitnessData:
         l = np.asarray(self.liabilities, dtype=float)
         if a.ndim != 1 or a.shape != l.shape:
             raise DataValidationError("assets and liabilities must be 1-d and equal length")
+        if len(a) > MAX_NODES:
+            raise DataValidationError(f"fitness has {len(a)} nodes, more than {MAX_NODES}")
         if (a < 0).any() or (l < 0).any():
             raise DataValidationError("fitness values must be nonnegative")
         if not (a > 0).any() or not (l > 0).any():
@@ -83,15 +67,11 @@ class FitnessData:
         return len(self.assets)
 
 
-def parse_transactions(path) -> list[TransactionRecord]:
-    """Parse a transactions CSV (header date,lender,borrower,amount[,maturity]).
-
-    The records of ``serialize.read_transactions(path)``, in file order;
-    see there for the errors raised.
-    """
+def parse_transactions(path) -> TransactionTable:
+    """``serialize.read_transactions(path)``; see there for the errors raised."""
     from .serialize import read_transactions  # serialize imports this module
 
-    return read_transactions(path).records()
+    return read_transactions(path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,23 +92,16 @@ class TransactionTable:
     amount: np.ndarray
     maturity: list
 
-    def records(self) -> list[TransactionRecord]:
-        labels = self.labels
-        return [TransactionRecord(date, labels[i], labels[j], amount, maturity)
-                for date, i, j, amount, maturity in zip(
-                    map(self.dates.__getitem__, self.day.tolist()), self.lender.tolist(),
-                    self.borrower.tolist(), self.amount.tolist(), self.maturity)]
-
 
 @dataclass(frozen=True)
 class YearIndex:
-    """The records of one year as arrays, indexed once and cut into windows.
+    """The rows of one year as arrays, indexed once and cut into windows.
 
-    ``labels`` are the banks active anywhere in the year and ``days`` the
-    trading days the index covers. Record k (file order, other years and
-    days left out) puts ``amount[k]`` on the cell ``lender * n + borrower``
-    of the flattened N x N matrix. ``order`` lists the records stably by
-    day, and the records of day t are ``order[bounds[t]:bounds[t + 1]]``.
+    ``labels`` are the banks active anywhere in the year and ``days`` its
+    trading days. Row k (file order, other years left out) puts
+    ``amount[k]`` on the cell ``lender * n + borrower`` of the flattened
+    N x N matrix. ``order`` lists the rows stably by day, and the rows of
+    day t are ``order[bounds[t]:bounds[t + 1]]``.
     """
 
     year: int
@@ -139,58 +112,39 @@ class YearIndex:
     order: np.ndarray
     bounds: np.ndarray
 
-    def day_range(self, window: AggregationWindow) -> tuple[int, int]:
-        """The window's days as positions ``first:stop`` in ``days``."""
-        first = bisect.bisect_left(self.days, window.days[0]) if window.days else 0
-        stop = first + len(window.days)
-        if window.year != self.year or self.days[first:stop] != window.days:
-            raise ConfigurationError(
-                f"window {window.window_index} (delta_t={window.delta_t}) is not a run of "
-                f"consecutive trading days of the {self.year} index")
-        return first, stop
 
-
-def index_year(table: TransactionTable, year: int, days=None) -> YearIndex:
+def index_year(table: TransactionTable, year: int) -> YearIndex:
     """Index the rows of ``table`` in ``year`` for cutting windows from them.
 
-    The node set is every bank active anywhere in the year. The index
-    covers the year's trading calendar, or only ``days`` (sorted, distinct
-    days of the year) when given: a caller that needs one window then
-    indexes only its rows.
+    The node set is every bank active anywhere in the year; more than
+    MAX_NODES banks is a DataValidationError.
     """
-    if days is None:
-        days = [d for d in table.dates if d.year == year]
-    elif any(d.year != year for d in days) or any(b <= a for a, b in zip(days, days[1:])):
-        raise ConfigurationError(f"index days must be sorted, distinct days of {year}")
-    position = {d: k for k, d in enumerate(days)}
-    # per distinct date: in the year or not, and its place among the indexed days (-1: none)
     in_year = np.array([d.year == year for d in table.dates], dtype=bool)
-    slot = np.array([position.get(d, -1) for d in table.dates], dtype=np.intp)
-    year_rows = in_year[table.day]
+    slot = np.cumsum(in_year) - 1  # per distinct date of the year: its place among the days
+    days = tuple(itertools.compress(table.dates, in_year))
+    rows = np.flatnonzero(in_year[table.day])  # file order
     active = np.zeros(len(table.labels), dtype=bool)
-    active[table.lender[year_rows]] = True
-    active[table.borrower[year_rows]] = True
+    active[table.lender[rows]] = True
+    active[table.borrower[rows]] = True
     labels = tuple(itertools.compress(table.labels, active))
-    node = np.cumsum(active) - 1  # table labels are sorted, so the year's keep their order
     n = len(labels)
-    rows = np.flatnonzero(slot[table.day] >= 0)  # file order
+    if n > MAX_NODES:
+        raise DataValidationError(f"year {year} has {n} banks, more than {MAX_NODES}")
+    node = np.cumsum(active) - 1  # table labels are sorted, so the year's keep their order
     day = slot[table.day[rows]]
     order = np.argsort(day, kind="stable")
     return YearIndex(
-        year=year, labels=labels, days=tuple(days),
+        year=year, labels=labels, days=days,
         cell=node[table.lender[rows]] * n + node[table.borrower[rows]],
         amount=table.amount[rows],
         order=order, bounds=np.searchsorted(day[order], np.arange(len(days) + 1)))
 
 
-def build_windows(table: TransactionTable, year: int, delta_t: int) -> list[AggregationWindow]:
-    """All complete delta_t-day windows of one year, in chronological order."""
+def build_windows(index: YearIndex, delta_t: int) -> list[AggregationWindow]:
+    """All complete delta_t-day windows of the index's year, in chronological order."""
     if delta_t < 1:
         raise ConfigurationError(f"delta_t must be >= 1, got {delta_t}")
-    days = [d for d in table.dates if d.year == year]
-    return [AggregationWindow(year=year, delta_t=delta_t, window_index=k,
-                              days=tuple(days[k * delta_t:(k + 1) * delta_t]))
-            for k in range(len(days) // delta_t)]
+    return [AggregationWindow(delta_t, k) for k in range(len(index.days) // delta_t)]
 
 
 def aggregate(index: YearIndex, window: AggregationWindow) -> DirectedNetwork:
@@ -198,14 +152,16 @@ def aggregate(index: YearIndex, window: AggregationWindow) -> DirectedNetwork:
 
     a_ij = 1 iff at least one loan i -> j falls inside the window; weights
     are the amounts summed in file order. The node set covers the whole
-    year, so windows of one year share a common N. ``index`` is the
-    window's year, indexed once for many windows or only over the window's
-    days for one.
+    year, so windows of one year share a common N. A window that ends
+    after the index's last day is a ConfigurationError.
     """
-    first, stop = index.day_range(window)
+    if window.stop > len(index.days):
+        raise ConfigurationError(
+            f"window {window.window_index} (delta_t={window.delta_t}) ends after day "
+            f"{len(index.days)} of the {index.year} index")
     # back into file order: each cell then adds its amounts in the order a
     # running sum over the file would, so the weights match it bit for bit
-    rows = np.sort(index.order[index.bounds[first]:index.bounds[stop]])
+    rows = np.sort(index.order[index.bounds[window.first]:index.bounds[window.stop]])
     n = len(index.labels)
     w = np.bincount(index.cell[rows], weights=index.amount[rows], minlength=n * n)
     return DirectedNetwork.from_weight_matrix(w.reshape(n, n), labels=index.labels)
@@ -316,12 +272,10 @@ def synth_transactions(model: FittedModel, year: int, n_days: int, seed: int,
     cell = np.concatenate(cells)
     amount = np.concatenate(amounts) if amounts else np.ones(len(cell))
     lender, borrower = np.divmod(cell, n)
-    bad = (lender == borrower) | ~((amount > 0) & (amount < math.inf))  # NaN fails both
+    bad = ~((amount > 0) & (amount < math.inf))  # NaN fails both
     if bad.any():
-        k = int(np.argmax(bad))
-        # the record of the first bad row raises its own error
-        TransactionRecord(days[row_day[k]], f"B{lender[k]:04d}", f"B{borrower[k]:04d}",
-                          float(amount[k]))
+        raise DataValidationError(
+            f"amount must be positive and finite, got {float(amount[np.argmax(bad)])}")
     # the table holds the days and banks that carry a link, each sorted
     has_links = counts > 0
     names = sorted((f"B{k:04d}", k) for k in np.union1d(lender, borrower).tolist())

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
+from .graph import MAX_NODES
 
 if TYPE_CHECKING:
     from .estimation import SolverReport
@@ -54,9 +55,9 @@ _PARAM_KEYS = {
 class FittedModel:
     """A model kind plus its estimated parameters.
 
-    ``params`` holds scalars for the fitness models (z; u, v), vectors for
-    the degree models (x, y[, z]); all strictly positive. ``fitness`` is
-    required for the fitness-driven kinds.
+    ``params`` holds scalars for the fitness models (z; u, v), vectors of
+    at most MAX_NODES entries for the degree models (x, y[, z]); all
+    strictly positive. ``fitness`` is required for the fitness-driven kinds.
     """
 
     kind: ModelKind
@@ -84,6 +85,8 @@ class FittedModel:
             y = np.asarray(self.params["y"], dtype=float)
             if x.shape != y.shape or x.ndim != 1:
                 raise DomainError("x and y must be 1-d vectors of equal length")
+            if len(x) > MAX_NODES:
+                raise DomainError(f"x and y have {len(x)} entries, more than {MAX_NODES}")
             self.params["x"], self.params["y"] = x, y
             if self.kind is ModelKind.GRM:
                 self.params["z"] = _scalar("z", self.params["z"])

@@ -2,7 +2,8 @@
 
 Numbers go to CSV at 17 significant digits so they round-trip through
 float parsing losslessly; JSON uses sorted keys and the shortest
-round-trip float repr. NaN becomes null in JSON and "nan" in CSV.
+round-trip float repr. NaN and +-inf become null in JSON; in CSV they
+are "nan" and "inf"/"-inf".
 
 Every reader takes a path to a UTF-8 file. A malformed row is a
 ParseError with its line number, as the csv module counts lines.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DataValidationError, DomainError, ParseError
 from .graph import DirectedNetwork
-from .ingest import FitnessData, TransactionRecord, TransactionTable
+from .ingest import FitnessData, TransactionTable
 from .models import FittedModel, ModelKind
 
 
@@ -71,7 +72,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        return None if math.isnan(x) else x
+        return x if math.isfinite(x) else None
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
@@ -150,7 +151,7 @@ def read_csv(path, header, kinds) -> list[list]:
     number. A kind may raise DataValidationError for a value it reads but
     does not accept; that error gets the line number once the row's other
     fields have been read, so a field that does not parse is reported
-    first.
+    first. Every error names ``path``.
     """
     columns = [[] for _ in header]
     with open_text(path) as fh:
@@ -161,20 +162,21 @@ def read_csv(path, header, kinds) -> list[list]:
                 raise ParseError(f"bad header in {path}, expected {','.join(header)}", line=1)
             for row in filter(None, reader):
                 if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                    raise ParseError(f"{path}: expected {len(header)} fields, got {len(row)}",
                                      line=reader.line_num)
                 invalid = None
                 for column, kind, name, field in zip(columns, kinds, header, row):
                     try:
                         column.append(kind(field))
                     except ValueError:
-                        raise ParseError(f"bad {name} {field!r}", line=reader.line_num) from None
+                        raise ParseError(f"{path}: bad {name} {field!r}",
+                                         line=reader.line_num) from None
                     except DataValidationError as exc:
                         invalid = invalid or exc
                 if invalid is not None:
-                    raise DataValidationError(str(invalid), line=reader.line_num)
+                    raise DataValidationError(f"{path}: {invalid}", line=reader.line_num)
         except csv.Error as exc:  # a line the csv module cannot split
-            raise ParseError(str(exc), line=reader.line_num) from None
+            raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
     return columns
 
 
@@ -301,11 +303,10 @@ def read_transactions(path) -> TransactionTable:
             raise ParseError("empty lender or borrower field", line=line)
         if not_a_number[k]:
             raise ParseError(f"bad amount {amount_col[k]!r}", line=line)
-        try:
-            TransactionRecord(dates[day[k]], labels[lender[k]], labels[borrower[k]],
-                              float(amount[k]))
-        except DataValidationError as exc:
-            raise DataValidationError(str(exc), line=line) from None
+        if not 0 < amount[k] < math.inf:  # NaN fails both comparisons
+            raise DataValidationError(
+                f"amount must be positive and finite, got {float(amount[k])}", line=line)
+        raise DataValidationError(f"self-loop transaction for {labels[lender[k]]!r}", line=line)
     if stop is not None:
         raise stop
     if width == 5:

@@ -148,8 +148,8 @@ def scan_aggregations(table: TransactionTable, year: int, delta_t_list,
     for delta_t in delta_t_list:
         skipped = 0
         per_window: list[WindowRow] = []
-        for window in build_windows(table, year, delta_t):
-            first, stop = index.day_range(window)
+        for window in build_windows(index, delta_t):
+            first, stop = window.first, window.stop
             links.fill(False)
             links[cell[index.bounds[first]:index.bounds[stop]]] = True
             link_count = int(np.count_nonzero(links))

@@ -15,8 +15,8 @@ from reconnet.errors import (DataValidationError, DomainError, NonConvergenceErr
                              ParseError)
 from reconnet.estimation import SolverConfig, SolverReport, _normalized_fitness, fit_fdcm
 from reconnet.graph import degrees_strengths
-from reconnet.ingest import (TransactionRecord, TransactionTable, aggregate, build_windows,
-                             fitness_from_strengths, index_year, trading_days)
+from reconnet.ingest import (TransactionTable, aggregate, build_windows, fitness_from_strengths,
+                             index_year, trading_days)
 from reconnet.models import FittedModel, ModelKind
 from reconnet.serialize import line_of_row, open_text
 from reconnet.validation import (RhoScanResult, ScanRow, WindowRow, extract_rho_landmarks,
@@ -126,6 +126,32 @@ def pairwise_auc(scores, labels):
     return float(wins) / (len(pos) * len(neg))
 
 
+@dataclass
+class TransactionRecord:
+    """One loan: lender -> borrower of a positive amount on a given date."""
+
+    date: dt.date
+    lender: str
+    borrower: str
+    amount: float
+    maturity: str | None = None
+
+    def __post_init__(self):
+        if not 0 < self.amount < math.inf:  # NaN fails both comparisons
+            raise DataValidationError(f"amount must be positive and finite, got {self.amount}")
+        if self.lender == self.borrower:
+            raise DataValidationError(f"self-loop transaction for {self.lender!r}")
+
+
+def records_of(table):
+    """The rows of a ``TransactionTable`` as records, in the same order."""
+    labels = table.labels
+    return [TransactionRecord(table.dates[d], labels[i], labels[j], amount, maturity)
+            for d, i, j, amount, maturity in zip(
+                table.day.tolist(), table.lender.tolist(), table.borrower.tolist(),
+                table.amount.tolist(), table.maturity)]
+
+
 def table_of(records):
     """The ``TransactionTable`` of a sequence of records, rows in the same order."""
     records = list(records)
@@ -145,21 +171,21 @@ def table_of(records):
                             maturity=[r.maturity for r in records])
 
 
-def aggregate_record_loop(records, window):
-    """Window snapshot by a running sum over the records in file order.
+def aggregate_record_loop(records, year, days):
+    """Snapshot of the loans on ``days`` by a running sum over the records in file order.
 
-    The node set is every bank active in the window's year. This is the
+    The node set is every bank active in ``year``. This is the
     record-by-record aggregation the indexed one must match bit for bit.
     """
     names = set()
     for r in records:
-        if r.date.year == window.year:
+        if r.date.year == year:
             names.add(r.lender)
             names.add(r.borrower)
     labels = sorted(names)
     index = {name: k for k, name in enumerate(labels)}
     w = np.zeros((len(labels), len(labels)))
-    day_set = set(window.days)
+    day_set = set(days)
     for r in records:
         if r.date in day_set:
             w[index[r.lender], index[r.borrower]] += r.amount
@@ -190,7 +216,7 @@ def scan_window_by_window(table, year, delta_t_list, fitness=None, solver_config
     rows, window_rows = [], []
     for delta_t in delta_t_list:
         skipped, per_window = 0, []
-        for window in build_windows(table, year, delta_t):
+        for window in build_windows(index, delta_t):
             net = aggregate(index, window)
             metrics = degrees_strengths(net)
             if metrics.link_count == 0:
@@ -270,13 +296,15 @@ def fit_fdcm_trust_region(fitness, d_target, config=None):
 
 
 @contextmanager
-def csv_reader(stream):
-    """A csv reader of ``stream``; in the block, a line it cannot split is a ParseError."""
+def csv_reader(stream, path=None):
+    """A csv reader of ``stream``; in the block, a line it cannot split is a ParseError
+    (naming ``path`` when given)."""
     reader = csv.reader(stream)
     try:
         yield reader
     except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
+        raise ParseError(str(exc) if path is None else f"{path}: {exc}",
+                         line=reader.line_num) from None
 
 
 def parse_transactions_row_by_row(path):
@@ -332,19 +360,21 @@ def read_network_row_by_row(path, n, labels=None):
     """
     src, dst, weights = [], [], []
     header = ["source", "target", "weight"]
-    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh) as reader:
+    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh, path) as reader:
         first = next(reader, None)
         if first is None or [h.strip().lower() for h in first] != header:
             raise ParseError(f"bad header in {path}, expected source,target,weight", line=1)
         for row in filter(None, reader):
             if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line=reader.line_num)
+                raise ParseError(f"{path}: expected 3 fields, got {len(row)}",
+                                 line=reader.line_num)
             for column, parse, name, field in zip((src, dst, weights), (int, int, float),
                                                   header, row):
                 try:
                     column.append(parse(field))
                 except ValueError:
-                    raise ParseError(f"bad {name} {field!r}", line=reader.line_num) from None
+                    raise ParseError(f"{path}: bad {name} {field!r}",
+                                     line=reader.line_num) from None
     i, j, weight = np.array(src), np.array(dst), np.array(weights, dtype=float)
     for bad, message in (((i < 0) | (i >= n) | (j < 0) | (j >= n),
                           f"node index outside 0..{n - 1}"),

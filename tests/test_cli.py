@@ -14,6 +14,7 @@ import pytest
 from reconnet import DirectedNetwork, FittedModel, ModelKind, cli, sample_network
 from reconnet.cli import main, parse_delta_ts
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
+from reconnet.graph import MAX_NODES
 from reconnet.ingest import FitnessData
 from reconnet.serialize import (
     fmt,
@@ -135,6 +136,27 @@ class TestReadNetworkRejects:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_spectra_names_the_file_of_a_bad_field(self, tmp_path, capsys):
+        net_dir = tmp_path / "nets"
+        net_dir.mkdir()
+        write_nodes(net_dir / "nodes.csv", ["B0", "B1", "B2"])
+        (net_dir / "a.csv").write_text("source,target,weight\n0,1,1\n1,2,1\n")
+        (net_dir / "b.csv").write_text("source,target,weight\n0,1,1\n1,x,1\n")
+        rc = main(["spectra", "--networks", str(net_dir), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"line 3: {net_dir / 'b.csv'}: bad target 'x'" in capsys.readouterr().err
+
+    def test_spectra_on_more_than_max_nodes_is_a_data_error(self, tmp_path, capsys):
+        net_dir = tmp_path / "nets"
+        net_dir.mkdir()
+        write_nodes(net_dir / "nodes.csv", [f"B{k}" for k in range(MAX_NODES + 1)])
+        # refused before any edge list is read (this one would fail its read)
+        (net_dir / "s.csv").write_text("source,target,weight\n0,1,x\n")
+        rc = main(["spectra", "--networks", str(net_dir), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"lists {MAX_NODES + 1} nodes; spectra needs 3..{MAX_NODES}" in \
+            capsys.readouterr().err
+
 
 class TestReadNodes:
     def test_round_trip(self, tmp_path):
@@ -214,6 +236,36 @@ def pipeline(tmp_path_factory):
                "--out", str(root / "val")])
     assert rc == 0
     return root
+
+
+class TestNotFiniteJsonValues:
+    """A value that is infinite by design is written to JSON as null, like NaN."""
+
+    def test_spectra_of_acyclic_networks(self, tmp_path):
+        # every eigenvalue of an acyclic network is 0, so the bulk's axis ratio is inf
+        net_dir = tmp_path / "nets"
+        net_dir.mkdir()
+        write_nodes(net_dir / "nodes.csv", ["B0", "B1", "B2", "B3"])
+        for k in range(6):
+            (net_dir / f"s{k}.csv").write_text("source,target,weight\n0,1,1\n1,2,1\n2,3,1\n")
+        out = tmp_path / "out"
+        assert main(["spectra", "--networks", str(net_dir), "--out", str(out)]) == 0
+        assert read_json(out / "bulk.json")["axis_ratio"] is None
+        assert read_json(out / "manifest.json")["result"]["axis_ratio"] is None
+
+    def test_validate_where_a_bank_without_assets_lends(self, tmp_path):
+        # B0 lends with zero assets: the model gives that link probability 0
+        model = FittedModel(ModelKind.FDCM, {"z": 1.0},
+                            fitness=FitnessData(np.array([0.0, 1.0, 1.0]), np.ones(3)))
+        write_model(tmp_path / "fitted.json", model)
+        (tmp_path / "transactions.csv").write_text(
+            "date,lender,borrower,amount\n2005-01-03,B0,B1,1\n2005-01-03,B1,B2,1\n")
+        out = tmp_path / "out"
+        assert main(["validate", "--model-file", str(tmp_path / "fitted.json"),
+                     "--transactions", str(tmp_path / "transactions.csv"),
+                     "--year", "2005", "--delta-t", "1", "--out", str(out)]) == 0
+        assert read_json(out / "validation.json")["cross_entropy"] is None
+        assert read_json(out / "manifest.json")["result"]["cross_entropy"] is None
 
 
 class TestPipeline:

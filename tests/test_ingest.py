@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    TransactionRecord,
     aggregate_record_loop,
+    records_of,
     synth_transactions_per_record,
     table_of,
     write_transactions_per_row,
@@ -27,8 +29,9 @@ from reconnet import (
     synth_transactions,
 )
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
+from reconnet.graph import MAX_NODES
 from reconnet.ingest import (
-    TransactionRecord,
+    TransactionTable,
     YearIndex,
     index_year,
     trading_days,
@@ -56,9 +59,20 @@ def parse(text):
         return read_transactions(path)
 
 
-def snapshot(table, window):
-    """The window's network, cut from an index of its days only."""
-    return aggregate(index_year(table, window.year, window.days), window)
+def snapshots(table, delta_t):
+    """The networks of the table's delta_t-day windows in 2007."""
+    index = index_year(table, 2007)
+    return [aggregate(index, window) for window in build_windows(index, delta_t)]
+
+
+def whole_year(table):
+    """The network of one window over every trading day of 2007."""
+    index = index_year(table, 2007)
+    return aggregate(index, AggregationWindow(len(index.days), 0))
+
+
+def window_days(index, window):
+    return index.days[window.first:window.stop]
 
 
 class TestParsing:
@@ -108,42 +122,41 @@ class TestParsing:
 
 class TestWindows:
     def test_trailing_partial_dropped(self):
-        recs = parse(FIXTURE)  # 3 trading days
-        windows = build_windows(recs, 2007, 2)
-        assert len(windows) == 1
-        assert windows[0].days == (dt.date(2007, 3, 1), dt.date(2007, 3, 2))
+        index = index_year(parse(FIXTURE), 2007)  # 3 trading days
+        windows = build_windows(index, 2)
+        assert windows == [AggregationWindow(2, 0)]
+        assert window_days(index, windows[0]) == (dt.date(2007, 3, 1), dt.date(2007, 3, 2))
 
     def test_windows_disjoint_consecutive(self):
         recs = parse(FIXTURE)
-        windows = build_windows(recs, 2007, 1)
+        index = index_year(recs, 2007)
+        windows = build_windows(index, 1)
         assert [w.window_index for w in windows] == [0, 1, 2]
-        all_days = tuple(d for w in windows for d in w.days)
+        assert [(w.first, w.stop) for w in windows] == [(0, 1), (1, 2), (2, 3)]
+        all_days = tuple(d for w in windows for d in window_days(index, w))
         assert all_days == recs.dates
 
     def test_bad_delta_t(self):
         with pytest.raises(ConfigurationError):
-            build_windows(parse(FIXTURE), 2007, 0)
+            build_windows(index_year(parse(FIXTURE), 2007), 0)
 
 
 class TestAggregate:
     def test_collapse_rule(self):
         recs = parse("date,lender,borrower,amount\n"
                      "2007-03-01,B1,B2,5\n2007-03-01,B1,B2,7\n")
-        net = snapshot(recs, build_windows(recs, 2007, 1)[0])
+        net = snapshots(recs, 1)[0]
         i, j = net.labels.index("B1"), net.labels.index("B2")
         assert net.adjacency[i, j] == 1
         assert net.weights[i, j] == 12.0
 
     def test_out_of_window_excluded(self):
-        recs = parse(FIXTURE)
-        first_day = build_windows(recs, 2007, 1)[0]
-        net = snapshot(recs, first_day)
+        net = snapshots(parse(FIXTURE), 1)[0]
         b3, b1 = net.labels.index("B3"), net.labels.index("B1")
         assert net.adjacency[b3, b1] == 0  # B3->B1 happens on day 2
 
     def test_yearly_window_hand_enumerated(self):
-        recs = parse(FIXTURE)
-        net = snapshot(recs, build_windows(recs, 2007, 3)[0])
+        net = snapshots(parse(FIXTURE), 3)[0]
         assert net.labels == ("B1", "B2", "B3")
         want_w = np.array([
             [0.0, 13.0, 0.0],   # B1->B2: 10.5 + 2.5
@@ -154,26 +167,23 @@ class TestAggregate:
         np.testing.assert_array_equal(net.adjacency, (want_w > 0).astype(int))
 
     def test_node_set_constant_across_windows(self):
-        recs = parse(FIXTURE)
-        for w in build_windows(recs, 2007, 1):
-            assert snapshot(recs, w).labels == ("B1", "B2", "B3")
+        for net in snapshots(parse(FIXTURE), 1):
+            assert net.labels == ("B1", "B2", "B3")
 
     def test_union_property(self):
         recs = parse(FIXTURE)
-        yearly = snapshot(recs, build_windows(recs, 2007, 3)[0]).adjacency
+        yearly = snapshots(recs, 3)[0].adjacency
         union = np.zeros_like(yearly)
-        for w in build_windows(recs, 2007, 1):
-            union |= snapshot(recs, w).adjacency
+        for net in snapshots(recs, 1):
+            union |= net.adjacency
         np.testing.assert_array_equal(union, yearly)
 
     def test_weight_split_merge(self):
         # both batches touch all three banks, so the label spaces align
-        recs = parse(FIXTURE)
-        window = build_windows(recs, 2007, 3)[0]
-        whole = snapshot(recs, window)
-        records = recs.records()
-        part1 = snapshot(table_of(records[:3]), window)
-        part2 = snapshot(table_of(records[3:]), window)
+        records = records_of(parse(FIXTURE))
+        whole = whole_year(table_of(records))
+        part1 = whole_year(table_of(records[:3]))
+        part2 = whole_year(table_of(records[3:]))
         assert part1.labels == part2.labels == whole.labels
         np.testing.assert_array_equal(part1.weights + part2.weights, whole.weights)
 
@@ -211,41 +221,31 @@ class TestIndexedAggregation:
     @settings(max_examples=150, deadline=None)
     @given(streams(), st.sampled_from([2006, 2007]), st.integers(1, 9), st.data())
     def test_every_window_matches_the_record_loop(self, records, year, delta_t, data):
-        table = table_of(records)
-        index = index_year(table, year)
-        windows = build_windows(table, year, delta_t)
-        # a single window over the whole year as well
-        days = index.days
-        if days:
-            windows.append(AggregationWindow(year, len(days), 0, days))
+        # all the records, and a head of them with its own calendar
         cut = data.draw(st.integers(0, len(records)))
-        head = table_of(records[:cut])
-        for window in windows:
-            want = aggregate_record_loop(records, window)
-            assert_same_network(aggregate(index, window), want)
-            assert_same_network(aggregate(index_year(table, year, window.days), window), want)
-            # a subset of the records on a window built from all of them
-            assert_same_network(aggregate(index_year(head, year, window.days), window),
-                                aggregate_record_loop(records[:cut], window))
+        for part in (records, records[:cut]):
+            index = index_year(table_of(part), year)
+            windows = build_windows(index, delta_t)
+            # a single window over the whole year as well
+            if index.days:
+                windows.append(AggregationWindow(len(index.days), 0))
+            for window in windows:
+                want = aggregate_record_loop(part, year, window_days(index, window))
+                assert_same_network(aggregate(index, window), want)
 
     @settings(max_examples=100, deadline=None)
-    @given(streams(), st.sampled_from([2006, 2007]), st.data())
-    def test_index_from_a_table_equals_the_index_from_records(self, records, year, data):
+    @given(streams(), st.sampled_from([2006, 2007]))
+    def test_index_from_a_table_equals_the_index_from_records(self, records, year):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "transactions.csv"
             write_transactions_csv(path, table_of(records))
             table = read_transactions(path)
-        calendar = [d for d in table.dates if d.year == year]
-        first = data.draw(st.integers(0, len(calendar)))
-        days = calendar[first:first + data.draw(st.integers(0, 3))]
-        for kwargs in ({}, {"days": days}):
-            want = index_year(table_of(records), year, **kwargs)
-            got = index_year(table, year, **kwargs)
-            assert (got.year, got.labels, got.days) == (want.year, want.labels, want.days)
-            for name in ("cell", "amount", "order", "bounds"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert build_windows(table, year, 2) == build_windows(table_of(records), year, 2)
+        want = index_year(table_of(records), year)
+        got = index_year(table, year)
+        assert (got.year, got.labels, got.days) == (want.year, want.labels, want.days)
+        for name in ("cell", "amount", "order", "bounds"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_shuffled_stream_sums_in_file_order(self):
         # in floating point, (1 + 1) + 1e16 is 1e16 + 2 but (1e16 + 1) + 1 is 1e16
@@ -253,11 +253,10 @@ class TestIndexedAggregation:
                 TransactionRecord(dt.date(2007, 1, 3), "A", "B", 1.0),
                 TransactionRecord(dt.date(2007, 1, 2), "A", "B", 1e16),
                 TransactionRecord(dt.date(2007, 1, 2), "B", "A", 2.0)]
-        table = table_of(recs)
-        window = build_windows(table, 2007, 2)[0]
-        net = aggregate(index_year(table, 2007), window)
+        index = index_year(table_of(recs), 2007)
+        net = aggregate(index, build_windows(index, 2)[0])
         assert net.weights[0, 1] == 1e16 + 2.0 != (1e16 + 1.0) + 1.0
-        assert_same_network(net, aggregate_record_loop(recs, window))
+        assert_same_network(net, aggregate_record_loop(recs, 2007, index.days))
 
     def test_index_arrays(self):
         recs = parse(FIXTURE)
@@ -268,60 +267,66 @@ class TestIndexedAggregation:
         np.testing.assert_array_equal(index.amount, [10.5, 4.0, 2.5, 7.0, 1.0])
         np.testing.assert_array_equal(index.bounds, [0, 2, 4, 5])
 
-    def test_window_index_covers_only_its_days(self):
-        recs = parse(FIXTURE)
-        window = build_windows(recs, 2007, 1)[1]
-        index = index_year(recs, 2007, window.days)
-        assert index.labels == ("B1", "B2", "B3")  # still the year's banks
-        assert index.days == window.days
-        np.testing.assert_array_equal(index.amount, [2.5, 7.0])
-
     def test_other_years_left_out(self):
         recs = parse(FIXTURE + "2008-01-02,B4,B1,3.0\n")
         index = index_year(recs, 2007)
         assert "B4" not in index.labels and len(index.amount) == 5
         assert index.days == recs.dates[:3]
-        assert [w.days for w in build_windows(recs, 2007, 1)] == [(d,) for d in index.days]
+        assert len(build_windows(index, 1)) == 3
 
-    def test_window_outside_the_index_rejected(self):
-        recs = parse(FIXTURE)
-        windows = build_windows(recs, 2007, 1)
-        index = index_year(recs, 2007, windows[0].days)
-        with pytest.raises(ConfigurationError):
-            aggregate(index, windows[1])
-
-    def test_unsorted_days_rejected(self):
-        recs = parse(FIXTURE)
-        with pytest.raises(ConfigurationError):
-            index_year(recs, 2007, [dt.date(2007, 3, 2), dt.date(2007, 3, 1)])
+    def test_window_past_the_last_day_rejected(self):
+        index = index_year(parse(FIXTURE), 2007)  # 3 trading days
+        aggregate(index, AggregationWindow(1, 2))
+        for window in (AggregationWindow(1, 3), AggregationWindow(2, 1), AggregationWindow(4, 0)):
+            with pytest.raises(ConfigurationError, match="ends after day 3"):
+                aggregate(index, window)
 
     def test_empty_stream_gives_an_empty_index(self):
-        empty = table_of([])
-        index = index_year(empty, 2007)
+        index = index_year(table_of([]), 2007)
         assert isinstance(index, YearIndex) and index.labels == index.days == ()
-        assert build_windows(empty, 2007, 1) == []
+        assert build_windows(index, 1) == []
+
+    def test_more_banks_than_max_nodes_is_a_data_error(self):
+        # every bank lends in 2006; two of them lend in 2007
+        n = MAX_NODES + 1
+        banks = np.arange(n)
+        table = TransactionTable(
+            dates=(dt.date(2006, 12, 29), dt.date(2007, 1, 2)),
+            day=np.repeat([0, 1], [n, 2]), labels=tuple(f"B{k:05d}" for k in banks),
+            lender=np.concatenate([banks, [0, 1]]),
+            borrower=np.concatenate([(banks + 1) % n, [1, 0]]),
+            amount=np.ones(n + 2), maturity=[None] * (n + 2))
+        with pytest.raises(DataValidationError, match=f"year 2006 has {n} banks"):
+            index_year(table, 2006)
+        assert index_year(table, 2007).labels == ("B00000", "B00001")
 
 
 class TestFitness:
     def test_single_loan(self):
         recs = parse("date,lender,borrower,amount\n2007-03-01,B1,B2,5\n")
-        fit = fitness_from_strengths(snapshot(recs, build_windows(recs, 2007, 1)[0]))
+        fit = fitness_from_strengths(snapshots(recs, 1)[0])
         np.testing.assert_array_equal(fit.assets, [5.0, 0.0])
         np.testing.assert_array_equal(fit.liabilities, [0.0, 5.0])
 
     def test_reciprocal_loans(self):
         recs = parse("date,lender,borrower,amount\n"
                      "2007-03-01,B1,B2,2\n2007-03-01,B2,B1,3\n")
-        fit = fitness_from_strengths(snapshot(recs, build_windows(recs, 2007, 1)[0]))
+        fit = fitness_from_strengths(snapshots(recs, 1)[0])
         np.testing.assert_array_equal(fit.assets, [2.0, 3.0])
         np.testing.assert_array_equal(fit.liabilities, [3.0, 2.0])
 
     def test_fixture_totals_match_volume(self):
         recs = parse(FIXTURE)
-        fit = fitness_from_strengths(snapshot(recs, build_windows(recs, 2007, 3)[0]))
+        fit = fitness_from_strengths(snapshots(recs, 3)[0])
         total = sum(recs.amount.tolist())
         assert fit.assets.sum() == pytest.approx(total)
         assert fit.liabilities.sum() == pytest.approx(total)
+
+    def test_more_nodes_than_max_nodes_is_a_data_error(self):
+        assert FitnessData(np.ones(MAX_NODES), np.ones(MAX_NODES)).n == MAX_NODES
+        n = MAX_NODES + 1
+        with pytest.raises(DataValidationError, match=f"fitness has {n} nodes"):
+            FitnessData(np.ones(n), np.ones(n))
 
     def test_unweighted_rejected(self):
         from reconnet import DirectedNetwork
@@ -341,7 +346,7 @@ class TestSynthFitness:
         np.testing.assert_array_equal(a.liabilities, b.liabilities)
 
     def test_lognormal_log_mean(self):
-        n = 10_000
+        n = MAX_NODES
         fit = synth_fitness(n, "lognormal(0,1)", 3)
         assert abs(np.log(fit.assets).mean()) < 4 / np.sqrt(n)
 
@@ -364,8 +369,8 @@ class TestSynthTransactions:
     def test_deterministic_and_well_formed(self):
         fitness = FitnessData(np.ones(5), np.ones(5))
         model = FittedModel(ModelKind.FDCM, {"z": 1.0}, fitness=fitness)
-        recs1 = synth_transactions(model, 2010, 10, seed=4).records()
-        recs2 = synth_transactions(model, 2010, 10, seed=4).records()
+        recs1 = records_of(synth_transactions(model, 2010, 10, seed=4))
+        recs2 = records_of(synth_transactions(model, 2010, 10, seed=4))
         assert [(r.date, r.lender, r.borrower, r.amount) for r in recs1] == \
                [(r.date, r.lender, r.borrower, r.amount) for r in recs2]
         assert all(r.date.year == 2010 and r.date.weekday() < 5 for r in recs1)
@@ -374,7 +379,7 @@ class TestSynthTransactions:
     def test_day_k_is_the_network_drawn_with_sub_seed_k(self):
         fitness = FitnessData(np.linspace(0.5, 2.0, 6), np.linspace(2.0, 0.5, 6))
         model = FittedModel(ModelKind.FDCM, {"z": 0.4}, fitness=fitness)
-        recs = synth_transactions(model, 2010, 8, seed=11).records()
+        recs = records_of(synth_transactions(model, 2010, 8, seed=11))
         for k, day in enumerate(trading_days(2010, 8)):
             a = np.zeros((6, 6), dtype=np.int8)
             for r in recs:
@@ -383,8 +388,12 @@ class TestSynthTransactions:
             np.testing.assert_array_equal(a, sample_network(model, derive_subseed(11, k)).adjacency)
 
     def test_record_validation(self):
-        with pytest.raises(DataValidationError):
+        # the reader raises the record's own message
+        with pytest.raises(DataValidationError) as want:
             TransactionRecord(dt.date(2010, 1, 1), "A", "B", 0.0)
+        with pytest.raises(DataValidationError) as err:
+            parse("date,lender,borrower,amount\n2010-01-01,A,B,0\n")
+        assert str(err.value) == f"line 2: {want.value}"
 
     @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
     def test_amount_sigma_must_be_nonnegative_and_finite(self, sigma):
@@ -415,7 +424,7 @@ class TestSynthAgainstPerRecordOracle:
         model = self.MODELS[kind]
         table = synth_transactions(model, 2011, 12, seed, amount_sigma=sigma)
         records = synth_transactions_per_record(model, 2011, 12, seed, amount_sigma=sigma)
-        assert table.records() == records
+        assert records_of(table) == records
         write_transactions_csv(tmp_path / "table.csv", table)
         write_transactions_per_row(tmp_path / "oracle.csv", records)
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -434,7 +443,7 @@ class TestSynthAgainstPerRecordOracle:
         records = synth_transactions_per_record(model, 2011, 30, seed=3)
         assert 0 < len(table.dates) < 30
         assert table.labels == ("B0000", "B0001", "B0002")
-        assert table.records() == records
+        assert records_of(table) == records
 
 
 class TestFitnessCsv:

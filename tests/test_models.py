@@ -14,8 +14,10 @@ from oracles import (
 )
 
 from reconnet import FitnessData, FittedModel, ModelKind, dyad_probability_arrays
-from reconnet.errors import DomainError
+from reconnet.errors import DataValidationError, DomainError
+from reconnet.graph import MAX_NODES
 from reconnet.models import link_probability
+from reconnet.serialize import model_from_dict
 
 
 class TestLinkKernels:
@@ -201,6 +203,19 @@ class TestFittedModel:
     def test_kind_coercion(self):
         m = FittedModel("fdcm", {"z": 1.0}, fitness=FitnessData(np.ones(2), np.ones(2)))
         assert m.kind is ModelKind.FDCM
+
+    @pytest.mark.parametrize("kind", [ModelKind.DCM, ModelKind.GRM, ModelKind.RCM])
+    def test_degree_vectors_longer_than_max_nodes_rejected(self, kind):
+        def params(n):
+            z = {ModelKind.DCM: {}, ModelKind.GRM: {"z": 1.0}, ModelKind.RCM: {"z": [1.0] * n}}
+            return {"x": [1.0] * n, "y": [1.0] * n, **z[kind]}
+
+        assert FittedModel(kind, params(MAX_NODES)).n == MAX_NODES
+        with pytest.raises(DomainError, match=f"{MAX_NODES + 1} entries"):
+            FittedModel(kind, params(MAX_NODES + 1))
+        # a model file with them is a data error
+        with pytest.raises(DataValidationError, match=f"{MAX_NODES + 1} entries"):
+            model_from_dict({"kind": kind.value, "params": params(MAX_NODES + 1)})
 
 
 def random_model(kind, rng, n=6):

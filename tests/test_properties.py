@@ -23,9 +23,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    TransactionRecord,
     parse_transactions_row_by_row,
     read_fitness_row_by_row,
     read_network_row_by_row,
+    records_of,
     table_of,
     write_csv_per_cell,
     write_transactions_per_row,
@@ -34,11 +36,7 @@ from oracles import (
 from reconnet import DirectedNetwork
 from reconnet.cli import main
 from reconnet.errors import DataValidationError, ParseError, ReconError
-from reconnet.ingest import (
-    FitnessData,
-    TransactionRecord,
-    parse_transactions,
-)
+from reconnet.ingest import FitnessData, parse_transactions
 from reconnet.serialize import (
     read_fitness_csv,
     read_network,
@@ -84,9 +82,9 @@ def test_transactions_round_trip(records):
         path = Path(tmp) / "transactions.csv"
         want = table_of(records)
         write_transactions_csv(path, want)
-        assert parse_transactions(path) == records
         table = read_transactions(path)
-    assert table.records() == records
+        assert records_of(parse_transactions(path)) == records
+    assert records_of(table) == records
     assert (table.dates, table.labels, table.maturity) == (want.dates, want.labels, want.maturity)
     for name in ("day", "lender", "borrower", "amount"):
         got, expected = getattr(table, name), getattr(want, name)
@@ -299,7 +297,7 @@ def test_read_transactions_accepts_and_rejects_like_the_row_by_row_parser(conten
         path = Path(tmp) / "transactions.csv"
         path.write_bytes(content.encode("utf-8"))
         want = _outcome(parse_transactions_row_by_row, path)
-        assert _outcome(lambda p: read_transactions(p).records(), path) == want
+        assert _outcome(lambda p: records_of(read_transactions(p)), path) == want
 
 
 @st.composite

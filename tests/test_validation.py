@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import aggregate_record_loop, pairwise_auc, scan_window_by_window, table_of
+from oracles import (TransactionRecord, aggregate_record_loop, pairwise_auc, records_of,
+                     scan_window_by_window, table_of)
 
 from reconnet import (
     DirectedNetwork,
     FitnessData,
     FittedModel,
     ModelKind,
-    TransactionRecord,
     aggregate,
     build_windows,
     cross_entropy,
@@ -227,12 +227,12 @@ class TestScan:
                                              float(rng.lognormal(0.0, 2.0))))
         table = table_of(records)
         result = scan_aggregations(table, 2003, [1, 5, 10])
+        index = index_year(table, 2003)
         want = []
         for delta_t in (1, 5, 10):
-            for window in build_windows(table, 2003, delta_t):
-                net = aggregate_record_loop(records, window)
-                assert np.array_equal(
-                    aggregate(index_year(table, 2003, window.days), window).weights, net.weights)
+            for window in build_windows(index, delta_t):
+                net = aggregate_record_loop(records, 2003, index.days[window.first:window.stop])
+                assert np.array_equal(aggregate(index, window).weights, net.weights)
                 m = degrees_strengths(net)
                 if m.link_count == 0:
                     continue
@@ -265,7 +265,7 @@ class TestScan:
         """A synth stream plus a day with one loan and a trading day with none."""
         fitness = synth_fitness(30, "lognormal(0,1)", seed)
         truth = fit_fgrm(fitness, 0.08, 0.3)
-        records = synth_transactions(truth, 2009, 40, seed=derive_subseed(seed, 1)).records()
+        records = records_of(synth_transactions(truth, 2009, 40, seed=derive_subseed(seed, 1)))
         last = max(r.date for r in records)
         records.append(TransactionRecord(last + datetime.timedelta(days=1), records[0].lender,
                                          records[0].borrower, 2.5))

@@ -73,7 +73,6 @@ from .serialize import (
 )
 from .spectral import bulk_shape, eigenvalues, rescale_matrix, tau_matrix
 from .validation import (
-    RocResult,
     cross_entropy,
     mann_whitney_auc,
     rho,
@@ -212,6 +211,36 @@ def parse_delta_ts(text) -> list[int]:
     return list(values)
 
 
+# figure kind -> the CSV artifact it is drawn from: file name, header, the
+# field kinds `report` reads it with and the columns the figure takes. A
+# command draws the figure from the columns it writes, `report` from those it
+# reads back, so both draw the same bytes. In the order `report` draws them.
+_FIGURE_ARTIFACTS = {
+    "spectrum_scatter": ("spectra.csv", ["sample_id", "re", "im"],
+                         [str, finite_float, finite_float], ["sample_id", "re", "im"]),
+    "rho_curve": ("rho_scan.csv", ["delta_t", "window_count", "skipped_windows",
+                                   "mean_density", "mean_reciprocity", "mean_r_fdcm", "mean_rho"],
+                  [int] * 3 + [float] * 4, ["delta_t", "window_count", "mean_rho"]),
+    "roc_curve": ("roc.csv", ["threshold", "fpr", "tpr"], [float, finite_float, finite_float],
+                  ["fpr", "tpr"]),
+    "tau_histogram": ("tau.csv", ["i", "j", "tau"], [int, int, float], ["tau"]),
+}
+
+
+def _draw(kind, columns, out, *extra) -> list[Path]:
+    """Figure ``kind`` drawn from its artifact's ``columns``, then the ``extra`` arguments."""
+    _, header, _, drawn = _FIGURE_ARTIFACTS[kind]
+    return figures.emit_figures([columns[header.index(name)] for name in drawn] + list(extra),
+                                kind, out)
+
+
+def _write_figure_artifact(out, kind, columns, *extra) -> list[Path]:
+    """Write figure ``kind``'s artifact from ``columns``, then draw the figure from them."""
+    file, header, _, _ = _FIGURE_ARTIFACTS[kind]
+    write_csv(out / file, header, columns)
+    return [out / file] + _draw(kind, columns, out, *extra)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands; each returns (paths_written, result_summary)
 # ---------------------------------------------------------------------------
@@ -288,11 +317,8 @@ def _cmd_fit(cfg, out):
     tau = tau_matrix(model)
     iu, ju = np.triu_indices(fitness.n, k=1)
     keep = tau.defined[iu, ju]
-    tau_path = out / "tau.csv"
-    write_csv(tau_path, ["i", "j", "tau"],
-              [iu[keep], ju[keep], tau.values[iu[keep], ju[keep]]])
-    paths.append(tau_path)
-    paths.extend(figures.emit_figures(tau.defined_values(), "tau_histogram", out))
+    iu, ju = iu[keep], ju[keep]
+    paths.extend(_write_figure_artifact(out, "tau_histogram", [iu, ju, tau.values[iu, ju]]))
     report = model.report
     return paths, {
         "params": model.params,
@@ -385,10 +411,9 @@ def _cmd_spectra(cfg, out):
     spectra = ordered_map(spectrum_of, files, _threads(cfg))
     values = np.concatenate([spec.values for spec in spectra])
     stems = np.repeat([path.stem for path in files], [spec.n for spec in spectra])
-    paths = [out / "spectra.csv"]
-    write_csv(paths[0], ["sample_id", "re", "im"], [stems, values.real, values.imag])
-
     shape = bulk_shape(spectra, mean_tau=mean_tau)
+    paths = _write_figure_artifact(out, "spectrum_scatter", [stems, values.real, values.imag],
+                                   shape.mean_tau)
     bulk_path = out / "bulk.json"
     write_json(bulk_path, {
         "semi_axis_re": shape.semi_axis_re,
@@ -398,14 +423,7 @@ def _cmd_spectra(cfg, out):
         "mean_tau": shape.mean_tau,
     })
     paths.append(bulk_path)
-    pooled = np.concatenate([s.bulk() for s in spectra])
-    paths.extend(figures.emit_figures(
-        (pooled, shape.mean_tau if rescale else None), "spectrum_scatter", out))
     return paths, {"axis_ratio": shape.axis_ratio, "spectra": len(files)}
-
-
-_SCAN_FIELDS = ["delta_t", "window_count", "skipped_windows", "mean_density",
-                "mean_reciprocity", "mean_r_fdcm", "mean_rho"]
 
 
 def _field_columns(records, fields):
@@ -422,18 +440,15 @@ def _cmd_scan(cfg, out):
         fitness, _ = read_fitness_csv(_need_path(cfg, "fitness"))
     result = scan_aggregations(table, year, delta_ts, fitness=fitness,
                                solver_config=_solver_config(cfg))
-    paths = [out / "rho_scan.csv", out / "rho_windows.csv", out / "scan.json"]
-    write_csv(paths[0], _SCAN_FIELDS, _field_columns(result.rows, _SCAN_FIELDS))
+    row_fields = _FIGURE_ARTIFACTS["rho_curve"][1]
+    paths = _write_figure_artifact(out, "rho_curve", _field_columns(result.rows, row_fields))
+    windows_csv, scan_json = out / "rho_windows.csv", out / "scan.json"
     window_fields = ["delta_t", "window_index", "density", "reciprocity", "r_fdcm", "rho"]
-    write_csv(paths[1], window_fields, _field_columns(result.windows, window_fields))
+    write_csv(windows_csv, window_fields, _field_columns(result.windows, window_fields))
     landmarks = {"t_min": result.t_min, "t_0": result.t_0, "t_max": result.t_max,
                  "rho_min": result.rho_min, "rho_max": result.rho_max}
-    write_json(paths[2], landmarks)
-    series = [(str(year),
-               [row.delta_t for row in result.rows if not row.missing],
-               [row.mean_rho for row in result.rows if not row.missing])]
-    paths.extend(figures.emit_figures(series, "rho_curve", out))
-    return paths, landmarks
+    write_json(scan_json, landmarks)
+    return paths + [windows_csv, scan_json], landmarks
 
 
 def _cmd_validate(cfg, out):
@@ -470,55 +485,41 @@ def _cmd_validate(cfg, out):
         "model_reciprocity": r_model,
         "rho": rho_value,
     }
-    paths = [out / "roc.csv", out / "validation.json"]
-    write_csv(paths[0], ["threshold", "fpr", "tpr"], [roc.thresholds, roc.fpr, roc.tpr])
-    write_json(paths[1], summary)
-    paths.extend(figures.emit_figures(roc, "roc_curve", out))
-    return paths, summary
+    summary_json = out / "validation.json"
+    write_json(summary_json, summary)
+    paths = _write_figure_artifact(out, "roc_curve", [roc.thresholds, roc.fpr, roc.tpr])
+    return paths + [summary_json], summary
 
 
 def _cmd_report(cfg, out):
     src = Path(_need(cfg, "in", _text))
     if not src.is_dir():
         raise ConfigurationError(f"field 'in': no such directory {src}")
+    if src.resolve() == out.resolve():
+        raise ConfigurationError(
+            f"field 'out' is the input directory {src}: its manifest would be overwritten")
     paths = []
-    spectra_csv = src / "spectra.csv"
-    if spectra_csv.exists():
-        _, re, im = read_csv(spectra_csv, ["sample_id", "re", "im"],
-                             [str, finite_float, finite_float])
-        eigs = np.array(re, dtype=complex)
-        eigs.imag = im
-        mean_tau = None
-        bulk_json = src / "bulk.json"
-        if bulk_json.exists():
-            bulk = read_json(bulk_json)
-            if not isinstance(bulk, dict):
-                raise DataValidationError(f"{bulk_json}: expected a JSON object")
-            mean_tau = bulk.get("mean_tau")
-            if isinstance(mean_tau, bool) or not isinstance(mean_tau, (int, float, type(None))):
-                raise DataValidationError(f"{bulk_json}: mean_tau must be a number or null")
-        paths.extend(figures.emit_figures((eigs, mean_tau), "spectrum_scatter", out))
-    scan_csv = src / "rho_scan.csv"
-    if scan_csv.exists():
-        delta_t, count, *_, mean_rho = read_csv(scan_csv, _SCAN_FIELDS,
-                                                [int] * 3 + [float] * 4)
-        pts = [(t, r) for t, c, r in zip(delta_t, count, mean_rho) if c > 0]
-        if pts:
-            series = [("scan", [p[0] for p in pts], [p[1] for p in pts])]
-            paths.extend(figures.emit_figures(series, "rho_curve", out))
-    roc_csv = src / "roc.csv"
-    if roc_csv.exists():
-        _, fpr, tpr = read_csv(roc_csv, ["threshold", "fpr", "tpr"],
-                               [float, finite_float, finite_float])
-        roc = RocResult(thresholds=np.array([]), fpr=np.array(fpr), tpr=np.array(tpr))
-        paths.extend(figures.emit_figures(roc, "roc_curve", out))
-    tau_csv = src / "tau.csv"
-    if tau_csv.exists():
-        *_, tau = read_csv(tau_csv, ["i", "j", "tau"], [int, int, float])
-        paths.extend(figures.emit_figures(np.array(tau), "tau_histogram", out))
+    for kind, (file, header, kinds, _) in _FIGURE_ARTIFACTS.items():
+        if (src / file).exists():
+            columns = read_csv(src / file, header, kinds)
+            extra = [_bulk_mean_tau(src / "bulk.json")] if kind == "spectrum_scatter" else []
+            paths.extend(_draw(kind, columns, out, *extra))
     if not paths:
         print(f"report: no known artifacts found in {src}", file=sys.stderr)
     return paths, {"figures": len(paths)}
+
+
+def _bulk_mean_tau(path):
+    """``mean_tau`` of a bulk.json, or None when there is no such file."""
+    if not path.exists():
+        return None
+    bulk = read_json(path)
+    if not isinstance(bulk, dict):
+        raise DataValidationError(f"{path}: expected a JSON object")
+    mean_tau = bulk.get("mean_tau")
+    if isinstance(mean_tau, bool) or not isinstance(mean_tau, (int, float, type(None))):
+        raise DataValidationError(f"{path}: mean_tau must be a number or null")
+    return mean_tau
 
 
 _COMMANDS = {

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .validation import trapezoid
+
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 18, 34, 48
 
-_PALETTE = ["#2e74b5", "#e07b39", "#5a9e6f", "#b05adc", "#c44e52", "#777777"]
+_COLOR = "#2e74b5"
 
 
 def _f(x) -> str:
@@ -105,8 +107,8 @@ class _Canvas:
                           f'height="{_f(py1 - py0)}" fill="{color}" fill-opacity="0.8" '
                           'stroke="#333333" stroke-width="0.6"/>')
 
-    def label(self, text, slot, color):
-        self.parts.append(f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 + 15 * slot}" '
+    def label(self, text, color):
+        self.parts.append(f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16}" '
                           f'font-size="11" text-anchor="end" fill="{color}">{text}</text>')
 
     def render(self) -> str:
@@ -120,56 +122,65 @@ def _write(path, canvas: _Canvas):
     Path(path).write_text(canvas.render(), encoding="utf-8")
 
 
-def spectrum_scatter(path, eigenvalues, mean_tau=None, title="Spectral bulk") -> None:
-    """Complex eigenvalue cloud; overlays the (1+tau, 1-tau) ellipse when given."""
-    vals = np.asarray(eigenvalues, dtype=complex)
-    re, im = vals.real, vals.imag
-    lim = max(np.abs(re).max(initial=0.0), np.abs(im).max(initial=0.0), 1e-9)
-    if mean_tau is not None and not math.isnan(mean_tau):
+def spectrum_scatter(path, sample_id, re, im, mean_tau=None, title="Spectral bulk") -> bool:
+    """Bulk eigenvalue cloud; overlays the (1+tau, 1-tau) ellipse when tau is a number.
+
+    The rows are those of spectra.csv: each sample's eigenvalues by falling
+    modulus, so the first row of each run of ``sample_id`` is that sample's
+    leading eigenvalue, which the bulk leaves out. Returns whether it wrote
+    the file: with no bulk eigenvalue it writes none.
+    """
+    sample_id = np.asarray(sample_id)
+    bulk = np.zeros(len(sample_id), dtype=bool)
+    bulk[1:] = sample_id[1:] == sample_id[:-1]
+    re, im = np.asarray(re, dtype=float)[bulk], np.asarray(im, dtype=float)[bulk]
+    if re.size == 0:
+        print("spectrum_scatter: nothing to plot", file=sys.stderr)
+        return False
+    ellipse = mean_tau is not None and math.isfinite(mean_tau)
+    lim = max(np.abs(re).max(), np.abs(im).max(), 1e-9)
+    if ellipse:
         lim = max(lim, 1.0 + abs(mean_tau))
     lim *= 1.08
     c = _Canvas(-lim, lim, -lim, lim, title=title, xlabel="Re", ylabel="Im")
-    c.scatter(re, im, _PALETTE[0])
-    if mean_tau is not None and not math.isnan(mean_tau):
+    c.scatter(re, im, _COLOR)
+    if ellipse:
         c.ellipse(0.0, 0.0, 1.0 + mean_tau, 1.0 - mean_tau)
-        c.label(f"ellipse semi-axes {_f(1 + mean_tau)}, {_f(1 - mean_tau)}", 0, "#222222")
-    _write(path, c)
-
-
-def rho_curve(path, series, title="Reciprocity gap by aggregation period") -> bool:
-    """One polyline per (label, delta_ts, rhos) triple plus the zero line.
-
-    Returns whether it wrote the file: with no defined point it writes none.
-    """
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if not math.isnan(y)]
-    if not xs_all or not ys_all:
-        print("rho_curve: nothing to plot", file=sys.stderr)
-        return False
-    pad = 0.1 * (max(ys_all) - min(ys_all) or 0.1)
-    c = _Canvas(min(xs_all), max(xs_all), min(min(ys_all), 0.0) - pad,
-                max(max(ys_all), 0.0) + pad,
-                title=title, xlabel="aggregation period (trading days)", ylabel="rho")
-    c.hline(0.0)
-    for k, (label, xs, ys) in enumerate(series):
-        keep = [(a, b) for a, b in zip(xs, ys) if not math.isnan(b)]
-        if not keep:
-            continue
-        color = _PALETTE[k % len(_PALETTE)]
-        c.polyline([a for a, _ in keep], [b for _, b in keep], color)
-        c.label(str(label), k, color)
+        c.label(f"ellipse semi-axes {_f(1 + mean_tau)}, {_f(1 - mean_tau)}", "#222222")
     _write(path, c)
     return True
 
 
-def roc_curve(path, fpr, tpr, auc=None, title="ROC") -> None:
+def rho_curve(path, delta_t, window_count, mean_rho,
+              title="Reciprocity gap by aggregation period") -> bool:
+    """Mean rho against delta_t over the scan rows with windows, plus the zero line.
+
+    Returns whether it wrote the file: with no such row it writes none.
+    """
+    keep = np.asarray(window_count) > 0
+    xs = np.asarray(delta_t)[keep].tolist()
+    ys = np.asarray(mean_rho, dtype=float)[keep].tolist()
+    if not xs:
+        print("rho_curve: nothing to plot", file=sys.stderr)
+        return False
+    pad = 0.1 * (max(ys) - min(ys) or 0.1)
+    c = _Canvas(min(xs), max(xs), min(min(ys), 0.0) - pad, max(max(ys), 0.0) + pad,
+                title=title, xlabel="aggregation period (trading days)", ylabel="rho")
+    c.hline(0.0)
+    c.polyline(xs, ys, _COLOR)
+    _write(path, c)
+    return True
+
+
+def roc_curve(path, fpr, tpr, title="ROC") -> bool:
+    """ROC curve labelled with its trapezoidal AUC, the one ``roc_auc`` reports."""
     c = _Canvas(0.0, 1.0, 0.0, 1.0, title=title,
                 xlabel="false positive rate", ylabel="true positive rate")
     c.polyline([0.0, 1.0], [0.0, 1.0], "#aaaaaa", width=1.0, dash="4,3")
-    c.polyline(list(fpr), list(tpr), _PALETTE[0], width=1.8)
-    if auc is not None:
-        c.label(f"AUC = {_f(auc)}", 0, _PALETTE[0])
+    c.polyline(fpr, tpr, _COLOR, width=1.8)
+    c.label(f"AUC = {_f(trapezoid(fpr, tpr))}", _COLOR)
     _write(path, c)
+    return True
 
 
 def tau_histogram(path, values, bins=40, title="Dyad correlation") -> bool:
@@ -187,36 +198,22 @@ def tau_histogram(path, values, bins=40, title="Dyad correlation") -> bool:
                 title=title, xlabel="tau", ylabel="count")
     for k in range(len(counts)):
         if counts[k]:
-            c.bar(edges[k], edges[k + 1], float(counts[k]), _PALETTE[0])
+            c.bar(edges[k], edges[k + 1], float(counts[k]), _COLOR)
     _write(path, c)
     return True
 
 
-def emit_figures(results, kind: str, out_dir) -> list[Path]:
-    """Dispatch one figure kind to its renderer; returns the paths this call wrote.
+_RENDERERS = {"spectrum_scatter": spectrum_scatter, "rho_curve": rho_curve,
+              "roc_curve": roc_curve, "tau_histogram": tau_histogram}
 
-    ``results`` carries kind-specific data: an eigenvalue array (plus
-    optional mean tau) for spectrum_scatter, (label, x, y) series for
-    rho_curve, an RocResult for roc_curve, a value array for tau_histogram.
+
+def emit_figures(results, kind: str, out_dir) -> list[Path]:
+    """Draw figure ``kind`` into ``out_dir/<kind>.svg``; returns the paths this call wrote.
+
+    ``results``, the renderer's arguments after the path, are artifact
+    columns: tau.csv's ``tau``; spectra.csv's ``sample_id``, ``re``, ``im``
+    and bulk.json's ``mean_tau``; rho_scan.csv's ``delta_t``,
+    ``window_count``, ``mean_rho``; roc.csv's ``fpr``, ``tpr``.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if kind == "spectrum_scatter":
-        eigs, mean_tau = results
-        if len(eigs) == 0:
-            print("emit_figures: empty spectrum, skipping", file=sys.stderr)
-            return []
-        path = out_dir / "spectrum_scatter.svg"
-        spectrum_scatter(path, eigs, mean_tau=mean_tau)
-        return [path]
-    if kind == "rho_curve":
-        path = out_dir / "rho_curve.svg"
-        return [path] if rho_curve(path, results) else []
-    if kind == "roc_curve":
-        path = out_dir / "roc_curve.svg"
-        roc_curve(path, results.fpr, results.tpr, auc=results.auc)
-        return [path]
-    if kind == "tau_histogram":
-        path = out_dir / "tau_histogram.svg"
-        return [path] if tau_histogram(path, results) else []
-    raise ValueError(f"unknown figure kind {kind!r}")
+    path = Path(out_dir) / f"{kind}.svg"
+    return [path] if _RENDERERS[kind](path, *results) else []

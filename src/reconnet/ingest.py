@@ -79,9 +79,9 @@ class TransactionTable:
     """Transactions as columns, one row per record in file order.
 
     Row k lends ``amount[k]`` from ``labels[lender[k]]`` to
-    ``labels[borrower[k]]`` on ``dates[day[k]]``, with maturity
-    ``maturity[k]`` (None when absent). ``dates`` are the distinct dates
-    and ``labels`` the distinct bank names, both sorted ascending.
+    ``labels[borrower[k]]`` on ``dates[day[k]]``. ``dates`` are the
+    distinct dates and ``labels`` the distinct bank names, both sorted
+    ascending.
     """
 
     dates: tuple[dt.date, ...]
@@ -90,7 +90,6 @@ class TransactionTable:
     lender: np.ndarray
     borrower: np.ndarray
     amount: np.ndarray
-    maturity: list
 
 
 @dataclass(frozen=True)
@@ -286,4 +285,4 @@ def synth_transactions(model: FittedModel, year: int, n_days: int, seed: int,
         day=(np.cumsum(has_links) - 1)[row_day],
         labels=tuple(name for name, _ in names),
         lender=code[lender], borrower=code[borrower],
-        amount=amount, maturity=[None] * len(cell))
+        amount=amount)

@@ -212,18 +212,21 @@ _TRANSACTIONS_HEADER = ["date", "lender", "borrower", "amount"]
 def write_transactions_csv(path, table: TransactionTable) -> None:
     """Write a ``TransactionTable`` as a transactions CSV.
 
-    Amounts are written through ``fmt`` and a missing maturity as an empty
-    field. Each distinct date is formatted once.
+    Amounts are written through ``fmt``, and the maturity column is left
+    empty. Each distinct date is formatted once.
     """
     dates = np.array([d.isoformat() for d in table.dates], dtype=object)
     labels = np.array(table.labels, dtype=object)
     write_csv(path, _TRANSACTIONS_HEADER + ["maturity"],
               [dates[table.day], labels[table.lender], labels[table.borrower], table.amount,
-               np.array([m or "" for m in table.maturity], dtype=object)])
+               [""] * len(table.day)])
 
 
 def read_transactions(path) -> TransactionTable:
     """Read a transactions CSV (header date,lender,borrower,amount[,maturity]) into columns.
+
+    A maturity column is accepted, and every row must have the field, but it is
+    not kept.
 
     Raises ParseError with the offending line number on malformed rows and
     on bytes that are not UTF-8, and DataValidationError on semantic
@@ -231,7 +234,7 @@ def read_transactions(path) -> TransactionTable:
     Rows are read into column lists in one pass and checked as arrays; only
     a rejected file is read again, to find the line of its first bad row.
     """
-    columns = date_col, lender_col, borrower_col, amount_col, maturity_col = [], [], [], [], []
+    columns = date_col, lender_col, borrower_col, amount_col = [], [], [], []
     stop = None  # the error that ended the pass early, raised unless an earlier row is bad
     with open_text(path) as fh:
         reader = csv.reader(fh)
@@ -246,16 +249,13 @@ def read_transactions(path) -> TransactionTable:
                     f"bad header {header!r}, expected date,lender,borrower,amount[,maturity]",
                     line=1)
             width = len(header)
-            add_date, add_lender, add_borrower, add_amount, add_maturity = \
-                (c.append for c in columns)
+            add_date, add_lender, add_borrower, add_amount = (c.append for c in columns)
             for row in reader:
                 if len(row) == width:
                     add_date(row[0])
                     add_lender(row[1])
                     add_borrower(row[2])
                     add_amount(row[3])
-                    if width == 5:
-                        add_maturity(row[4])
                 elif row:
                     stop = ParseError(f"expected {width} fields, got {len(row)}",
                                       line=reader.line_num)
@@ -309,13 +309,8 @@ def read_transactions(path) -> TransactionTable:
         raise DataValidationError(f"self-loop transaction for {labels[lender[k]]!r}", line=line)
     if stop is not None:
         raise stop
-    if width == 5:
-        stripped = {text: text.strip() or None for text in set(maturity_col)}
-        maturity = list(map(stripped.__getitem__, maturity_col))
-    else:
-        maturity = [None] * n
     return TransactionTable(dates=tuple(dates), day=day, labels=tuple(labels), lender=lender,
-                            borrower=borrower, amount=amount, maturity=maturity)
+                            borrower=borrower, amount=amount)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +373,7 @@ def model_from_dict(data) -> FittedModel:
             *(_numbers(data["fitness"].get(key), f"fitness {key}")
               for key in ("assets", "liabilities")))
     try:
-        return FittedModel(kind, {k: _numbers(v, f"parameter {k}") for k, v in params.items()},
+        return FittedModel(kind, {k: _numbers(v, f"parameter {k!r}") for k, v in params.items()},
                            fitness=fitness)
     except DomainError as exc:
         raise DataValidationError(str(exc)) from None
@@ -425,7 +420,7 @@ _EDGE_HEADER = ["source", "target", "weight"]
 _EDGE_ROW = np.dtype([("source", np.int64), ("target", np.int64), ("weight", np.float64)])
 
 
-def read_network(path, n: int, labels=None) -> DirectedNetwork:
+def read_network(path, n: int) -> DirectedNetwork:
     """Edge list (header source,target,weight) on nodes 0..n-1; repeated links add up.
 
     A row that is not two integer node indices and a weight, a node index
@@ -466,7 +461,7 @@ def read_network(path, n: int, labels=None) -> DirectedNetwork:
     # bincount adds repeated links in file order, as a running sum would
     cell = i.astype(np.intp) * n + j.astype(np.intp)
     w = np.bincount(cell, weights=weight, minlength=n * n).reshape(n, n)
-    return DirectedNetwork.from_weight_matrix(w, labels=labels)
+    return DirectedNetwork.from_weight_matrix(w)
 
 
 def _edge_checks(i, j, weight, n):

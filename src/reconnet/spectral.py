@@ -58,11 +58,6 @@ class TauMatrix:
             return float("nan")
         return float(self.values[self.defined].mean())
 
-    def defined_values(self) -> np.ndarray:
-        iu, ju = np.triu_indices(self.values.shape[0], k=1)
-        keep = self.defined[iu, ju]
-        return self.values[iu[keep], ju[keep]]
-
 
 @dataclass
 class BulkShape:

@@ -230,9 +230,16 @@ def roc_auc(link_probabilities, observed) -> RocResult:
     tpr = np.concatenate([[0.0], cum_tp / n_pos])
     fpr = np.concatenate([[0.0], cum_fp / n_neg])
     thresholds = np.concatenate([[np.inf], sorted_scores[block_ends]])
-    # the trapezoid rule written out: np.trapezoid needs numpy >= 2.0
-    auc = float((np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
-    return RocResult(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc)
+    return RocResult(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=trapezoid(fpr, tpr))
+
+
+def trapezoid(x, y) -> float:
+    """Trapezoid-rule integral of ``y`` over ``x``: ``roc_auc``'s AUC and the ROC figure's.
+
+    Written out because np.trapezoid needs numpy >= 2.0.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def mann_whitney_auc(link_probabilities, observed) -> float:

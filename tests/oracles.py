@@ -134,7 +134,6 @@ class TransactionRecord:
     lender: str
     borrower: str
     amount: float
-    maturity: str | None = None
 
     def __post_init__(self):
         if not 0 < self.amount < math.inf:  # NaN fails both comparisons
@@ -146,10 +145,9 @@ class TransactionRecord:
 def records_of(table):
     """The rows of a ``TransactionTable`` as records, in the same order."""
     labels = table.labels
-    return [TransactionRecord(table.dates[d], labels[i], labels[j], amount, maturity)
-            for d, i, j, amount, maturity in zip(
-                table.day.tolist(), table.lender.tolist(), table.borrower.tolist(),
-                table.amount.tolist(), table.maturity)]
+    return [TransactionRecord(table.dates[d], labels[i], labels[j], amount)
+            for d, i, j, amount in zip(table.day.tolist(), table.lender.tolist(),
+                                       table.borrower.tolist(), table.amount.tolist())]
 
 
 def table_of(records):
@@ -167,8 +165,7 @@ def table_of(records):
                             labels=tuple(labels),
                             lender=codes((r.lender for r in records), label_code),
                             borrower=codes((r.borrower for r in records), label_code),
-                            amount=np.array([r.amount for r in records], dtype=float),
-                            maturity=[r.maturity for r in records])
+                            amount=np.array([r.amount for r in records], dtype=float))
 
 
 def aggregate_record_loop(records, year, days):
@@ -343,15 +340,14 @@ def parse_transactions_row_by_row(path):
                 amount = float(row[3])
             except ValueError:
                 raise ParseError(f"bad amount {row[3]!r}", line=line) from None
-            maturity = row[4].strip() if len(header) == 5 and row[4].strip() else None
             try:
-                records.append(TransactionRecord(date, lender, borrower, amount, maturity))
+                records.append(TransactionRecord(date, lender, borrower, amount))
             except DataValidationError as exc:
                 raise DataValidationError(str(exc), line=line) from None
     return records
 
 
-def read_network_row_by_row(path, n, labels=None):
+def read_network_row_by_row(path, n):
     """Edge list to network, one row at a time with ``int`` and ``float``.
 
     The reference for ``read_network``: the same files accepted with the
@@ -387,7 +383,7 @@ def read_network_row_by_row(path, n, labels=None):
                              line=line_of_row(path, k))
     cell = i.astype(np.intp) * n + j.astype(np.intp)
     w = np.bincount(cell, weights=weight, minlength=n * n).reshape(n, n)
-    return DirectedNetwork.from_weight_matrix(w, labels=labels)
+    return DirectedNetwork.from_weight_matrix(w)
 
 
 def write_csv_per_cell(path, header, columns):
@@ -437,7 +433,7 @@ def write_transactions_per_row(path, records):
         writer.writerow(["date", "lender", "borrower", "amount", "maturity"])
         for r in records:
             writer.writerow([r.date.isoformat(), r.lender, r.borrower,
-                             format(r.amount, ".17g"), r.maturity or ""])
+                             format(r.amount, ".17g"), ""])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from reconnet.serialize import (
     write_network,
     write_nodes,
 )
+from reconnet.validation import trapezoid
 
 
 def tree_digest(root, skip=("manifest.json",)):
@@ -442,6 +443,7 @@ class TestHardenedReaders:
         lambda d: d["params"].update(u="big"),
         lambda d: d["params"].update(u=[1.0, 2.0]),
         lambda d: d["params"].update(u=-1.0),
+        lambda d: d["params"].update({"\r": None}),  # a name that would split the message
         lambda d: d["fitness"].pop("assets"),
         lambda d: d["fitness"].update(liabilities=[1.0]),
         lambda d: d["fitness"]["assets"].__setitem__(0, "x"),
@@ -506,11 +508,38 @@ class TestHardenedReaders:
         assert rc == 2
 
     def test_report_reads_the_artifacts_the_program_writes(self, pipeline, tmp_path):
-        for sub in ("spec", "scan", "val", "fit"):
-            assert main(["report", "--in", str(pipeline / sub),
-                         "--out", str(tmp_path / sub)]) == 0
-        assert {p.name for p in tmp_path.rglob("*.svg")} == {
-            "spectrum_scatter.svg", "rho_curve.svg", "roc_curve.svg", "tau_histogram.svg"}
+        # spectra without --rescale, and a scan whose delta_t 1 has only one-link windows
+        assert main(["spectra", "--networks", str(pipeline / "ens/samples"),
+                     "--out", str(tmp_path / "plain")]) == 0
+        tx = tmp_path / "tx.csv"
+        tx.write_text("date,lender,borrower,amount\n2007-01-02,A,B,1\n2007-01-03,B,C,1\n")
+        assert main(["scan", "--transactions", str(tx), "--year", "2007", "--delta-t", "1,2",
+                     "--out", str(tmp_path / "gap")]) == 0
+        assert (tmp_path / "gap/rho_scan.csv").read_text().splitlines()[1].startswith("1,0,")
+        sources = [pipeline / sub for sub in ("spec", "scan", "val", "fit")]
+        redrawn_otherwise = []
+        for src in sources + [tmp_path / "plain", tmp_path / "gap"]:
+            out = tmp_path / "report" / src.name
+            assert main(["report", "--in", str(src), "--out", str(out)]) == 0
+            drawn = [p.name for p in out.glob("*.svg")]
+            assert drawn == [p.name for p in src.glob("*.svg")] and len(drawn) == 1, src
+            if (out / drawn[0]).read_bytes() != (src / drawn[0]).read_bytes():
+                redrawn_otherwise.append(f"{src.name}/{drawn[0]}")
+        assert redrawn_otherwise == []
+        # the ROC label's AUC, from the curve read back, is validation.json's to the bit
+        _, fpr, tpr = read_csv(pipeline / "val/roc.csv", ["threshold", "fpr", "tpr"], [float] * 3)
+        assert trapezoid(fpr, tpr) == read_json(pipeline / "val/validation.json")["auc"]
+
+    def test_report_into_its_input_directory_is_a_usage_error(self, pipeline, tmp_path,
+                                                              capsys):
+        src = tmp_path / "spec"
+        src.mkdir()
+        for p in (pipeline / "spec").iterdir():
+            (src / p.name).write_bytes(p.read_bytes())
+        before = {p.name: p.read_bytes() for p in src.iterdir()}
+        rc, msg = self.run_err(capsys, ["report", "--in", str(src), "--out", str(src / ".")])
+        assert rc == 1 and "input directory" in msg
+        assert {p.name: p.read_bytes() for p in src.iterdir()} == before
 
     @pytest.mark.parametrize("override,code", [
         ({"model": "zzz"}, 1), ({"model": 5}, 1), ({"fitness": 5}, 1),

@@ -77,11 +77,15 @@ def window_days(index, window):
 
 class TestParsing:
     def test_single_record_with_maturity(self):
+        # the maturity field is width-checked and then dropped
         table = parse("date,lender,borrower,amount,maturity\n2007-03-01,B1,B2,10.5,ON\n")
         assert table.dates == (dt.date(2007, 3, 1),) and table.labels == ("B1", "B2")
         assert (table.day.tolist(), table.lender.tolist(), table.borrower.tolist()) == \
             ([0], [0], [1])
-        assert (table.amount.tolist(), table.maturity) == ([10.5], ["ON"])
+        assert table.amount.tolist() == [10.5] and not hasattr(table, "maturity")
+        with pytest.raises(ParseError, match="expected 5 fields, got 4") as err:
+            parse("date,lender,borrower,amount,maturity\n2007-03-01,B1,B2,10.5\n")
+        assert err.value.line == 2
 
     def test_negative_amount_rejected_with_line(self):
         with pytest.raises(DataValidationError) as err:
@@ -295,7 +299,7 @@ class TestIndexedAggregation:
             day=np.repeat([0, 1], [n, 2]), labels=tuple(f"B{k:05d}" for k in banks),
             lender=np.concatenate([banks, [0, 1]]),
             borrower=np.concatenate([(banks + 1) % n, [1, 0]]),
-            amount=np.ones(n + 2), maturity=[None] * (n + 2))
+            amount=np.ones(n + 2))
         with pytest.raises(DataValidationError, match=f"year 2006 has {n} banks"):
             index_year(table, 2006)
         assert index_year(table, 2007).labels == ("B00000", "B00001")
@@ -429,8 +433,7 @@ class TestSynthAgainstPerRecordOracle:
         write_transactions_per_row(tmp_path / "oracle.csv", records)
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         want = table_of(records)
-        assert (table.dates, table.labels, table.maturity) == \
-            (want.dates, want.labels, want.maturity)
+        assert (table.dates, table.labels) == (want.dates, want.labels)
         for name in ("day", "lender", "borrower", "amount"):
             got, expected = getattr(table, name), getattr(want, name)
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name

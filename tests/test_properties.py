@@ -71,8 +71,7 @@ def _tmp():
 @st.composite
 def transaction_records(draw):
     lender, borrower = draw(st.lists(names, min_size=2, max_size=2, unique=True))
-    return TransactionRecord(draw(st.dates()), lender, borrower, draw(positive),
-                             draw(st.none() | names))
+    return TransactionRecord(draw(st.dates()), lender, borrower, draw(positive))
 
 
 @FUZZ
@@ -85,7 +84,7 @@ def test_transactions_round_trip(records):
         table = read_transactions(path)
         assert records_of(parse_transactions(path)) == records
     assert records_of(table) == records
-    assert (table.dates, table.labels, table.maturity) == (want.dates, want.labels, want.maturity)
+    assert (table.dates, table.labels) == (want.dates, want.labels)
     for name in ("day", "lender", "borrower", "amount"):
         got, expected = getattr(table, name), getattr(want, name)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
@@ -93,15 +92,14 @@ def test_transactions_round_trip(records):
 
 @st.composite
 def loan_lists(draw):
-    """Records with labels the csv module must quote, maturities and repeated dates."""
+    """Records with labels the csv module must quote, and repeated dates."""
     awkward = st.sampled_from(['a,b', 'say "hi"', "two\nlines", "semi;colon", "B0001"])
     dates = draw(st.lists(st.dates(), min_size=1, max_size=3))
     records = []
     for _ in range(draw(st.integers(0, 25))):
         lender, borrower = draw(st.lists(awkward | names, min_size=2, max_size=2, unique=True))
         amount = draw(positive | st.integers(1, 2**70) | st.sampled_from([0.1, 1.0, 1e-300]))
-        records.append(TransactionRecord(draw(st.sampled_from(dates)), lender, borrower, amount,
-                                         draw(st.none() | st.just("") | text)))
+        records.append(TransactionRecord(draw(st.sampled_from(dates)), lender, borrower, amount))
     return records
 
 

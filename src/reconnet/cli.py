@@ -382,6 +382,9 @@ def _cmd_spectra(cfg, out):
     net_dir = Path(_need(cfg, "networks", _text))
     if not net_dir.is_dir():
         raise ConfigurationError(f"field 'networks': no such directory {net_dir}")
+    if net_dir.resolve() == out.resolve():
+        raise ConfigurationError(f"field 'out' is the input directory {net_dir}: "
+                                 "its artifacts would be read as networks")
     nodes_path = net_dir / "nodes.csv"
     if not nodes_path.exists():
         raise ConfigurationError(f"missing {nodes_path} (needed to fix the node count)")

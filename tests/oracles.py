@@ -150,6 +150,14 @@ def records_of(table):
                                        table.borrower.tolist(), table.amount.tolist())]
 
 
+def assert_same_table(got, want):
+    """Two ``TransactionTable``s are equal: dates and labels, and every column's dtype and bytes."""
+    assert (got.dates, got.labels) == (want.dates, want.labels)
+    for name in ("day", "lender", "borrower", "amount"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def table_of(records):
     """The ``TransactionTable`` of a sequence of records, rows in the same order."""
     records = list(records)

@@ -541,6 +541,19 @@ class TestHardenedReaders:
         assert rc == 1 and "input directory" in msg
         assert {p.name: p.read_bytes() for p in src.iterdir()} == before
 
+    def test_spectra_into_its_networks_directory_is_a_usage_error(self, pipeline, tmp_path,
+                                                                   capsys):
+        src = tmp_path / "samples"
+        src.mkdir()
+        for p in (pipeline / "ens/samples").iterdir():
+            (src / p.name).write_bytes(p.read_bytes())
+        before = {p.name: p.read_bytes() for p in src.iterdir()}
+        rc, msg = self.run_err(capsys, ["spectra", "--networks", str(src), "--out", str(src / ".")])
+        assert rc == 1 and "input directory" in msg
+        assert {p.name: p.read_bytes() for p in src.iterdir()} == before
+        # so a second spectra of the same directory still reads only networks
+        assert main(["spectra", "--networks", str(src), "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("override,code", [
         ({"model": "zzz"}, 1), ({"model": 5}, 1), ({"fitness": 5}, 1),
         ({"solver": 5}, 1), ({"solver": {"max_iterations": "x"}}, 1),

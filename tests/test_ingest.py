@@ -1,6 +1,7 @@
 import datetime as dt
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from oracles import (
     TransactionRecord,
     aggregate_record_loop,
+    assert_same_table,
+    parse_transactions_row_by_row,
     records_of,
     synth_transactions_per_record,
     table_of,
@@ -25,6 +28,7 @@ from reconnet import (
     derive_subseed,
     fitness_from_strengths,
     sample_network,
+    serialize,
     synth_fitness,
     synth_transactions,
 )
@@ -122,6 +126,102 @@ class TestParsing:
     def test_calendar_is_distinct_sorted_dates(self):
         table = parse(FIXTURE)
         assert table.dates == (dt.date(2007, 3, 1), dt.date(2007, 3, 2), dt.date(2007, 3, 5))
+
+
+H4 = "date,lender,borrower,amount\n"
+H5 = "date,lender,borrower,amount,maturity\n"
+ROW = "2007-03-01,B1,B2,5\n"
+
+
+class TestBulkRead:
+    """numpy reads a plain file in bulk; any other file goes to the row reader.
+
+    Either way the table is the row-by-row parser's, and an error keeps its
+    type, message and line.
+    """
+
+    @staticmethod
+    def read(tmp_path, content: bytes):
+        """The table or error of ``content``, and whether the csv module read it."""
+        path = tmp_path / "transactions.csv"
+        path.write_bytes(content)
+        with mock.patch.object(serialize, "open_text", wraps=serialize.open_text) as by_row:
+            try:
+                table = read_transactions(path)
+            except (ParseError, DataValidationError) as exc:
+                return path, (type(exc), str(exc), exc.line), by_row.called
+        assert_same_table(table, table_of(parse_transactions_row_by_row(path)))
+        return path, table, by_row.called
+
+    @pytest.mark.parametrize("content,bulk", [
+        (H4 + "2007-03-01," + "B" * 16 + ",B2,5\n", True),
+        (H4 + "2007-03-01,Caisse régionale de crédit agricole mutuel,B2,5\n", True),
+        (H4 + "  2007-03-01    ,B1,B2,5\n" + ROW, True),  # a date of 16 bytes
+        (H4 + '2007-03-01,"B,1",B2,5\n', False),
+        (H4 + '2007-03-01,"B1",B2,5\n', False),  # numpy would keep the quotes
+        (H4 + "2007-03-01,B\x001,B2,5\n", False),
+        (H4 + "2007-03-01,B1,B2,5\r2007-03-02,B2,B1,6\r", False),  # numpy refuses a lone \r
+        (H4 + "2007-03-01,B1,B2,5\r\r\n2007-03-02,B2,B1,6\r\n", False),
+        (H4 + "2007-03-01,\u00a0B1,B2\u2028,5\n2007-03-02,B2,B1 ,6\n", True),  # strip() both
+        (H4 + "20070301,B1,B2,5\r\n\r\n2007-03-02,B2,B1,6\r\n", True),
+        (H5 + "2007-03-01,B1,B2,5,ON\n", True),  # the maturity field is only counted
+        (H4 + "2007-03-01,B1,B2,1_000\n", False),  # float() reads what numpy does not
+        (H4, False),  # no rows
+        (H4 + "2007-03-01,B1," + "B" * 115 + ",5\n", True),  # a line of 131 bytes
+        (H4 + "2007-03-01,B1," + "B" * 116 + ",5\n", False),  # may hold a field of 129 bytes
+        (" Date ,LENDER,borrower,Amount\n" + ROW, False),  # numpy takes a lower-case header only
+    ])
+    def test_a_file_the_row_reader_must_read_is_left_to_it(self, tmp_path, content, bulk):
+        _, table, by_row = self.read(tmp_path, content.encode("utf-8"))
+        assert isinstance(table, TransactionTable) and by_row != bulk
+
+    @pytest.mark.parametrize("content,error", [
+        (H4 + ROW + "2007-03-02,\u00a0,B1,6\n",
+         (ParseError, "line 3: empty lender or borrower field", 3)),
+        (H4 + ROW + "2001-01,B1,B2,5\n",  # numpy's datetime64 reads it as 2001-01-01
+         (ParseError, "line 3: bad ISO-8601 date '2001-01'", 3)),
+        (H5 + "2007-03-01,B1,B2,5,ON\n" + ROW, (ParseError, "line 3: expected 5 fields, got 4", 3)),
+        (H4 + ROW + "2007-03-02,B2,B1,-6\n",
+         (DataValidationError, "line 3: amount must be positive and finite, got -6.0", 3)),
+        (H4 + ROW + "2007-03-02,B2,B1,nan\n",
+         (DataValidationError, "line 3: amount must be positive and finite, got nan", 3)),
+        (H4 + ROW + "2007-03-02,B2, B2 ,6\n",
+         (DataValidationError, "line 3: self-loop transaction for 'B2'", 3)),
+        (H4 + ROW + "  \n", (ParseError, "line 3: expected 4 fields, got 1", 3)),
+        (H4 + ROW + "2007-03-02,B1," + "B" * (1 << 17) + "C,6\n",
+         (ParseError, "line 3: field larger than field limit (131072)", 3)),
+    ])
+    def test_only_the_row_reader_reports_an_error(self, tmp_path, content, error):
+        _, outcome, by_row = self.read(tmp_path, content.encode("utf-8"))
+        assert outcome == error and by_row
+
+    @pytest.mark.parametrize("content", [
+        (H4 + ROW).encode() + b"2007-03-02,B\xff,B1,6\n",
+        (H5 + "2007-03-01,B1,B2,5,ON\n").encode() + b"2007-03-02,B2,B1,6,O\xff\n",
+    ])
+    def test_bytes_that_are_not_utf8_are_left_to_the_row_reader(self, tmp_path, content):
+        path, outcome, by_row = self.read(tmp_path, content)
+        assert outcome == (ParseError, f"line 3: {path}: not UTF-8 text (invalid start byte)", 3)
+        assert by_row
+
+    def test_fields_that_differ_under_one_key_are_left_to_the_row_reader(self, tmp_path):
+        # with a zero multiplier a key is a field's last word, 0 for B1 and B2
+        with mock.patch.object(serialize, "_MIX", np.uint64(0)):
+            _, table, by_row = self.read(tmp_path, (H4 + ROW + "2007-03-02,B2,B1,6\n").encode())
+        assert table.labels == ("B1", "B2") and by_row
+
+    @pytest.mark.filterwarnings("error")  # numpy warns on a block of blank lines
+    @pytest.mark.parametrize("long", [0, 150, 299])  # the row with a 40-byte lender
+    def test_blocks_of_lines_give_the_table_of_the_whole_file(self, tmp_path, long):
+        content = (H4 + "\n".join(f"2007-03-{1 + k % 28:02d},{'B' * 39 if k == long else 'B'}"
+                                   f"{k % 7},C{k % 5},{k + 1}" for k in range(300))
+                   + "\n\n\n").encode()
+        _, whole, _ = self.read(tmp_path, content)
+        for block_bytes in (1, 64, 4096):
+            with mock.patch.object(serialize, "_BLOCK_BYTES", block_bytes):
+                _, table, by_row = self.read(tmp_path, content)
+            assert_same_table(table, whole)
+            assert not by_row
 
 
 class TestWindows:

@@ -3,9 +3,9 @@
 Writing then reading transactions, fitness, edge lists and node lists
 gives back what was written, bit for bit. A valid file with one malformed
 row inserted anywhere must end in a ParseError or DataValidationError that
-names that row's line, and in CLI exit code 2. The bulk edge-list reader
-and the distinct-value CSV writer match their row-by-row and cell-by-cell
-references. A mutated config, model, report, node, edge-list, fitness or
+names that row's line, and in CLI exit code 2. The bulk edge-list and
+transactions readers and the distinct-value CSV writer match their
+row-by-row and cell-by-cell references. A mutated config, model, report, node, edge-list, fitness or
 transactions file must end the CLI with exit code 0, 1, 2 or 3 and at most
 a one-line message, never a traceback. An integer config field refuses a
 number with a fraction and a bool with exit code 1.
@@ -17,6 +17,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     TransactionRecord,
+    assert_same_table,
     parse_transactions_row_by_row,
     read_fitness_row_by_row,
     read_network_row_by_row,
@@ -33,7 +35,7 @@ from oracles import (
     write_transactions_per_row,
 )
 
-from reconnet import DirectedNetwork
+from reconnet import DirectedNetwork, serialize
 from reconnet.cli import main
 from reconnet.errors import DataValidationError, ParseError, ReconError
 from reconnet.ingest import FitnessData, parse_transactions
@@ -84,10 +86,7 @@ def test_transactions_round_trip(records):
         table = read_transactions(path)
         assert records_of(parse_transactions(path)) == records
     assert records_of(table) == records
-    assert (table.dates, table.labels) == (want.dates, want.labels)
-    for name in ("day", "lender", "borrower", "amount"):
-        got, expected = getattr(table, name), getattr(want, name)
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+    assert_same_table(table, want)
 
 
 @st.composite
@@ -296,6 +295,52 @@ def test_read_transactions_accepts_and_rejects_like_the_row_by_row_parser(conten
         path.write_bytes(content.encode("utf-8"))
         want = _outcome(parse_transactions_row_by_row, path)
         assert _outcome(lambda p: records_of(read_transactions(p)), path) == want
+
+
+# characters of a plain field: U+00A0, U+0085, U+2028 and \f are whitespace to
+# str.strip, and a multi-byte letter makes a field longer in bytes than in letters
+plain_char = st.sampled_from("AbZ09 _-.\t\f\u00a0\u0085\u2028é中🙂")
+name_pad = st.sampled_from(["", "", "", " ", "\u00a0", "\u00a0\u2028"])
+date_pad = st.sampled_from(["", " ", "\u00a0"])
+
+
+@st.composite
+def plain_transaction_files(draw):
+    """A well-formed transactions file without quotes, its lines at most 128 bytes long."""
+    label = st.text(plain_char, min_size=1, max_size=30)
+    names = draw(st.lists(label.filter(lambda n: n.strip() and len(n.encode()) <= 30),
+                          min_size=2, max_size=5, unique_by=str.strip))
+    dates = draw(st.lists(st.dates(), min_size=1, max_size=4))
+    maturity = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        d = draw(st.sampled_from(dates))
+        date = d.isoformat() if draw(st.booleans()) else f"{d.year:04d}{d.month:02d}{d.day:02d}"
+        pair = [draw(name_pad) + name + draw(name_pad) for name in draw(st.permutations(names))[:2]]
+        amount = draw(st.sampled_from([repr, "{:.17g}".format, "{:e}".format]))(draw(positive))
+        row = [draw(date_pad) + date + draw(date_pad), *pair,
+               draw(st.sampled_from(["", " ", "\t"])) + amount]
+        if maturity:
+            row.append(draw(st.sampled_from(["", "ON", " 1W ", "über"])))
+        rows.append(",".join(row))
+        rows.extend([""] * draw(st.integers(0, 1)))  # a blank line
+    header = "date,lender,borrower,amount" + ",maturity" * maturity
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header] + rows) + newline
+
+
+@FUZZ
+@given(plain_transaction_files(), st.sampled_from([1, 50, 1 << 18]))
+def test_bulk_read_of_a_plain_file_equals_the_row_by_row_parser(content, block_bytes):
+    csv_open = mock.patch.object(serialize, "open_text", wraps=serialize.open_text)
+    with _tmp() as tmp, mock.patch.object(serialize, "_BLOCK_BYTES", block_bytes), \
+            csv_open as rows_read:
+        path = Path(tmp) / "transactions.csv"
+        path.write_bytes(content.encode("utf-8"))
+        table = read_transactions(path)
+        want = table_of(parse_transactions_row_by_row(path))
+    assert not rows_read.called
+    assert_same_table(table, want)
 
 
 @st.composite

@@ -315,9 +315,7 @@ def _cmd_fit(cfg, out):
     write_model(paths[0], model)
 
     tau = tau_matrix(model)
-    iu, ju = np.triu_indices(fitness.n, k=1)
-    keep = tau.defined[iu, ju]
-    iu, ju = iu[keep], ju[keep]
+    iu, ju = np.nonzero(np.triu(tau.defined, k=1))
     paths.extend(_write_figure_artifact(out, "tau_histogram", [iu, ju, tau.values[iu, ju]]))
     report = model.report
     return paths, {
@@ -468,12 +466,13 @@ def _cmd_validate(cfg, out):
         raise ConfigurationError(
             f"field 'window': index {window_index} out of range (have {len(windows)})")
     net = aggregate(index, windows[window_index])
+    del table, index  # freed before the N x N arrays
     if net.n != model.n:
         raise DataValidationError(f"model has {model.n} nodes, window has {net.n}")
 
-    arrs = dyad_probability_arrays(model)
     off = ~np.eye(net.n, dtype=bool)
-    roc = roc_auc(arrs.link[off], net.adjacency[off])
+    scores, observed = dyad_probability_arrays(model).link[off], net.adjacency[off]
+    roc = roc_auc(scores, observed)
     metrics = degrees_strengths(net)
     _, r_model = expected_metrics(model)
     rho_value = None
@@ -481,7 +480,7 @@ def _cmd_validate(cfg, out):
         rho_value = rho(metrics.r, r_model)
     summary = {
         "auc": roc.auc,
-        "mann_whitney_auc": mann_whitney_auc(arrs.link[off], net.adjacency[off]),
+        "mann_whitney_auc": mann_whitney_auc(scores, observed),
         "cross_entropy": cross_entropy(model, net),
         "density": metrics.d,
         "reciprocity": metrics.r,

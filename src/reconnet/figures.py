@@ -12,8 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .validation import trapezoid
-
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 18, 34, 48
 
@@ -74,19 +72,17 @@ class _Canvas:
             p.append(f'<text x="16" y="{HEIGHT / 2}" font-size="12" text-anchor="middle" '
                      f'transform="rotate(-90 16 {HEIGHT / 2})">{ylabel}</text>')
 
-    def _points(self, xs, ys):
-        """Pixel coordinates of the points as text, mapped as arrays."""
-        px = self.x(np.asarray(xs)).tolist()
-        py = self.y(np.asarray(ys)).tolist()
-        return zip(map(_f, px), map(_f, py))
+    def _points(self, xs, ys, pattern):
+        """Each point's pixel coordinates put in ``pattern`` (``_f``'s ``{:.6g}``), as arrays."""
+        px, py = self.x(np.asarray(xs)).tolist(), self.y(np.asarray(ys)).tolist()
+        return map(pattern.format, px, py)
 
     def scatter(self, xs, ys, color, radius=1.6, opacity=0.65):
-        for cx, cy in self._points(xs, ys):
-            self.parts.append(f'<circle cx="{cx}" cy="{cy}" '
-                              f'r="{radius}" fill="{color}" fill-opacity="{opacity}"/>')
+        self.parts.extend(self._points(xs, ys, '<circle cx="{:.6g}" cy="{:.6g}" '
+                                       f'r="{radius}" fill="{color}" fill-opacity="{opacity}"/>'))
 
     def polyline(self, xs, ys, color, width=1.5, dash=None):
-        pts = " ".join(f"{a},{b}" for a, b in self._points(xs, ys))
+        pts = " ".join(self._points(xs, ys, "{:.6g},{:.6g}"))
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                           f'stroke-width="{width}"{extra}/>')
@@ -178,7 +174,7 @@ def roc_curve(path, fpr, tpr, title="ROC") -> bool:
                 xlabel="false positive rate", ylabel="true positive rate")
     c.polyline([0.0, 1.0], [0.0, 1.0], "#aaaaaa", width=1.0, dash="4,3")
     c.polyline(fpr, tpr, _COLOR, width=1.8)
-    c.label(f"AUC = {_f(trapezoid(fpr, tpr))}", _COLOR)
+    c.label(f"AUC = {_f(np.trapezoid(tpr, fpr))}", _COLOR)
     _write(path, c)
     return True
 

@@ -30,38 +30,44 @@ from .ingest import FitnessData, TransactionTable
 from .models import FittedModel, ModelKind
 
 
-_FLOAT17 = "{:.17g}".format
-
-
-def fmt(x) -> str:
-    """17-significant-digit decimal form of a float (lossless round trip)."""
-    return _FLOAT17(float(x))
+fmt = "{:.17g}".format  # a float's 17-significant-digit decimal form: a lossless round trip
+_CHUNK_ROWS = 1 << 16  # rows formatted at a time, which bounds the writer's memory
 
 
 def write_csv(path, header, columns) -> None:
     """A header row, then row k holding item k of every column.
 
     Columns are arrays or sequences of equal length. A float column is
-    written through ``fmt``, any other column as ``str`` of its items. A
-    float array is formatted once per distinct value, told apart by its
-    bits, which keeps -0.0 apart from 0.0.
+    written through ``fmt``, any other column as ``str`` of its items. Rows
+    go out 64 Ki at a time: by one row format when every column is a float
+    or numpy integer array, else by the csv module, with each distinct float
+    formatted once (a float column next to text, such as amounts, has few).
     """
-    cells = []
-    for column in columns:
-        array = np.asarray(column)
-        if array.dtype.kind == "f":
-            array = np.ascontiguousarray(array, dtype=np.float64)
-            _, first, inverse = np.unique(array.view(np.int64), return_index=True,
-                                          return_inverse=True)
-            texts = np.array(list(map(_FLOAT17, array[first].tolist())), dtype=object)
-            cells.append(texts[inverse].tolist())
-        else:
-            # items of a sequence as they are: a numpy str array drops trailing NULs
-            cells.append(array.tolist() if isinstance(column, np.ndarray) else list(column))
+    # a sequence keeps its items unless they are floats: a numpy str array drops trailing NULs
+    arrays = [array if array.dtype.kind == "f" or isinstance(column, np.ndarray)
+              else np.array(column, dtype=object)
+              for column, array in zip(columns, map(np.asarray, columns))]
+    if len({len(array) for array in arrays}) > 1:
+        raise ValueError("columns differ in length")
+    kinds = [array.dtype.kind for array in arrays]
+    row = ",".join("{:.17g}" if kind == "f" else "{}" for kind in kinds) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*cells, strict=True))
+        for start in range(0, len(arrays[0]) if arrays else 0, _CHUNK_ROWS):
+            chunk = [array[start:start + _CHUNK_ROWS] for array in arrays]
+            if set(kinds) <= set("biuf"):
+                fh.write("".join(map(row.format, *(part.tolist() for part in chunk))))
+            else:
+                writer.writerows(zip(*(_float_texts(part) if kind == "f" else part.tolist()
+                                       for part, kind in zip(chunk, kinds))))
+
+
+def _float_texts(values) -> list[str]:
+    """``fmt`` of each value, formatted once per distinct value, told apart by its bits."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    return np.array(list(map(fmt, values[first].tolist())), dtype=object)[inverse].tolist()
 
 
 def _jsonable(obj):
@@ -349,23 +355,29 @@ def _ids(column, ids, parse=str) -> np.ndarray:
 
 def _read_plain_transactions(path) -> TransactionTable:
     """``read_transactions`` of a plain file, a block of lines at a time; ValueError otherwise."""
-    date_ids, name_ids, blocks = {}, {}, []
+    date_ids, name_ids, blocks, field_bytes = {}, {}, [], []
     with open(path, "rb") as fh:
         header = fh.readline().rstrip(b"\r\n")
         if header not in _PLAIN_HEADERS:
             raise ValueError("not a plain header")
         width = header.count(b",") + 1
+        body = fh.tell()
+        # every block is screened before any is parsed: a file left to the row reader costs
+        # one pass over its bytes, not the blocks parsed before
         for block in iter(lambda: fh.read(_BLOCK_BYTES) + fh.readline(), b""):
             if b'"' in block or b"\0" in block:
                 raise ValueError("a quote or a NUL, which the csv module reads unlike numpy")
             block.decode()
+            # numpy cuts a field longer than its dtype short silently; a
+            # field is shorter than its line by a comma per other field
+            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            field_bytes.append(np.diff(ends, prepend=-1, append=len(block)).max() - width)
+            if field_bytes[-1] > _FIELD_BYTES:
+                raise ValueError("a line that may hold a field wider than numpy takes")
+        fh.seek(body)
+        for longest in field_bytes:
+            block = fh.read(_BLOCK_BYTES) + fh.readline()
             if block.strip(b"\r\n"):  # numpy warns on a block of no rows
-                # numpy cuts a field longer than its dtype short silently; a
-                # field is shorter than its line by a comma per other field
-                ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-                longest = np.diff(ends, prepend=-1, append=len(block)).max() - width
-                if longest > _FIELD_BYTES:
-                    raise ValueError("a line that may hold a field wider than numpy takes")
                 text = f"S{-(-longest // 8) * 8}"  # whole 8-byte words
                 fields = [("date", text), ("lender", text), ("borrower", text), ("amount", "f8"),
                           ("maturity", "S1")]  # only counted: a row without it still fails
@@ -486,8 +498,9 @@ def read_nodes(path) -> list[str]:
 
 def write_network(path, net: DirectedNetwork) -> None:
     src, dst = np.nonzero(net.adjacency)
+    # a binary network's weights are its adjacency values, which print as the floats would
     w = net.weights if net.weights is not None else net.adjacency
-    write_csv(path, ["source", "target", "weight"], [src, dst, w[src, dst].astype(float)])
+    write_csv(path, ["source", "target", "weight"], [src, dst, w[src, dst]])
 
 
 _EDGE_HEADER = ["source", "target", "weight"]

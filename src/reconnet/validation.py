@@ -205,11 +205,14 @@ class RocResult:
 
 
 def roc_auc(link_probabilities, observed) -> RocResult:
-    """ROC curve over all distinct thresholds plus its trapezoidal AUC.
+    """ROC curve at its corners over the distinct thresholds, plus its trapezoidal AUC.
 
     Ties in the scores are grouped, so the trapezoidal integral equals the
     probability of ranking a random positive above a random negative with
-    ties counted one half.
+    ties counted one half. A point inside a straight run of the step path
+    changes neither the curve nor its area, so only the corners are kept:
+    (0, 0), (1, 1) and every point whose incoming and outgoing segments
+    differ in direction, told by the integer counts (FP, TP).
     """
     scores = np.asarray(link_probabilities, dtype=float).ravel()
     labels = np.asarray(observed).ravel().astype(bool)
@@ -220,26 +223,18 @@ def roc_auc(link_probabilities, observed) -> RocResult:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAUCError(f"need both classes, got {n_pos} positives, {n_neg} negatives")
 
-    order = np.argsort(-scores, kind="stable")
+    # no stable sort: the order inside a block of tied scores changes no count
+    order = np.argsort(-scores)
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    block_ends = np.append(distinct, len(scores) - 1)
-    cum_tp = np.cumsum(sorted_labels)[block_ends]
-    cum_fp = block_ends + 1 - cum_tp
-    tpr = np.concatenate([[0.0], cum_tp / n_pos])
-    fpr = np.concatenate([[0.0], cum_fp / n_neg])
-    thresholds = np.concatenate([[np.inf], sorted_scores[block_ends]])
-    return RocResult(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=trapezoid(fpr, tpr))
-
-
-def trapezoid(x, y) -> float:
-    """Trapezoid-rule integral of ``y`` over ``x``: ``roc_auc``'s AUC and the ROC figure's.
-
-    Written out because np.trapezoid needs numpy >= 2.0.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
+    block_ends = np.append(np.nonzero(np.diff(sorted_scores))[0], len(scores) - 1)
+    tp = np.r_[0, np.cumsum(labels[order])[block_ends]]
+    fp = np.r_[0, block_ends + 1] - tp
+    # a point is a corner where the cross product of its two segments is not zero
+    dfp, dtp = np.diff(fp), np.diff(tp)
+    corner = np.flatnonzero(np.r_[True, dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:], True])
+    fpr, tpr = fp[corner] / n_neg, tp[corner] / n_pos
+    thresholds = np.r_[np.inf, sorted_scores[block_ends]][corner]
+    return RocResult(thresholds, fpr, tpr, float(np.trapezoid(tpr, fpr)))
 
 
 def mann_whitney_auc(link_probabilities, observed) -> float:
@@ -259,7 +254,7 @@ def mann_whitney_auc(link_probabilities, observed) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAUCError("need both classes for a pairwise ranking statistic")
-    order = np.argsort(scores, kind="stable")
+    order = np.argsort(scores)  # a tie block's order changes no rank
     sorted_scores = scores[order]
     # tie block k covers sorted positions starts[k]..ends[k]-1, 1-based ranks
     # starts[k]+1..ends[k], so twice its mid-rank is starts[k] + ends[k] + 1
@@ -281,15 +276,11 @@ def cross_entropy(model: FittedModel, observed: DirectedNetwork) -> float:
     arrs = dyad_probability_arrays(model)
     if arrs.n != observed.n:
         raise DomainError(f"model has {arrs.n} nodes, network has {observed.n}")
-    a = observed.adjacency
+    a = observed.adjacency.astype(bool)
     iu, ju = np.triu_indices(observed.n, k=1)
-    fwd = a[iu, ju].astype(bool)
-    bwd = a[ju, iu].astype(bool)
-    p = np.where(
-        fwd & bwd, arrs.both[iu, ju],
-        np.where(fwd, arrs.only[iu, ju],
-                 np.where(bwd, arrs.only[ju, iu], arrs.none[iu, ju])),
-    )
+    fwd, bwd = a[iu, ju], a[ju, iu]
+    p = np.select([fwd & bwd, fwd, bwd], [arrs.both[iu, ju], arrs.only[iu, ju], arrs.only[ju, iu]],
+                  arrs.none[iu, ju])
     impossible = int(np.count_nonzero(p == 0.0))
     if impossible:
         log.warning("cross-entropy is infinite: %d observed dyad states have "

@@ -126,6 +126,22 @@ def pairwise_auc(scores, labels):
     return float(wins) / (len(pos) * len(neg))
 
 
+def roc_step_path(scores, labels):
+    """Every point of the ROC step path, highest threshold first: (threshold, FP, TP).
+
+    One point per distinct score t counts the negatives and positives scored
+    at least t; the path starts at (inf, 0, 0).
+    """
+    scores = np.asarray(scores, dtype=float).ravel()
+    labels = np.asarray(labels).ravel().astype(bool)
+    points = [(math.inf, 0, 0)]
+    for t in sorted(set(scores.tolist()), reverse=True):
+        above = scores >= t
+        points.append((t, int(np.count_nonzero(above & ~labels)),
+                       int(np.count_nonzero(above & labels))))
+    return points
+
+
 @dataclass
 class TransactionRecord:
     """One loan: lender -> borrower of a positive amount on a given date."""

@@ -32,7 +32,6 @@ from reconnet.serialize import (
     write_network,
     write_nodes,
 )
-from reconnet.validation import trapezoid
 
 
 def tree_digest(root, skip=("manifest.json",)):
@@ -528,7 +527,7 @@ class TestHardenedReaders:
         assert redrawn_otherwise == []
         # the ROC label's AUC, from the curve read back, is validation.json's to the bit
         _, fpr, tpr = read_csv(pipeline / "val/roc.csv", ["threshold", "fpr", "tpr"], [float] * 3)
-        assert trapezoid(fpr, tpr) == read_json(pipeline / "val/validation.json")["auc"]
+        assert np.trapezoid(tpr, fpr) == read_json(pipeline / "val/validation.json")["auc"]
 
     def test_report_into_its_input_directory_is_a_usage_error(self, pipeline, tmp_path,
                                                               capsys):

@@ -5,7 +5,8 @@ gives back what was written, bit for bit. A valid file with one malformed
 row inserted anywhere must end in a ParseError or DataValidationError that
 names that row's line, and in CLI exit code 2. The bulk edge-list and
 transactions readers and the distinct-value CSV writer match their
-row-by-row and cell-by-cell references. A mutated config, model, report, node, edge-list, fitness or
+row-by-row and cell-by-cell references, the writer across chunks of rows
+too. A mutated config, model, report, node, edge-list, fitness or
 transactions file must end the CLI with exit code 0, 1, 2 or 3 and at most
 a one-line message, never a traceback. An integer config field refuses a
 number with a fraction and a bool with exit code 1.
@@ -565,6 +566,48 @@ def test_write_csv_writes_the_bytes_of_the_per_cell_writer(columns):
         write_csv(got, header, columns)
         write_csv_per_cell(want, header, columns)
         assert got.read_bytes() == want.read_bytes()
+
+
+CHUNK = 1 << 16  # the rows write_csv formats at a time
+
+
+def _across_a_chunk_boundary(values, fill):
+    """A column of 2 chunks and a bit: ``fill``, with ``values`` on both sides of row CHUNK."""
+    column = [fill] * (2 * CHUNK + 7)
+    column[CHUNK - len(values):CHUNK + len(values)] = values[::-1] + values
+    return column
+
+
+@pytest.mark.parametrize("kinds", [("int64", "float64"), ("float64",), ("text",),
+                                   ("text", "int64", "float64"), ("float32", "bool", "int list")])
+def test_write_csv_in_chunks_writes_the_bytes_of_the_per_cell_writer(tmp_path, kinds):
+    columns = []
+    for kind in kinds:
+        if kind in ("float64", "float32"):
+            values = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 0.1, 1e16 + 2]
+            columns.append(np.array(_across_a_chunk_boundary(values, 1 / 3), dtype=kind))
+        elif kind == "text":
+            columns.append(_across_a_chunk_boundary(['say "hi", twice', "", "a\nb", " x"], "B"))
+        elif kind == "bool":
+            columns.append(np.array(_across_a_chunk_boundary([True, False], True)))
+        else:
+            values = [2**63 - 1, -2**63, 0, -1]
+            column = _across_a_chunk_boundary(values, 7)
+            columns.append(column if kind == "int list" else np.array(column, dtype=kind))
+    header = [f"c{k}" for k in range(len(columns))]
+    write_csv(tmp_path / "got.csv", header, columns)
+    write_csv_per_cell(tmp_path / "want.csv", header, columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("columns", [
+    [np.arange(CHUNK + 1), np.zeros(CHUNK)],
+    [np.zeros(CHUNK + 1), ["x"] * (CHUNK + 2)],
+    [["x"] * 3, range(CHUNK)],
+])
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path, columns):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], columns)
 
 
 # ---------------------------------------------------------------------------

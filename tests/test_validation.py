@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import (TransactionRecord, aggregate_record_loop, pairwise_auc, records_of,
-                     scan_window_by_window, table_of)
+                     roc_step_path, scan_window_by_window, table_of)
 
 from reconnet import (
     DirectedNetwork,
@@ -80,6 +82,38 @@ class TestRocAuc:
         assert roc.fpr[0] == roc.tpr[0] == 0.0
         assert roc.fpr[-1] == roc.tpr[-1] == 1.0
         assert (np.diff(roc.fpr) >= 0).all() and (np.diff(roc.tpr) >= 0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_curve_is_the_corners_of_the_step_path(self, data):
+        # few score levels make long tie blocks and long straight runs
+        levels = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(2, 40))
+        scores = np.array(data.draw(st.lists(st.integers(0, levels), min_size=n,
+                                             max_size=n))) / levels
+        labels = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assume(0 < labels.sum() < n)
+        n_pos, n_neg = int(labels.sum()), int(n - labels.sum())
+        roc = roc_auc(scores, labels)
+        path = roc_step_path(scores, labels)
+        position = {t: k for k, (t, _, _) in enumerate(path)}
+        kept = [position[t] for t in roc.thresholds.tolist()]
+        # a subsequence of the step path, anchored at (0, 0) and (1, 1)
+        assert kept == sorted(set(kept)) and kept[0] == 0 and kept[-1] == len(path) - 1
+        assert roc.fpr.tolist() == [path[k][1] / n_neg for k in kept]
+        assert roc.tpr.tolist() == [path[k][2] / n_pos for k in kept]
+        assert (roc.fpr[0], roc.tpr[0], roc.fpr[-1], roc.tpr[-1]) == (0.0, 0.0, 1.0, 1.0)
+        # every dropped point lies on the segment between its kept neighbours
+        for a, b in zip(kept, kept[1:]):
+            (_, fa, ta), (_, fb, tb) = path[a], path[b]
+            for _, f, t in path[a + 1:b]:
+                assert (fb - fa) * (t - ta) == (tb - ta) * (f - fa)
+                assert fa <= f <= fb and ta <= t <= tb
+        # and every kept point inside the curve turns it
+        for k in kept[1:-1]:
+            (_, f0, t0), (_, f1, t1), (_, f2, t2) = path[k - 1:k + 2]
+            assert (f1 - f0) * (t2 - t1) != (t1 - t0) * (f2 - f1)
+        assert abs(roc.auc - pairwise_auc(scores, labels)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(100))
     def test_trapezoid_equals_mann_whitney(self, seed):

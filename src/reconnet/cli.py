@@ -10,8 +10,8 @@ timings aside), independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import math
 import os
 import sys
 import time
@@ -87,7 +87,8 @@ _NUMERIC_ERRORS = (NonConvergenceError, NumericalError, DegenerateEnsembleError,
                    SingularityError)
 
 
-def _threads(cfg) -> int:
+def _threads(values) -> int:
+    """Worker processes: RECON_NET_THREADS, else field 'threads', else one per usable CPU."""
     env = os.environ.get("RECON_NET_THREADS")
     if env is not None:
         try:
@@ -95,10 +96,11 @@ def _threads(cfg) -> int:
         except ValueError:
             raise ConfigurationError(f"RECON_NET_THREADS={env!r} is not an integer") from None
     else:
-        # by default, the CPUs this process may run on where the platform says, else all of them
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        name, threads = "field 'threads'", _option(cfg, "threads", _integer, max(1, cpus))
+        name, threads = "field 'threads'", values.get("threads")
+        if threads is None:
+            # the CPUs this process may run on where the platform says, else all of them
+            threads = max(1, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                          else os.cpu_count() or 1)
     if threads < 1:
         raise ConfigurationError(f"{name} must be >= 1, got {threads}")
     return threads
@@ -118,69 +120,43 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _need(cfg, field, kind=None):
-    value = cfg.get(field)
-    if value is None:
-        raise ConfigurationError(f"missing required field '{field}'")
-    if kind is not None:
-        try:
-            value = kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigurationError(f"field '{field}' has invalid value {value!r}") from None
+def _number(value) -> float:
+    """``value`` as a float: a bool is not a number."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _switch(value) -> bool:
+    """``value`` if it is a JSON boolean: the string "false" is not one."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
     return value
 
 
-def _option(cfg, field, kind, default):
-    """An optional field through ``kind``, or ``default`` when it is absent."""
-    return default if cfg.get(field) is None else _need(cfg, field, kind)
+def _file(value) -> Path:
+    """``value`` as the path of an existing file."""
+    if not Path(_text(value)).is_file():
+        raise ConfigurationError(f"no such file {value!r}")
+    return Path(value)
 
 
-def _need_path(cfg, field) -> Path:
-    path = Path(_need(cfg, field, _text))
-    if not path.is_file():
-        raise ConfigurationError(f"field '{field}': no such file {path}")
-    return path
+def _directory(value) -> Path:
+    """``value`` as the path of an existing directory."""
+    if not Path(_text(value)).is_dir():
+        raise ConfigurationError(f"no such directory {value!r}")
+    return Path(value)
 
 
-def _fraction(cfg, field, lo, hi, lo_open=True, hi_open=True):
-    value = _need(cfg, field, float)
-    ok_lo = value > lo if lo_open else value >= lo
-    ok_hi = value < hi if hi_open else value <= hi
-    if not (ok_lo and ok_hi):
-        bra = "(" if lo_open else "["
-        ket = ")" if hi_open else "]"
-        raise ConfigurationError(f"field '{field}' must be in {bra}{lo}, {hi}{ket}, got {value}")
-    return value
-
-
-def _out_dir(cfg) -> Path:
-    out = Path(_need(cfg, "out", _text))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _solver_config(cfg) -> SolverConfig | None:
-    overrides = cfg.get("solver")
-    if not overrides:
-        return None
-    if not isinstance(overrides, dict):
-        raise ConfigurationError("field 'solver' must be an object")
-    known = {"residual_tolerance", "step_tolerance", "max_iterations", "lower_bound"}
-    bad = set(overrides) - known
-    if bad:
-        raise ConfigurationError(f"unknown solver fields {sorted(bad)}")
-    for key, value in overrides.items():
-        if not _finite_number(value) or (key == "max_iterations" and not isinstance(value, int)):
-            raise ConfigurationError(f"field 'solver.{key}' has invalid value {value!r}")
-    return SolverConfig(**overrides)
-
-
-def _finite_number(value) -> bool:
-    """Whether ``value`` is a number (not a bool) with a finite float value."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
+def _solver(value) -> SolverConfig:
+    """A config-only object of SolverConfig overrides; SolverConfig checks their values."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    unknown = set(value) - {"residual_tolerance", "step_tolerance", "max_iterations",
+                            "lower_bound"}
+    if unknown:
+        raise ConfigurationError(f"unknown solver fields {sorted(unknown)}")
+    return SolverConfig(**value)
 
 
 def parse_delta_ts(text) -> list[int]:
@@ -204,10 +180,9 @@ def parse_delta_ts(text) -> list[int]:
                 raise ValueError
     except ValueError:
         raise ConfigurationError(
-            f"field 'delta_t' must be 'a:b[:step]' or a comma list of days >= 1, got {text!r}"
-        ) from None
+            f"must be 'a:b[:step]' or a comma list of days >= 1, got {text!r}") from None
     if values[-1] > 366:  # no year has more trading days, so no window would fit
-        raise ConfigurationError(f"field 'delta_t' must be at most 366 days, got {values[-1]}")
+        raise ConfigurationError(f"must be at most 366 days, got {values[-1]}")
     return list(values)
 
 
@@ -246,33 +221,27 @@ def _write_figure_artifact(out, kind, columns, *extra) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _fit_fitness_model(cfg, fitness):
-    """The fdcm or fgrm model of ``fitness`` that the config's targets ask for."""
-    kind = _need(cfg, "model", ModelKind)
-    d = _fraction(cfg, "density", 0.0, 1.0)
-    solver = _solver_config(cfg)
+def _fit_fitness_model(v, fitness):
+    """The fdcm or fgrm model of ``fitness`` that the targets in ``v`` ask for."""
+    kind = v["model"]
     if kind is ModelKind.FGRM:
-        r = _fraction(cfg, "reciprocity", 0.0, 1.0, lo_open=False)
-        return fit_fgrm(fitness, d, r, config=solver)
+        if v["reciprocity"] is None:
+            raise ConfigurationError("missing required field 'reciprocity'")
+        return fit_fgrm(fitness, v["density"], v["reciprocity"], config=v["solver"])
     if kind is ModelKind.FDCM:
-        return fit_fdcm(fitness, d, config=solver)
+        return fit_fdcm(fitness, v["density"], config=v["solver"])
     raise ConfigurationError(f"field 'model' must be fdcm or fgrm, got {kind.value}")
 
 
-def _cmd_synth(cfg, out):
-    n = _need(cfg, "nodes", _integer)
+def _cmd_synth(v, out):
+    n, year, days = v["nodes"], v["year"], v["days"]
     if not 2 <= n <= MAX_NODES:  # no reader takes a larger network
         raise ConfigurationError(f"field 'nodes' must lie in 2..{MAX_NODES}, got {n}")
-    dist = _need(cfg, "fitness_dist", _text)
-    seed = _need(cfg, "seed", _integer)
-    year = _need(cfg, "year", _integer)
-    days = _need(cfg, "days", _integer)
-    amount_sigma = _option(cfg, "amount_sigma", float, 0.0)
-    synth_days(year, days, amount_sigma)  # before the fit, which can take seconds
-    fitness = synth_fitness(n, dist, derive_subseed(seed, 0))
-    model = _fit_fitness_model(cfg, fitness)
-    table = synth_transactions(model, year, days, derive_subseed(seed, 1),
-                               amount_sigma=amount_sigma)
+    synth_days(year, days, v["amount_sigma"])  # before the fit, which can take seconds
+    fitness = synth_fitness(n, v["fitness_dist"], derive_subseed(v["seed"], 0))
+    model = _fit_fitness_model(v, fitness)
+    table = synth_transactions(model, year, days, derive_subseed(v["seed"], 1),
+                               amount_sigma=v["amount_sigma"])
     paths = [out / "fitness.csv", out / "transactions.csv", out / "truth.json"]
     write_fitness_csv(paths[0], fitness)
     write_transactions_csv(paths[1], table)
@@ -280,11 +249,9 @@ def _cmd_synth(cfg, out):
     return paths, {"transactions": len(table.day), "params": model.params}
 
 
-def _cmd_aggregate(cfg, out):
-    table = read_transactions(_need_path(cfg, "transactions"))
-    year = _need(cfg, "year", _integer)
-    delta_t = _need(cfg, "delta_t", _integer)
-    index = index_year(table, year)
+def _cmd_aggregate(v, out):
+    delta_t = v["delta_t"]
+    index = index_year(read_transactions(v["transactions"]), v["year"])
     windows = build_windows(index, delta_t)
     net_dir = out / "networks"
     net_dir.mkdir(exist_ok=True)
@@ -308,9 +275,9 @@ def _cmd_aggregate(cfg, out):
     return paths, {"windows": len(windows)}
 
 
-def _cmd_fit(cfg, out):
-    fitness, _ = read_fitness_csv(_need_path(cfg, "fitness"))
-    model = _fit_fitness_model(cfg, fitness)
+def _cmd_fit(v, out):
+    fitness, _ = read_fitness_csv(v["fitness"])
+    model = _fit_fitness_model(v, fitness)
     paths = [out / "fitted.json"]
     write_model(paths[0], model)
 
@@ -325,11 +292,9 @@ def _cmd_fit(cfg, out):
     }
 
 
-def _cmd_sample(cfg, out):
-    model = read_model(_need_path(cfg, "model_file"))
-    samples = _need(cfg, "samples", _integer)
-    seed = _need(cfg, "seed", _integer)
-    n_write = _option(cfg, "write_networks", _integer, 0)
+def _cmd_sample(v, out):
+    model = read_model(v["model_file"])
+    samples, seed, n_write = v["samples"], v["seed"], v["write_networks"]
     if n_write < 0:
         raise ConfigurationError(f"field 'write_networks' must be >= 0, got {n_write}")
     if n_write > samples:
@@ -337,23 +302,14 @@ def _cmd_sample(cfg, out):
             f"field 'write_networks' ({n_write}) exceeds field 'samples' ({samples})")
     # drawn here, not in worker processes: starting two took longer than the 20
     # samples and 4 written networks they would share (README, Performance notes)
-    summary = generate_ensemble(
-        model, EnsembleConfig(sample_count=samples, master_seed=seed),
-        compute_lambda=not cfg.get("no_spectra", False),
-    )
+    summary = generate_ensemble(model, EnsembleConfig(sample_count=samples, master_seed=seed),
+                                compute_lambda=not v["no_spectra"])
+    # lambda_fallbacks says how lambda_max was computed, not what it is, so
+    # it goes to the manifest and not to ensemble.json
+    record = dataclasses.asdict(summary)
+    lambda_fallbacks = record.pop("lambda_fallbacks")
     paths = [out / "ensemble.json"]
-    write_json(paths[0], {
-        "sample_count": summary.sample_count,
-        "mean_density": summary.mean_density,
-        "std_density": summary.std_density,
-        "mean_reciprocity": summary.mean_reciprocity,
-        "std_reciprocity": summary.std_reciprocity,
-        "mean_lambda_max": summary.mean_lambda_max,
-        "std_lambda_max": summary.std_lambda_max,
-        "densities": summary.densities,
-        "reciprocities": summary.reciprocities,
-        "lambda_max": summary.lambda_max,
-    })
+    write_json(paths[0], record)
     if n_write > 0:
         sample_dir = out / "samples"
         sample_dir.mkdir(exist_ok=True)
@@ -369,17 +325,13 @@ def _cmd_sample(cfg, out):
             p = sample_dir / f"sample_{k:05d}.csv"
             write_network(p, net)
             paths.append(p)
-    # lambda_fallbacks says how lambda_max was computed, not what it is, so
-    # it goes to the manifest and not to ensemble.json
     return paths, {"mean_density": summary.mean_density,
                    "mean_lambda_max": summary.mean_lambda_max,
-                   "lambda_fallbacks": summary.lambda_fallbacks}
+                   "lambda_fallbacks": lambda_fallbacks}
 
 
-def _cmd_spectra(cfg, out):
-    net_dir = Path(_need(cfg, "networks", _text))
-    if not net_dir.is_dir():
-        raise ConfigurationError(f"field 'networks': no such directory {net_dir}")
+def _cmd_spectra(v, out):
+    net_dir = v["networks"]
     if net_dir.resolve() == out.resolve():
         raise ConfigurationError(f"field 'out' is the input directory {net_dir}: "
                                  "its artifacts would be read as networks")
@@ -393,11 +345,10 @@ def _cmd_spectra(cfg, out):
     files = sorted(p for p in net_dir.glob("*.csv") if p.name != "nodes.csv")
     if not files:
         raise ConfigurationError(f"no network files in {net_dir}")
-    rescale = bool(cfg.get("rescale", False))
-    model = link = None
+    rescale, model, link = v["rescale"], None, None
     if rescale:
-        model_path = cfg.get("model_file") or net_dir / "fitted.json"
-        if not Path(model_path).exists():
+        model_path = Path(v["model_file"] or net_dir / "fitted.json")
+        if not model_path.is_file():
             raise ConfigurationError(
                 "rescaling needs --model-file (no fitted.json next to the networks)")
         model = read_model(model_path)
@@ -409,20 +360,14 @@ def _cmd_spectra(cfg, out):
         matrix = rescale_matrix(net, model, link) if rescale else net.adjacency.astype(float)
         return eigenvalues(matrix)
 
-    spectra = ordered_map(spectrum_of, files, _threads(cfg))
+    spectra = ordered_map(spectrum_of, files, _threads(v))
     values = np.concatenate([spec.values for spec in spectra])
     stems = np.repeat([path.stem for path in files], [spec.n for spec in spectra])
     shape = bulk_shape(spectra, mean_tau=mean_tau)
     paths = _write_figure_artifact(out, "spectrum_scatter", [stems, values.real, values.imag],
                                    shape.mean_tau)
     bulk_path = out / "bulk.json"
-    write_json(bulk_path, {
-        "semi_axis_re": shape.semi_axis_re,
-        "semi_axis_im": shape.semi_axis_im,
-        "axis_ratio": shape.axis_ratio,
-        "pooled_count": shape.pooled_count,
-        "mean_tau": shape.mean_tau,
-    })
+    write_json(bulk_path, dataclasses.asdict(shape))
     paths.append(bulk_path)
     return paths, {"axis_ratio": shape.axis_ratio, "spectra": len(files)}
 
@@ -432,15 +377,11 @@ def _field_columns(records, fields):
     return [[getattr(r, name) for r in records] for name in fields]
 
 
-def _cmd_scan(cfg, out):
-    table = read_transactions(_need_path(cfg, "transactions"))
-    year = _need(cfg, "year", _integer)
-    delta_ts = parse_delta_ts(_need(cfg, "delta_t"))
-    fitness = None
-    if cfg.get("fitness"):
-        fitness, _ = read_fitness_csv(_need_path(cfg, "fitness"))
-    result = scan_aggregations(table, year, delta_ts, fitness=fitness,
-                               solver_config=_solver_config(cfg))
+def _cmd_scan(v, out):
+    table = read_transactions(v["transactions"])
+    fitness = read_fitness_csv(v["fitness"])[0] if v["fitness"] else None
+    result = scan_aggregations(table, v["year"], v["delta_t"], fitness=fitness,
+                               solver_config=v["solver"])
     row_fields = _FIGURE_ARTIFACTS["rho_curve"][1]
     paths = _write_figure_artifact(out, "rho_curve", _field_columns(result.rows, row_fields))
     windows_csv, scan_json = out / "rho_windows.csv", out / "scan.json"
@@ -452,12 +393,10 @@ def _cmd_scan(cfg, out):
     return paths + [windows_csv, scan_json], landmarks
 
 
-def _cmd_validate(cfg, out):
-    model = read_model(_need_path(cfg, "model_file"))
-    table = read_transactions(_need_path(cfg, "transactions"))
-    year = _need(cfg, "year", _integer)
-    delta_t = _need(cfg, "delta_t", _integer)
-    window_index = _option(cfg, "window", _integer, 0)
+def _cmd_validate(v, out):
+    model = read_model(v["model_file"])
+    table = read_transactions(v["transactions"])
+    year, delta_t, window_index = v["year"], v["delta_t"], v["window"]
     index = index_year(table, year)
     windows = build_windows(index, delta_t)
     if not windows:
@@ -493,10 +432,8 @@ def _cmd_validate(cfg, out):
     return paths + [summary_json], summary
 
 
-def _cmd_report(cfg, out):
-    src = Path(_need(cfg, "in", _text))
-    if not src.is_dir():
-        raise ConfigurationError(f"field 'in': no such directory {src}")
+def _cmd_report(v, out):
+    src = v["in"]
     if src.resolve() == out.resolve():
         raise ConfigurationError(
             f"field 'out' is the input directory {src}: its manifest would be overwritten")
@@ -524,16 +461,43 @@ def _bulk_mean_tau(path):
     return mean_tau
 
 
+# The command table: function, help line and fields. Each field is a --flag
+# (``-`` for ``_``) and a --config key: name -> (kind, default), in flag order.
+
+_REQUIRED = object()  # the default of a field that must be given
+_COMMON_FIELDS = {"out": (_text, _REQUIRED), "threads": (_integer, None)}
+_FIT_FIELDS = {"model": (ModelKind, _REQUIRED), "density": (_number, _REQUIRED),
+               "reciprocity": (_number, None),  # fgrm only
+               "solver": (_solver, None)}
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "aggregate": _cmd_aggregate,
-    "fit": _cmd_fit,
-    "sample": _cmd_sample,
-    "spectra": _cmd_spectra,
-    "scan": _cmd_scan,
-    "validate": _cmd_validate,
-    "report": _cmd_report,
+    "synth": (_cmd_synth, "generate synthetic fitness and transaction data", {
+        "nodes": (_integer, _REQUIRED), "fitness_dist": (_text, _REQUIRED), **_FIT_FIELDS,
+        "days": (_integer, _REQUIRED), "year": (_integer, _REQUIRED),
+        "seed": (_integer, _REQUIRED), "amount_sigma": (_number, 0.0)}),
+    "aggregate": (_cmd_aggregate, "aggregate transactions into window snapshots", {
+        "transactions": (_file, _REQUIRED), "year": (_integer, _REQUIRED),
+        "delta_t": (_integer, _REQUIRED)}),
+    "fit": (_cmd_fit, "fit a model to fitness data and targets", {
+        "fitness": (_file, _REQUIRED), **_FIT_FIELDS}),
+    "sample": (_cmd_sample, "sample an ensemble from a fitted model", {
+        "model_file": (_file, _REQUIRED), "samples": (_integer, _REQUIRED),
+        "seed": (_integer, _REQUIRED), "write_networks": (_integer, 0),
+        "no_spectra": (_switch, False)}),
+    "spectra": (_cmd_spectra, "eigenvalue spectra of stored networks", {
+        "networks": (_directory, _REQUIRED), "rescale": (_switch, False),
+        "model_file": (_text, None)}),  # read with --rescale only
+    "scan": (_cmd_scan, "reciprocity-gap scan across aggregation periods", {
+        "transactions": (_file, _REQUIRED), "year": (_integer, _REQUIRED),
+        "delta_t": (parse_delta_ts, _REQUIRED), "fitness": (_file, None),
+        "solver": (_solver, None)}),
+    "validate": (_cmd_validate, "score a fitted model against an observed window", {
+        "model_file": (_file, _REQUIRED), "transactions": (_file, _REQUIRED),
+        "year": (_integer, _REQUIRED), "delta_t": (_integer, _REQUIRED),
+        "window": (_integer, 0)}),
+    "report": (_cmd_report, "regenerate figures from stored artifacts", {
+        "in": (_directory, _REQUIRED)}),
 }
+_FLAG_TYPES = {_integer: int, _number: float}  # what a flag's text is read as; else a string
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -542,46 +506,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reconstruct, sample and evaluate directed financial network ensembles.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, help_text, *specs):
+    for name, (_, help_text, fields) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int,
-                       help="worker processes (RECON_NET_THREADS overrides)" if name == "spectra"
-                       else "accepted and ignored: only spectra reads it")
-        for flag, kwargs in specs:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    add("synth", "generate synthetic fitness and transaction data",
-        ("--nodes", dict(type=int)), ("--fitness-dist", dict()),
-        ("--model", dict()), ("--density", dict(type=float)),
-        ("--reciprocity", dict(type=float)), ("--days", dict(type=int)),
-        ("--year", dict(type=int)), ("--seed", dict(type=int)),
-        ("--amount-sigma", dict(type=float)))
-    add("aggregate", "aggregate transactions into window snapshots",
-        ("--transactions", dict()), ("--year", dict(type=int)),
-        ("--delta-t", dict(type=int)))
-    add("fit", "fit a model to fitness data and targets",
-        ("--fitness", dict()), ("--model", dict()),
-        ("--density", dict(type=float)), ("--reciprocity", dict(type=float)))
-    add("sample", "sample an ensemble from a fitted model",
-        ("--model-file", dict()), ("--samples", dict(type=int)),
-        ("--seed", dict(type=int)), ("--write-networks", dict(type=int)),
-        ("--no-spectra", dict(action="store_true", default=None)))
-    add("spectra", "eigenvalue spectra of stored networks",
-        ("--networks", dict()), ("--rescale", dict(action="store_true", default=None)),
-        ("--model-file", dict()))
-    add("scan", "reciprocity-gap scan across aggregation periods",
-        ("--transactions", dict()), ("--year", dict(type=int)),
-        ("--delta-t", dict()), ("--fitness", dict()))
-    add("validate", "score a fitted model against an observed window",
-        ("--model-file", dict()), ("--transactions", dict()),
-        ("--year", dict(type=int)), ("--delta-t", dict(type=int)),
-        ("--window", dict(type=int)))
-    add("report", "regenerate figures from stored artifacts",
-        ("--in", dict(dest="in_dir")))
+        helps = {"out": "output directory",
+                 "threads": "worker processes (RECON_NET_THREADS overrides)" if name == "spectra"
+                 else "accepted and ignored: only spectra reads it"}
+        for field, (kind, _) in {**_COMMON_FIELDS, **fields}.items():
+            flag = "--" + field.replace("_", "-")
+            if kind is _switch:
+                p.add_argument(flag, action="store_true", default=None)
+            elif kind is not _solver:  # an object: a config file sets it
+                p.add_argument(flag, type=_FLAG_TYPES.get(kind), help=helps.get(field))
     return parser
 
 
@@ -595,32 +531,50 @@ def _effective_config(args) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must hold a JSON object")
         cfg.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        cfg["in" if key == "in_dir" else key] = value
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key not in ("command", "config") and value is not None)
     return cfg
 
 
+def _field_values(cfg, fields) -> dict:
+    """Each of ``fields`` in ``cfg`` through its kind, or its default where ``cfg`` has none.
+
+    A kind's TypeError or ValueError reads "field 'f' has invalid value v", its
+    usage error "field 'f': <its message>".
+    """
+    values = {}
+    for name, (kind, default) in fields.items():
+        value = cfg.get(name)
+        if value is None and default is _REQUIRED:
+            raise ConfigurationError(f"missing required field '{name}'")
+        try:
+            values[name] = default if value is None else kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(f"field '{name}' has invalid value {value!r}") from None
+        except _USAGE_ERRORS as exc:
+            raise ConfigurationError(f"field '{name}': {exc}") from None
+    return values
+
+
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def run(command: str, cfg: dict) -> int:
     """Execute one subcommand from an effective config dict."""
     if command not in _COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}")
-    out = _out_dir(cfg)
+    function, _, fields = _COMMANDS[command]
+    values = _field_values(cfg, {**_COMMON_FIELDS, **fields})
+    out = Path(values["out"])
+    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    paths, result = _COMMANDS[command](cfg, out)
+    paths, result = function(values, out)
     elapsed = time.perf_counter() - start
     manifest = {
         "command": command,
-        "config": {k: v for k, v in sorted(cfg.items())},
+        "config": cfg,  # keys sorted by write_json
         "version": __version__,
         "result": result,
         "outputs": [

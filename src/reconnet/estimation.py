@@ -13,6 +13,8 @@ origin regardless of currency units.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import time
 from dataclasses import dataclass
 
@@ -32,6 +34,14 @@ class SolverConfig:
     initial_point: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("residual_tolerance", "step_tolerance", "max_iterations", "lower_bound"):
+            value = getattr(self, name)
+            # a bool is no number; NaN, inf and an int too large for a float are not finite
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not abs(value) <= sys.float_info.max):
+                raise DomainError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise DomainError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.residual_tolerance <= 0 or self.step_tolerance <= 0:
             raise DomainError("tolerances must be positive")
         if self.lower_bound <= 0:
@@ -102,10 +112,13 @@ def _normalized_fitness(fitness: FitnessData, out=None):
     """
     a = fitness.assets
     l = fitness.liabilities
-    # a mean that overflows is inf: every normalised fitness is then 0, and no dyad can link
     with np.errstate(over="ignore"):
         scale_a = float(a[a > 0].mean())
         scale_l = float(l[l > 0].mean())
+    if math.isinf(scale_a) or math.isinf(scale_l):
+        # a mean that overflows is inf: every normalised fitness is then 0, an
+        # infinite one too, and no dyad can link
+        a = l = np.zeros(fitness.n)
     alt = np.outer(a / scale_a, l / scale_l, out=out)
     np.fill_diagonal(alt, 0.0)
     return alt, scale_a * scale_l

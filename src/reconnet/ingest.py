@@ -55,8 +55,8 @@ class FitnessData:
             raise DataValidationError("assets and liabilities must be 1-d and equal length")
         if len(a) > MAX_NODES:
             raise DataValidationError(f"fitness has {len(a)} nodes, more than {MAX_NODES}")
-        if (a < 0).any() or (l < 0).any():
-            raise DataValidationError("fitness values must be nonnegative")
+        if not ((a >= 0).all() and (l >= 0).all()):  # NaN fails too
+            raise DataValidationError("fitness values must be nonnegative numbers, not NaN")
         if not (a > 0).any() or not (l > 0).any():
             raise DataValidationError("need at least one positive asset and one positive liability")
         self.assets = a

@@ -560,16 +560,30 @@ class TestHardenedReaders:
         ({"reciprocity": "high"}, 1), ({"density": 1e400}, 1),
         ({"solver": {"max_iterations": 10**400}}, 1),
         ({"solver": {"step_tolerance": float("inf")}}, 1),
+        ({"no_spectra": "false"}, 1), ({"no_spectra": 0}, 1), ({"rescale": "no"}, 1),
+        ({"rescale": 1}, 1), ({"rescale": True, "model_file": 5}, 1),
+        ({"rescale": True, "model_file": ["x"]}, 1),
+        ({"solver": {"max_iterations": 2.5}}, 1), ({"solver": {"lower_bound": True}}, 1),
+        ({"solver": {"residual_tolerance": float("nan")}}, 1), ({"solver": False}, 1),
+        ({"density": True}, 1),
     ])
     def test_bad_config_values_are_usage_errors(self, pipeline, tmp_path, capsys, override,
                                                 code):
-        cfg = {"fitness": str(pipeline / "data/fitness.csv"), "model": "fgrm",
-               "density": 0.2, "reciprocity": 0.3}
+        # a switch is read by sample or spectra, every other field here by fit
+        command = {"no_spectra": "sample", "rescale": "spectra"}.get(next(iter(override)), "fit")
+        cfg = {
+            "fit": {"fitness": str(pipeline / "data/fitness.csv"), "model": "fgrm",
+                    "density": 0.2, "reciprocity": 0.3},
+            "sample": {"model_file": str(pipeline / "fit/fitted.json"), "samples": 2, "seed": 1},
+            "spectra": {"networks": str(pipeline / "ens/samples"), "threads": 1},
+        }[command]
         cfg.update(override)
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
-        rc, _ = self.run_err(capsys, ["fit", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert rc == code
+        rc, err = self.run_err(capsys, [command, "--config", str(path),
+                                        "--out", str(tmp_path / "o")])
+        assert rc == code and err.startswith("error: ")
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 class TestNonUtf8Input:
@@ -662,17 +676,30 @@ class TestScanSkipsUnreachableWindows:
 
     def test_strengths_whose_mean_overflows(self, tmp_path):
         # two loans of 1e308 on day 1: the mean strength is inf, so every
-        # normalised fitness is 0 and no dyad can carry a link
-        tx = tmp_path / "tx.csv"
-        tx.write_text(self.STREAM.replace("2007-01-02,A,B,1\n",
-                                          "2007-01-02,A,B,1e308\n2007-01-02,C,D,1e308\n"))
+        # normalised fitness is 0 and no dyad can carry a link; by one lender,
+        # that lender's strength is inf too
+        for k, loans in enumerate(["2007-01-02,A,B,1e308\n2007-01-02,C,D,1e308\n",
+                                   "2007-01-02,A,B,1e308\n2007-01-02,A,C,1e308\n"]):
+            tx = tmp_path / f"tx{k}.csv"
+            tx.write_text(self.STREAM.replace("2007-01-02,A,B,1\n", loans))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["scan", "--transactions", str(tx), "--year", "2007",
+                             "--delta-t", "1", "--out", str(tmp_path / f"o{k}")]) == 0
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            rows = (tmp_path / f"o{k}/rho_scan.csv").read_text().splitlines()
+            assert rows[1].split(",")[:3] == ["1", "1", "1"]
+
+    def test_synth_fitness_whose_mean_overflows(self, tmp_path, capsys):
+        # lognormal(0, 1000) draws infinite fitness: no dyad can link, and no warning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["scan", "--transactions", str(tx), "--year", "2007", "--delta-t", "1",
-                         "--out", str(tmp_path / "o")]) == 0
+            assert main(["synth", "--nodes", "20", "--fitness-dist", "lognormal(0,1000)",
+                         "--model", "fgrm", "--density", "0.1", "--reciprocity", "0.2",
+                         "--days", "5", "--year", "2007", "--seed", "1",
+                         "--out", str(tmp_path / "o")]) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        rows = (tmp_path / "o/rho_scan.csv").read_text().splitlines()
-        assert rows[1].split(",")[:3] == ["1", "1", "1"]
+        assert "no dyad has a positive fitness product" in capsys.readouterr().err
 
 
 class TestScanPinnedFitness:

@@ -78,6 +78,19 @@ class TestSolver:
                 solve_bounded_least_squares(
                     lambda t: (t, t), 1, SolverConfig(initial_point=bad))
 
+    @pytest.mark.parametrize("field,value", [
+        ("residual_tolerance", float("inf")), ("step_tolerance", float("nan")),
+        ("lower_bound", True), ("max_iterations", 10**400), ("max_iterations", 2.5),
+        ("residual_tolerance", "1e-10"), ("max_iterations", None)])
+    def test_a_setting_that_is_not_a_finite_number_is_a_domain_error(self, field, value):
+        # an infinite tolerance would let a fit stop at its start and call it converged
+        with pytest.raises(DomainError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_settings_of_numpy_number_types(self):
+        config = SolverConfig(max_iterations=np.int64(5), lower_bound=np.float64(1e-9))
+        assert config.max_iterations == 5
+
 
 class TestFitFdcm:
     def test_unit_fitness_half_density(self):
@@ -206,6 +219,15 @@ class TestFdcmNewtonAgainstTrustRegion:
                 fit_fdcm(fitness, 2 / 12)
             with pytest.raises(NonConvergenceError):
                 fit_fgrm(fitness, 2 / 12, 0.0)
+
+    def test_infinite_fitness_normalises_to_zero(self):
+        # inf / inf would be NaN: with an overflowing mean every entry is 0
+        fitness = FitnessData(np.array([np.inf, 1.0, 0.0]), np.ones(3))
+        alt, scale = _normalized_fitness(fitness)
+        assert not alt.any() and scale == np.inf
+        assert not _reachable(fitness, 0.1)
+        with pytest.raises(NonConvergenceError):
+            fit_fgrm(fitness, 0.1, 0.2)
 
     @pytest.mark.parametrize("d", [2 / 90, 0.05])
     def test_target_at_or_above_the_positive_dyads_with_pinned_fitness(self, d):

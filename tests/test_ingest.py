@@ -432,6 +432,15 @@ class TestFitness:
         with pytest.raises(DataValidationError, match=f"fitness has {n} nodes"):
             FitnessData(np.ones(n), np.ones(n))
 
+    @pytest.mark.parametrize("assets,liabilities", [([np.nan, 1.0], [1.0, 1.0]),
+                                                    ([1.0, 1.0], [1.0, np.nan])])
+    def test_nan_fitness_is_a_data_error(self, assets, liabilities):
+        with pytest.raises(DataValidationError, match="NaN"):
+            FitnessData(np.array(assets), np.array(liabilities))
+
+    def test_infinite_fitness_is_taken(self):
+        assert FitnessData(np.array([np.inf, 1.0]), np.ones(2)).n == 2
+
     def test_unweighted_rejected(self):
         from reconnet import DirectedNetwork
         with pytest.raises(DataValidationError):

@@ -693,6 +693,9 @@ def artifacts(tmp_path_factory):
         "model_file": str(root / "fit/fitted.json"),
         "transactions": str(root / "data/transactions.csv"),
         "year": 2005, "delta_t": 4, "window": 1}, indent=2))
+    (root / "spectra.json").write_text(json.dumps({
+        "networks": str(root / "ens/samples"), "rescale": True,
+        "model_file": str(root / "fit/fitted.json"), "threads": 1}, indent=2))
     return root
 
 
@@ -778,6 +781,17 @@ def test_cli_validate_survives_a_mutated_config(artifacts, data):
         config = Path(tmp) / "config.json"
         config.write_text(text, encoding="utf-8")
         _assert_clean_exit(["validate", "--config", str(config),
+                            "--out", str(Path(tmp) / "out")])
+
+
+@MUTATION_FUZZ
+@given(st.data())
+def test_cli_spectra_survives_a_mutated_config(artifacts, data):
+    text = _mutate_json(data.draw, (artifacts / "spectra.json").read_text())
+    with _tmp() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(text, encoding="utf-8")
+        _assert_clean_exit(["spectra", "--config", str(config),
                             "--out", str(Path(tmp) / "out")])
 
 

@@ -26,7 +26,6 @@ from .ensemble import (
     derive_subseed,
     expected_metrics,
     generate_ensemble,
-    sample_networks,
 )
 from .errors import (
     ConfigurationError,
@@ -44,7 +43,7 @@ from .errors import (
     UndefinedReciprocityError,
 )
 from .estimation import SolverConfig, fit_fdcm, fit_fgrm
-from .graph import MAX_NODES, degrees_strengths
+from .graph import MAX_NODES, DirectedNetwork, degrees_strengths
 from .ingest import (
     aggregate,
     build_windows,
@@ -114,15 +113,15 @@ def _text(value) -> str:
 
 
 def _integer(value) -> int:
-    """``value`` as an int: a bool, or a number with a fractional part, is not one."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int: a bool, a string, or a number with a fractional part, is not one."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def _number(value) -> float:
-    """``value`` as a float: a bool is not a number."""
-    if isinstance(value, bool):
+    """``value`` as a float: a bool or a string is not a number."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -134,16 +133,25 @@ def _switch(value) -> bool:
     return value
 
 
+def _on_path(action, value):
+    """``action`` of the path ``value``; a path the system refuses is a usage error."""
+    try:
+        return action(Path(_text(value)))
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigurationError(
+            f"cannot use path {value!r}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _file(value) -> Path:
     """``value`` as the path of an existing file."""
-    if not Path(_text(value)).is_file():
+    if not _on_path(Path.is_file, value):
         raise ConfigurationError(f"no such file {value!r}")
     return Path(value)
 
 
 def _directory(value) -> Path:
     """``value`` as the path of an existing directory."""
-    if not Path(_text(value)).is_dir():
+    if not _on_path(Path.is_dir, value):
         raise ConfigurationError(f"no such directory {value!r}")
     return Path(value)
 
@@ -300,18 +308,9 @@ def _cmd_sample(v, out):
     if n_write > samples:
         raise ConfigurationError(
             f"field 'write_networks' ({n_write}) exceeds field 'samples' ({samples})")
-    # drawn here, not in worker processes: starting two took longer than the 20
-    # samples and 4 written networks they would share (README, Performance notes)
-    summary = generate_ensemble(model, EnsembleConfig(sample_count=samples, master_seed=seed),
-                                compute_lambda=not v["no_spectra"])
-    # lambda_fallbacks says how lambda_max was computed, not what it is, so
-    # it goes to the manifest and not to ensemble.json
-    record = dataclasses.asdict(summary)
-    lambda_fallbacks = record.pop("lambda_fallbacks")
     paths = [out / "ensemble.json"]
-    write_json(paths[0], record)
+    sample_dir = out / "samples"
     if n_write > 0:
-        sample_dir = out / "samples"
         sample_dir.mkdir(exist_ok=True)
         nodes = sample_dir / "nodes.csv"
         write_nodes(nodes, [f"B{k:04d}" for k in range(model.n)])
@@ -320,11 +319,22 @@ def _cmd_sample(v, out):
         fitted = sample_dir / "fitted.json"
         write_model(fitted, model)
         paths.extend([nodes, fitted])
-        seeds = [derive_subseed(seed, k) for k in range(n_write)]
-        for k, net in enumerate(sample_networks(model, seeds)):
-            p = sample_dir / f"sample_{k:05d}.csv"
-            write_network(p, net)
-            paths.append(p)
+
+    def write_sample(k, adjacency):
+        """The first ``n_write`` samples, written as they are drawn."""
+        if k < n_write:
+            paths.append(sample_dir / f"sample_{k:05d}.csv")
+            write_network(paths[-1], DirectedNetwork(adjacency))
+
+    # drawn here, not in worker processes: starting two took longer than the 20
+    # samples and 4 written networks they would share (README, Performance notes)
+    summary = generate_ensemble(model, EnsembleConfig(sample_count=samples, master_seed=seed),
+                                compute_lambda=not v["no_spectra"], each=write_sample)
+    # lambda_fallbacks says how lambda_max was computed, not what it is, so
+    # it goes to the manifest and not to ensemble.json
+    record = dataclasses.asdict(summary)
+    lambda_fallbacks = record.pop("lambda_fallbacks")
+    write_json(paths[0], record)
     return paths, {"mean_density": summary.mean_density,
                    "mean_lambda_max": summary.mean_lambda_max,
                    "lambda_fallbacks": lambda_fallbacks}
@@ -347,7 +357,7 @@ def _cmd_spectra(v, out):
         raise ConfigurationError(f"no network files in {net_dir}")
     rescale, model, link = v["rescale"], None, None
     if rescale:
-        model_path = Path(v["model_file"] or net_dir / "fitted.json")
+        model_path = _file(v["model_file"]) if v["model_file"] else net_dir / "fitted.json"
         if not model_path.is_file():
             raise ConfigurationError(
                 "rescaling needs --model-file (no fitted.json next to the networks)")
@@ -525,8 +535,8 @@ def _effective_config(args) -> dict:
     cfg = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigurationError(f"config file {path} does not exist")
+        if not _on_path(Path.is_file, args.config):
+            raise ConfigurationError(f"config file {path} is not a file")
         loaded = read_json(path)
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must hold a JSON object")
@@ -568,7 +578,7 @@ def run(command: str, cfg: dict) -> int:
     function, _, fields = _COMMANDS[command]
     values = _field_values(cfg, {**_COMMON_FIELDS, **fields})
     out = Path(values["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    _on_path(lambda path: path.mkdir(parents=True, exist_ok=True), values["out"])
     start = time.perf_counter()
     paths, result = function(values, out)
     elapsed = time.perf_counter() - start

@@ -11,7 +11,7 @@ seed and k, not on how many samples are drawn or in what order.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,10 +120,13 @@ def sample_network(model: FittedModel, seed: int) -> DirectedNetwork:
 
 
 def generate_ensemble(model: FittedModel, config: EnsembleConfig,
-                      compute_lambda: bool = True) -> EnsembleSummary:
+                      compute_lambda: bool = True,
+                      each: Callable[[int, np.ndarray], object] | None = None) -> EnsembleSummary:
     """Sample M networks and collect density, reciprocity and lambda_max.
 
-    Sample k depends only on derive_subseed(master_seed, k).
+    Sample k depends only on derive_subseed(master_seed, k). ``each(k,
+    adjacency)``, when given, sees sample k's int8 adjacency as it is drawn.
+    No adjacency is kept, so unless ``each`` keeps them one is held at a time.
     """
     sampler = _DyadSampler(model)
     n = sampler.n
@@ -139,6 +142,8 @@ def generate_ensemble(model: FittedModel, config: EnsembleConfig,
         # sampler output is a valid adjacency by construction; skip the
         # DirectedNetwork re-validation in this hot loop
         lam, fell_back = spectral.spectral_radius(a) if compute_lambda else (None, False)
+        if each is not None:
+            each(k, a)
         return d, r, lam, fell_back
 
     results = [one(k) for k in range(m)]

@@ -40,8 +40,9 @@ def write_csv(path, header, columns) -> None:
     Columns are arrays or sequences of equal length. A float column is
     written through ``fmt``, any other column as ``str`` of its items. Rows
     go out 64 Ki at a time: by one row format when every column is a float
-    or numpy integer array, else by the csv module, with each distinct float
-    formatted once (a float column next to text, such as amounts, has few).
+    array; as a join of cell texts when the others are numpy integer arrays,
+    each distinct integer formatted once; else by the csv module, with each
+    distinct float formatted once (a float column next to text has few).
     """
     # a sequence keeps its items unless they are floats: a numpy str array drops trailing NULs
     arrays = [array if array.dtype.kind == "f" or isinstance(column, np.ndarray)
@@ -56,11 +57,30 @@ def write_csv(path, header, columns) -> None:
         writer.writerow(header)
         for start in range(0, len(arrays[0]) if arrays else 0, _CHUNK_ROWS):
             chunk = [array[start:start + _CHUNK_ROWS] for array in arrays]
-            if set(kinds) <= set("biuf"):
+            if set(kinds) == {"f"}:
                 fh.write("".join(map(row.format, *(part.tolist() for part in chunk))))
+            elif set(kinds) <= set("biuf"):
+                # each cell's text ends in its separator, so the chunk is one join of them
+                cells = np.empty((len(chunk[0]), len(chunk)), dtype=object)
+                for k, (part, kind) in enumerate(zip(chunk, kinds)):
+                    end = "\r\n" if k == len(chunk) - 1 else ","
+                    cells[:, k] = (list(map(("{:.17g}" + end).format, part.tolist()))
+                                   if kind == "f" else _integer_texts(part, end))
+                fh.write("".join(cells.ravel().tolist()))
             else:
                 writer.writerows(zip(*(_float_texts(part) if kind == "f" else part.tolist()
                                        for part, kind in zip(chunk, kinds))))
+
+
+def _integer_texts(values, end) -> np.ndarray:
+    """``str`` of each value then ``end``, formatted once per distinct value."""
+    lo, hi = int(values.min()), int(values.max())
+    if values.dtype.kind != "b" and hi - lo < len(values):  # as node indices: no sort
+        # a value's offset from the least wraps to its true value read as unsigned
+        offsets = (values - values.min()).view(f"u{values.itemsize}")
+        return np.array([f"{v}{end}" for v in range(lo, hi + 1)], dtype=object)[offsets]
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([f"{v}{end}" for v in distinct.tolist()], dtype=object)[inverse]
 
 
 def _float_texts(values) -> list[str]:

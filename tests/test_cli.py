@@ -13,8 +13,9 @@ import pytest
 
 from reconnet import DirectedNetwork, FittedModel, ModelKind, cli, sample_network
 from reconnet.cli import main, parse_delta_ts
+from reconnet.ensemble import derive_subseed
 from reconnet.errors import ConfigurationError, DataValidationError, ParseError
-from reconnet.graph import MAX_NODES
+from reconnet.graph import MAX_NODES, degrees_strengths
 from reconnet.ingest import FitnessData
 from reconnet.serialize import (
     fmt,
@@ -321,6 +322,35 @@ class TestPipeline:
         assert len(lines) == 1 + 15 * 20  # header + files * n
 
 
+class TestSampleWritesItsOwnDraws:
+    """Written network k is the ensemble's draw k: the bytes a lone draw from sub-seed k
+    gives, with the density and reciprocity ensemble.json records for k."""
+
+    @pytest.mark.parametrize("no_spectra", [False, True])
+    def test_each_written_network_is_sample_k(self, pipeline, tmp_path, no_spectra):
+        model_file, out = pipeline / "fit/fitted.json", tmp_path / "ens"
+        if no_spectra:
+            assert main(["sample", "--model-file", str(model_file), "--samples", "9",
+                         "--seed", "5", "--write-networks", "6", "--no-spectra",
+                         "--out", str(out)]) == 0
+            seed, written = 5, 6
+        else:
+            out, seed, written = pipeline / "ens", 21, 15
+        model = read_model(model_file)
+        ensemble = json.loads((out / "ensemble.json").read_text())
+        assert (ensemble["lambda_max"] is None) == no_spectra
+        files = sorted((out / "samples").glob("sample_*.csv"))
+        assert [p.name for p in files] == [f"sample_{k:05d}.csv" for k in range(written)]
+        for k, path in enumerate(files):
+            alone = tmp_path / f"alone_{k}.csv"
+            write_network(alone, sample_network(model, derive_subseed(seed, k)))
+            assert path.read_bytes() == alone.read_bytes()
+            metrics = degrees_strengths(read_network(path, model.n))
+            assert metrics.d == ensemble["densities"][k]
+            # a sample with no links has no reciprocity: NaN in the summary, null in JSON
+            assert metrics.r == ensemble["reciprocities"][k]
+
+
 class TestManifestExample:
     def test_unit_fitness_fit_manifest_contains_params(self, tmp_path):
         path = tmp_path / "unit.csv"
@@ -584,6 +614,56 @@ class TestHardenedReaders:
                                         "--out", str(tmp_path / "o")])
         assert rc == code and err.startswith("error: ")
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("field,value", [("density", "0.2"), ("threads", "1")])
+    def test_a_number_written_as_a_string_is_a_usage_error(self, pipeline, tmp_path, capsys,
+                                                           field, value):
+        # a number field and an integer field; a flag's text is converted before the table
+        cfg = {"fitness": str(pipeline / "data/fitness.csv"), "model": "fgrm",
+               "density": 0.2, "reciprocity": 0.3, field: value}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        rc, err = self.run_err(capsys, ["fit", "--config", str(path),
+                                        "--out", str(tmp_path / "o")])
+        assert rc == 1 and f"error: field '{field}' has invalid value {value!r}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where,name", [("fitness", "a" * 5000), ("out", "a" * 5000),
+                                            ("config", "a" * 5000), ("out", "o\0x")])
+    def test_a_path_the_file_system_refuses_is_a_usage_error(self, pipeline, tmp_path, capsys,
+                                                             where, name):
+        # a name too long for the file system, or with a NUL in it
+        paths = {"fitness": str(pipeline / "data/fitness.csv"), "out": str(tmp_path / "o"),
+                 where: str(tmp_path / name)}
+        argv = ["fit", "--fitness", paths["fitness"], "--model", "fdcm", "--density", "0.2",
+                "--out", paths["out"]] + (["--config", paths["config"]] if "config" in paths else [])
+        rc, err = self.run_err(capsys, argv)
+        assert rc == 1 and err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_an_out_that_is_a_file_is_a_usage_error(self, pipeline, tmp_path, capsys):
+        (tmp_path / "o").write_text("x")
+        rc, err = self.run_err(capsys, ["fit", "--fitness", str(pipeline / "data/fitness.csv"),
+                                        "--model", "fdcm", "--density", "0.2",
+                                        "--out", str(tmp_path / "o")])
+        assert rc == 1 and err.startswith(f"error: cannot use path '{tmp_path / 'o'}'")
+
+    def test_spectra_names_a_missing_model_file(self, pipeline, tmp_path, capsys):
+        rc, err = self.run_err(capsys, ["spectra", "--networks", str(pipeline / "ens/samples"),
+                                        "--rescale", "--model-file", "nope.json",
+                                        "--out", str(tmp_path / "o")])
+        assert rc == 1 and "error: no such file 'nope.json'" in err
+        assert "fitted.json" not in err
+
+    def test_spectra_without_a_model_beside_the_networks(self, pipeline, tmp_path, capsys):
+        nets = tmp_path / "nets"
+        nets.mkdir()
+        for name in ("nodes.csv", "sample_00000.csv"):
+            (nets / name).write_bytes((pipeline / "ens/samples" / name).read_bytes())
+        rc, err = self.run_err(capsys, ["spectra", "--networks", str(nets), "--rescale",
+                                        "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "rescaling needs --model-file (no fitted.json next to the networks)" in err
 
 
 class TestNonUtf8Input:

@@ -529,31 +529,48 @@ special_floats = st.sampled_from([
 
 @st.composite
 def csv_columns(draw):
-    """Columns of one length: float, int and str arrays, ranges and lists."""
+    """Columns of one length: float, int, int8, bool and str arrays, ranges and lists.
+
+    In some examples the columns run past row CHUNK, with the drawn values
+    on both sides of it.
+    """
     n = draw(st.integers(0, 12))
+    across = draw(st.integers(0, 7)) == 0  # about one example in 8: long ones are slow
     kinds = st.sampled_from(["float64", "float32", "float list", "nan payloads", "int64",
-                             "uint64", "int list", "range", "str list", "str array"])
+                             "uint64", "int8", "bool", "int list", "range", "str list",
+                             "str array"])
     columns = []
     for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
         if kind == "range":
-            columns.append(range(n))
-        elif kind in ("int64", "uint64", "int list"):
+            columns.append(range(CHUNK + n if across else n))
+            continue
+        if kind in ("int64", "uint64", "int list"):
             lo, hi = (0, 2**64 - 1) if kind == "uint64" else (-2**63, 2**63 - 1)
-            values = draw(st.lists(st.integers(lo, hi) | st.integers(max(lo, -3), 3),
-                                   min_size=n, max_size=n))
-            columns.append(values if kind == "int list" else np.array(values, dtype=kind))
+            values, fill = st.integers(lo, hi) | st.integers(max(lo, -3), 3), 7
+        elif kind == "int8":
+            values, fill = st.integers(-128, 127), 7
+        elif kind == "bool":
+            values, fill = st.booleans(), True
         elif kind in ("str list", "str array"):
-            values = draw(st.lists(text, min_size=n, max_size=n))
-            columns.append(values if kind == "str list" else np.array(values))
+            values, fill = text, "B"
         else:
-            values = draw(st.lists(special_floats | st.floats(), min_size=n, max_size=n))
+            values, fill = special_floats | st.floats(), 1 / 3
+        values = draw(st.lists(values, min_size=n, max_size=n))
+        if across:
+            values = [fill] * (CHUNK - n) + values[::-1] + values
+        if kind in ("int list", "str list", "float list"):
+            columns.append(values)
+        elif kind in ("int64", "uint64", "int8", "bool"):
+            columns.append(np.array(values, dtype=kind))
+        elif kind == "str array":
+            columns.append(np.array(values))
+        else:
             array = np.array(values)
             if kind == "nan payloads":  # NaNs that differ in sign and payload bits
                 bits = array.view(np.int64)
                 bits[np.isnan(array)] |= draw(st.integers(1, 2**51 - 1))
             with np.errstate(over="ignore"):
-                columns.append(values if kind == "float list" else array.astype(
-                    np.float32 if kind == "float32" else np.float64))
+                columns.append(array.astype(np.float32 if kind == "float32" else np.float64))
     return columns
 
 
@@ -579,7 +596,8 @@ def _across_a_chunk_boundary(values, fill):
 
 
 @pytest.mark.parametrize("kinds", [("int64", "float64"), ("float64",), ("text",),
-                                   ("text", "int64", "float64"), ("float32", "bool", "int list")])
+                                   ("text", "int64", "float64"), ("float32", "bool", "int list"),
+                                   ("int64", "int8", "bool"), ("uint64", "int8", "float64")])
 def test_write_csv_in_chunks_writes_the_bytes_of_the_per_cell_writer(tmp_path, kinds):
     columns = []
     for kind in kinds:
@@ -590,6 +608,11 @@ def test_write_csv_in_chunks_writes_the_bytes_of_the_per_cell_writer(tmp_path, k
             columns.append(_across_a_chunk_boundary(['say "hi", twice', "", "a\nb", " x"], "B"))
         elif kind == "bool":
             columns.append(np.array(_across_a_chunk_boundary([True, False], True)))
+        elif kind == "int8":
+            columns.append(np.array(_across_a_chunk_boundary([100, -100, 0, -1], 7), dtype=kind))
+        elif kind == "uint64":
+            columns.append(np.array(_across_a_chunk_boundary([2**64 - 1, 2**64 - 9], 2**64 - 2),
+                                    dtype=kind))
         else:
             values = [2**63 - 1, -2**63, 0, -1]
             column = _across_a_chunk_boundary(values, 7)

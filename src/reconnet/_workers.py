@@ -1,11 +1,11 @@
 """Per-item work on forked worker processes, results in item order.
 
-numpy's dense eigensolver holds the GIL, so threads do not run it in
-parallel. A forked worker inherits the mapped function and what it closes
-over (a model, its link matrix) unpickled; only items and results cross
-the pipe. Where numpy's BLAS is OpenBLAS, the workers split this process's
-BLAS threads between them, so the workers' BLAS pools together are no
-larger than this process's.
+numpy's eigensolver releases the GIL, yet two threads ran spectra --rescale no
+faster than one, and two forked workers in about half the time (README, "Full
+spectra"). A forked worker inherits the mapped function and what it closes
+over (a model, its link matrix) unpickled; only items and results cross the
+pipe. Where numpy's BLAS is OpenBLAS, the workers split this process's BLAS
+threads, so their pools together are no larger than this one's.
 """
 
 from __future__ import annotations

@@ -262,7 +262,7 @@ def _cmd_aggregate(v, out):
     index = index_year(read_transactions(v["transactions"]), v["year"])
     windows = build_windows(index, delta_t)
     net_dir = out / "networks"
-    net_dir.mkdir(exist_ok=True)
+    _on_path(lambda path: path.mkdir(exist_ok=True), str(net_dir))
     paths = []
     rows = []
     for window in windows:
@@ -311,7 +311,7 @@ def _cmd_sample(v, out):
     paths = [out / "ensemble.json"]
     sample_dir = out / "samples"
     if n_write > 0:
-        sample_dir.mkdir(exist_ok=True)
+        _on_path(lambda path: path.mkdir(exist_ok=True), str(sample_dir))
         nodes = sample_dir / "nodes.csv"
         write_nodes(nodes, [f"B{k:04d}" for k in range(model.n)])
         # keep the generating model next to its realizations so `spectra

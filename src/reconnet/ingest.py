@@ -275,14 +275,14 @@ def synth_transactions(model: FittedModel, year: int, n_days: int, seed: int,
     if bad.any():
         raise DataValidationError(
             f"amount must be positive and finite, got {float(amount[np.argmax(bad)])}")
-    # the table holds the days and banks that carry a link, each sorted
+    # the days and banks that carry a link, sorted: B{k:04d} sorts as k below MAX_NODES
     has_links = counts > 0
-    names = sorted((f"B{k:04d}", k) for k in np.union1d(lender, borrower).tolist())
-    code = np.zeros(n, dtype=np.intp)
-    code[[k for _, k in names]] = np.arange(len(names))
+    active = np.zeros(n, dtype=bool)
+    active[lender] = active[borrower] = True
+    code = np.cumsum(active) - 1
     return TransactionTable(
         dates=tuple(itertools.compress(days, has_links)),
         day=(np.cumsum(has_links) - 1)[row_day],
-        labels=tuple(name for name, _ in names),
+        labels=tuple(f"B{k:04d}" for k in np.flatnonzero(active).tolist()),
         lender=code[lender], borrower=code[borrower],
         amount=amount)

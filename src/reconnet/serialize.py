@@ -21,6 +21,8 @@ import math
 import re
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,46 +36,72 @@ fmt = "{:.17g}".format  # a float's 17-significant-digit decimal form: a lossles
 _CHUNK_ROWS = 1 << 16  # rows formatted at a time, which bounds the writer's memory
 
 
+class Coded(NamedTuple):
+    """A CSV column whose row k holds ``values[codes[k]]``."""
+    values: Sequence
+    codes: np.ndarray
+
+
 def write_csv(path, header, columns) -> None:
     """A header row, then row k holding item k of every column.
 
-    Columns are arrays or sequences of equal length. A float column is
-    written through ``fmt``, any other column as ``str`` of its items. Rows
-    go out 64 Ki at a time: by one row format when every column is a float
-    array; as a join of cell texts when the others are numpy integer arrays,
-    each distinct integer formatted once; else by the csv module, with each
-    distinct float formatted once (a float column next to text has few).
+    Columns are arrays, sequences or ``Coded`` pairs, of equal length. A float
+    column is written through ``fmt``, any other as the csv module writes its
+    items. Rows go out 64 Ki at a time: one row format when every column is a
+    float array, else one join of cell texts, each made once per distinct value.
     """
-    # a sequence keeps its items unless they are floats: a numpy str array drops trailing NULs
-    arrays = [array if array.dtype.kind == "f" or isinstance(column, np.ndarray)
-              else np.array(column, dtype=object)
-              for column, array in zip(columns, map(np.asarray, columns))]
-    if len({len(array) for array in arrays}) > 1:
+    ends = [","] * (len(columns) - 1) + ["\r\n"]
+    columns = [_quoted_or_numeric(c, end, len(columns) == 1) for c, end in zip(columns, ends)]
+    lengths = {len(c.codes) if isinstance(c, Coded) else len(c) for c in columns}
+    if len(lengths) > 1:
         raise ValueError("columns differ in length")
-    kinds = [array.dtype.kind for array in arrays]
-    row = ",".join("{:.17g}" if kind == "f" else "{}" for kind in kinds) + "\r\n"
+    n = max(lengths, default=0)
+    text = any(isinstance(c, Coded) for c in columns)
+    row = "{:.17g}," * (len(columns) - 1) + "{:.17g}\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for start in range(0, len(arrays[0]) if arrays else 0, _CHUNK_ROWS):
-            chunk = [array[start:start + _CHUNK_ROWS] for array in arrays]
-            if set(kinds) == {"f"}:
-                fh.write("".join(map(row.format, *(part.tolist() for part in chunk))))
-            elif set(kinds) <= set("biuf"):
-                # each cell's text ends in its separator, so the chunk is one join of them
-                cells = np.empty((len(chunk[0]), len(chunk)), dtype=object)
-                for k, (part, kind) in enumerate(zip(chunk, kinds)):
-                    end = "\r\n" if k == len(chunk) - 1 else ","
-                    cells[:, k] = (list(map(("{:.17g}" + end).format, part.tolist()))
-                                   if kind == "f" else _integer_texts(part, end))
-                fh.write("".join(cells.ravel().tolist()))
-            else:
-                writer.writerows(zip(*(_float_texts(part) if kind == "f" else part.tolist()
-                                       for part, kind in zip(chunk, kinds))))
+        csv.writer(fh).writerow(header)
+        for start in range(0, n, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, n)
+            if not text and all(c.dtype.kind == "f" for c in columns):
+                fh.write("".join(map(row.format, *(c[start:stop].tolist() for c in columns))))
+                continue
+            # each cell's text ends in its separator, so the chunk is one join of them
+            cells = np.empty((stop - start, len(columns)), dtype=object)
+            for k, (column, end) in enumerate(zip(columns, ends)):
+                if isinstance(column, Coded):
+                    cells[:, k] = column.values[column.codes[start:stop]]
+                elif column.dtype.kind == "f" and not text:  # many distinct (tau); beside text, few
+                    cells[:, k] = [f"{v:.17g}{end}" for v in column[start:stop].tolist()]
+                else:
+                    cells[:, k] = _distinct_texts(column[start:stop], end)
+            fh.write("".join(cells.ravel().tolist()))
 
 
-def _integer_texts(values, end) -> np.ndarray:
-    """``str`` of each value then ``end``, formatted once per distinct value."""
+def _quoted_or_numeric(column, end, alone) -> np.ndarray | Coded:
+    """A float or numpy integer array as it is; else ``Coded`` texts, the csv module's text
+    of each distinct item then ``end`` (``alone``: the row's only field, as a whole row)."""
+    if not isinstance(column, Coded):
+        # a sequence keeps its items unless they are floats: a numpy str array drops trailing NULs
+        array = np.asarray(column)
+        if array.dtype.kind == "f" or isinstance(column, np.ndarray) and array.dtype.kind in "biu":
+            return array
+        items = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        first = {}  # an item's type and text, which fix its field: its code and first item
+        codes = [first.setdefault((type(item), str(item)), (len(first), item))[0] for item in items]
+        column = Coded([item for _, item in first.values()], np.array(codes, dtype=np.intp))
+    writer = csv.writer(SimpleNamespace(write=str))  # writerow returns its row's line
+    texts = [writer.writerow([value]) if alone else writer.writerow([value, ""])[:-3] + end
+             for value in column.values]
+    return Coded(np.array(texts, dtype=object), column.codes)
+
+
+def _distinct_texts(values, end) -> np.ndarray:
+    """The text of each value then ``end``, formatted once per distinct value: an integer's
+    ``str``, a float's ``fmt``, floats told apart by their bits."""
+    if values.dtype.kind == "f":
+        bits, inverse = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
+        texts = [f"{v:.17g}{end}" for v in bits.view(np.float64).tolist()]
+        return np.array(texts, dtype=object)[inverse]
     lo, hi = int(values.min()), int(values.max())
     if values.dtype.kind != "b" and hi - lo < len(values):  # as node indices: no sort
         # a value's offset from the least wraps to its true value read as unsigned
@@ -81,13 +109,6 @@ def _integer_texts(values, end) -> np.ndarray:
         return np.array([f"{v}{end}" for v in range(lo, hi + 1)], dtype=object)[offsets]
     distinct, inverse = np.unique(values, return_inverse=True)
     return np.array([f"{v}{end}" for v in distinct.tolist()], dtype=object)[inverse]
-
-
-def _float_texts(values) -> list[str]:
-    """``fmt`` of each value, formatted once per distinct value, told apart by its bits."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    return np.array(list(map(fmt, values[first].tolist())), dtype=object)[inverse].tolist()
 
 
 def _jsonable(obj):
@@ -240,13 +261,12 @@ def write_transactions_csv(path, table: TransactionTable) -> None:
     """Write a ``TransactionTable`` as a transactions CSV.
 
     Amounts are written through ``fmt``, and the maturity column is left
-    empty. Each distinct date is formatted once.
+    empty. Each distinct date, bank name and amount is formatted once.
     """
-    dates = np.array([d.isoformat() for d in table.dates], dtype=object)
-    labels = np.array(table.labels, dtype=object)
     write_csv(path, _TRANSACTIONS_HEADER + ["maturity"],
-              [dates[table.day], labels[table.lender], labels[table.borrower], table.amount,
-               [""] * len(table.day)])
+              [Coded([d.isoformat() for d in table.dates], table.day),
+               Coded(table.labels, table.lender), Coded(table.labels, table.borrower),
+               table.amount, Coded([""], np.broadcast_to(0, len(table.day)))])
 
 
 def read_transactions(path) -> TransactionTable:

@@ -648,6 +648,21 @@ class TestHardenedReaders:
                                         "--out", str(tmp_path / "o")])
         assert rc == 1 and err.startswith(f"error: cannot use path '{tmp_path / 'o'}'")
 
+    @pytest.mark.parametrize("command,subdirectory", [("sample", "samples"),
+                                                      ("aggregate", "networks")])
+    def test_a_file_where_a_command_makes_its_directory_is_a_usage_error(
+            self, pipeline, tmp_path, capsys, command, subdirectory):
+        (tmp_path / "o").mkdir()
+        (tmp_path / "o" / subdirectory).write_text("x")
+        argv = {"sample": ["sample", "--model-file", str(pipeline / "fit/fitted.json"),
+                           "--samples", "2", "--seed", "1", "--write-networks", "1"],
+                "aggregate": ["aggregate", "--year", "2005", "--delta-t", "10",
+                              "--transactions", str(pipeline / "data/transactions.csv")]}[command]
+        rc, err = self.run_err(capsys, argv + ["--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert err.startswith(f"error: cannot use path '{tmp_path / 'o' / subdirectory}'")
+        assert (tmp_path / "o" / subdirectory).read_text() == "x"
+
     def test_spectra_names_a_missing_model_file(self, pipeline, tmp_path, capsys):
         rc, err = self.run_err(capsys, ["spectra", "--networks", str(pipeline / "ens/samples"),
                                         "--rescale", "--model-file", "nope.json",

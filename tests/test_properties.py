@@ -529,7 +529,8 @@ special_floats = st.sampled_from([
 
 @st.composite
 def csv_columns(draw):
-    """Columns of one length: float, int, int8, bool and str arrays, ranges and lists.
+    """Columns of one length: float, int, int8, bool and str arrays, ranges, and lists of
+    numbers, strings or mixed objects.
 
     In some examples the columns run past row CHUNK, with the drawn values
     on both sides of it.
@@ -538,7 +539,7 @@ def csv_columns(draw):
     across = draw(st.integers(0, 7)) == 0  # about one example in 8: long ones are slow
     kinds = st.sampled_from(["float64", "float32", "float list", "nan payloads", "int64",
                              "uint64", "int8", "bool", "int list", "range", "str list",
-                             "str array"])
+                             "str array", "objects"])
     columns = []
     for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
         if kind == "range":
@@ -553,12 +554,14 @@ def csv_columns(draw):
             values, fill = st.booleans(), True
         elif kind in ("str list", "str array"):
             values, fill = text, "B"
+        elif kind == "objects":  # items equal as values or as texts, written as other fields
+            values, fill = st.sampled_from(OBJECTS), "B"
         else:
             values, fill = special_floats | st.floats(), 1 / 3
         values = draw(st.lists(values, min_size=n, max_size=n))
         if across:
             values = [fill] * (CHUNK - n) + values[::-1] + values
-        if kind in ("int list", "str list", "float list"):
+        if kind in ("int list", "str list", "float list", "objects"):
             columns.append(values)
         elif kind in ("int64", "uint64", "int8", "bool"):
             columns.append(np.array(values, dtype=kind))
@@ -586,6 +589,7 @@ def test_write_csv_writes_the_bytes_of_the_per_cell_writer(columns):
 
 
 CHUNK = 1 << 16  # the rows write_csv formats at a time
+OBJECTS = [1, 1.0, True, 0.0, -0.0, None, "None", "x"]  # equal items or texts, other fields
 
 
 def _across_a_chunk_boundary(values, fill):
@@ -597,7 +601,8 @@ def _across_a_chunk_boundary(values, fill):
 
 @pytest.mark.parametrize("kinds", [("int64", "float64"), ("float64",), ("text",),
                                    ("text", "int64", "float64"), ("float32", "bool", "int list"),
-                                   ("int64", "int8", "bool"), ("uint64", "int8", "float64")])
+                                   ("int64", "int8", "bool"), ("uint64", "int8", "float64"),
+                                   ("objects",), ("objects", "int64", "float64")])
 def test_write_csv_in_chunks_writes_the_bytes_of_the_per_cell_writer(tmp_path, kinds):
     columns = []
     for kind in kinds:
@@ -606,6 +611,8 @@ def test_write_csv_in_chunks_writes_the_bytes_of_the_per_cell_writer(tmp_path, k
             columns.append(np.array(_across_a_chunk_boundary(values, 1 / 3), dtype=kind))
         elif kind == "text":
             columns.append(_across_a_chunk_boundary(['say "hi", twice', "", "a\nb", " x"], "B"))
+        elif kind == "objects":
+            columns.append(_across_a_chunk_boundary(OBJECTS, "B"))
         elif kind == "bool":
             columns.append(np.array(_across_a_chunk_boundary([True, False], True)))
         elif kind == "int8":
@@ -620,6 +627,20 @@ def test_write_csv_in_chunks_writes_the_bytes_of_the_per_cell_writer(tmp_path, k
     header = [f"c{k}" for k in range(len(columns))]
     write_csv(tmp_path / "got.csv", header, columns)
     write_csv_per_cell(tmp_path / "want.csv", header, columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_transactions_writer_in_chunks_matches_the_per_row_writer(tmp_path):
+    # quoted names, dates and amounts on both sides of row CHUNK; no row lends to itself
+    awkward = ["a,b", 'say "hi"', "two\nlines", " x"]
+    columns = [_across_a_chunk_boundary([dt.date(2001, 1, 2), dt.date(2001, 12, 31)],
+                                        dt.date(2001, 1, 1)),
+               _across_a_chunk_boundary(awkward, "B0001"),
+               _across_a_chunk_boundary(awkward[1:] + awkward[:1], "B0002"),
+               _across_a_chunk_boundary([0.1, 1e16 + 2], 1.0)]
+    records = [TransactionRecord(*row) for row in zip(*columns)]
+    write_transactions_per_row(tmp_path / "want.csv", records)
+    write_transactions_csv(tmp_path / "got.csv", table_of(records))
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

@@ -447,28 +447,28 @@ def _cmd_report(v, out):
     if src.resolve() == out.resolve():
         raise ConfigurationError(
             f"field 'out' is the input directory {src}: its manifest would be overwritten")
-    paths = []
-    for kind, (file, header, kinds, _) in _FIGURE_ARTIFACTS.items():
-        if (src / file).exists():
-            columns = read_csv(src / file, header, kinds)
-            extra = [_bulk_mean_tau(src / "bulk.json")] if kind == "spectrum_scatter" else []
-            paths.extend(_draw(kind, columns, out, *extra))
-    if not paths:
+    found = {kind: spec for kind, spec in _FIGURE_ARTIFACTS.items() if (src / spec[0]).exists()}
+    if not found:
         print(f"report: no known artifacts found in {src}", file=sys.stderr)
+    paths = []
+    for kind, (file, header, kinds, _) in found.items():
+        extra = [_bulk_mean_tau(src / "bulk.json")] if kind == "spectrum_scatter" else []
+        paths.extend(_draw(kind, read_csv(src / file, header, kinds), out, *extra))
     return paths, {"figures": len(paths)}
 
 
 def _bulk_mean_tau(path):
-    """``mean_tau`` of a bulk.json, or None when there is no such file."""
-    if not path.exists():
-        return None
-    bulk = read_json(path)
+    """``mean_tau`` of a bulk.json as a float, or None when it is null or there is no file."""
+    bulk = read_json(path) if path.exists() else {}
     if not isinstance(bulk, dict):
         raise DataValidationError(f"{path}: expected a JSON object")
     mean_tau = bulk.get("mean_tau")
-    if isinstance(mean_tau, bool) or not isinstance(mean_tau, (int, float, type(None))):
-        raise DataValidationError(f"{path}: mean_tau must be a number or null")
-    return mean_tau
+    try:
+        if isinstance(mean_tau, (bool, str)):  # float() would take true and "0.5"
+            raise TypeError
+        return None if mean_tau is None else float(mean_tau)
+    except (TypeError, OverflowError):  # OverflowError: an integer past the float range
+        raise DataValidationError(f"{path}: mean_tau must be a float or null") from None
 
 
 # The command table: function, help line and fields. Each field is a --flag

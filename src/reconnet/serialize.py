@@ -19,7 +19,8 @@ import itertools
 import json
 import math
 import re
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
@@ -189,7 +190,7 @@ def finite_float(text: str) -> float:
     return value
 
 
-def read_csv(path, header, kinds) -> list[list]:
+def read_csv(path, header, kinds) -> list:
     """The columns of a CSV file whose first row is ``header``.
 
     Field k of every other nonempty row goes through ``kinds[k]`` (``int``,
@@ -199,8 +200,12 @@ def read_csv(path, header, kinds) -> list[list]:
     number. A kind may raise DataValidationError for a value it reads but
     does not accept; that error gets the line number once the row's other
     fields have been read, so a field that does not parse is reported
-    first. Every error names ``path``.
+    first. Every error names ``path``. A file of ``int``, ``float`` and
+    ``finite_float`` fields is read into arrays by ``_read_numeric`` first.
     """
+    if all(kind in (int, float, finite_float) for kind in kinds):
+        with suppress(ValueError, UserWarning):  # a UnicodeDecodeError is a ValueError
+            return _read_numeric(path, header, kinds)
     columns = [[] for _ in header]
     with open_text(path) as fh:
         reader = csv.reader(fh)
@@ -225,6 +230,31 @@ def read_csv(path, header, kinds) -> list[list]:
                     raise DataValidationError(f"{path}: {invalid}", line=reader.line_num)
         except csv.Error as exc:  # a line the csv module cannot split
             raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
+    return columns
+
+
+def _read_numeric(path, header, kinds) -> list[np.ndarray]:
+    """``read_csv`` by numpy, which parses a number as ``int`` and ``float`` do; ValueError
+    for a file numpy may read otherwise than the row loop."""
+    def blocks():  # of whole lines, split at \n: numpy refuses a lone \r inside a line
+        while block := fh.read(1 << 16) + fh.readline():
+            lines, limit = block.split("\n"), csv.field_size_limit()
+            # numpy may crash on a character past U+FFFF, and skips \x1c-\x1f as spaces
+            if (not block.isascii() or any(c in block for c in "\x1c\x1d\x1e\x1f")
+                    or len(block) > limit and max(map(len, lines)) > limit):  # a field too long
+                raise ValueError("text numpy may read unlike int, float and the csv module")
+            yield lines
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        # the csv module's header row: readline ends it where csv does, and a quote fails
+        if [h.strip().lower() for h in fh.readline().split(",")] != list(header):
+            raise ValueError("not the header")
+        with warnings.catch_warnings(action="error", category=UserWarning):  # of no rows
+            columns = np.loadtxt(itertools.chain.from_iterable(blocks()), delimiter=",",
+                                 dtype=[("", np.int64 if kind is int else np.float64)
+                                        for kind in kinds], comments=None, ndmin=1, unpack=True)
+    if not all(np.isfinite(c).all() for c, kind in zip(columns, kinds) if kind is finite_float):
+        raise ValueError("a value finite_float refuses")
     return columns
 
 
@@ -543,10 +573,6 @@ def write_network(path, net: DirectedNetwork) -> None:
     write_csv(path, ["source", "target", "weight"], [src, dst, w[src, dst]])
 
 
-_EDGE_HEADER = ["source", "target", "weight"]
-_EDGE_ROW = np.dtype([("source", np.int64), ("target", np.int64), ("weight", np.float64)])
-
-
 def read_network(path, n: int) -> DirectedNetwork:
     """Edge list (header source,target,weight) on nodes 0..n-1; repeated links add up.
 
@@ -555,45 +581,19 @@ def read_network(path, n: int) -> DirectedNetwork:
     link from a node to itself are ParseErrors with the line number (the
     last three name the file too): none may wrap onto another node or drop
     a link unnoticed.
-
-    The body is parsed in bulk by numpy and checked as arrays. numpy takes
-    a subset of the rows the csv module and ``int``/``float`` take, with
-    the same values. When it fails, or a check fails, the file is read
-    again by ``read_csv``: that pass names the line of a bad row, and
-    takes what only the csv module reads (quoted fields, ``1_0``, non-ASCII
-    digits, a file with no rows).
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header, _, body = fh.read().partition("\n")
-        header = header.removesuffix("\r")
-        # csv ends a row at a lone \r, which strip() would take for a space
-        if "\r" in header or [h.strip().lower() for h in header.split(",")] != _EDGE_HEADER:
-            raise ValueError("not a plain edge-list header")
-        if not body.strip("\r\n"):  # no rows, which numpy would warn about
-            raise ValueError("no rows")
-        rows = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
-                          ndmin=1, dtype=_EDGE_ROW)
-        i, j, weight = rows["source"], rows["target"], rows["weight"]
-        if any(bad.any() for bad, _ in _edge_checks(i, j, weight, n)):
-            raise ValueError("a row that fails a check")
-    except ValueError:  # a UnicodeDecodeError is one
-        src, dst, weights = read_csv(path, _EDGE_HEADER, [int, int, float])
-        i, j, weight = np.array(src), np.array(dst), np.array(weights, dtype=float)
-        for bad, message in _edge_checks(i, j, weight, n):
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ParseError(f"{path}: {message} in row {src[k]},{dst[k]},{weights[k]!r}",
-                                 line=line_of_row(path, k)) from None
+    i, j, weight = map(np.asarray, read_csv(path, ["source", "target", "weight"],
+                                            [int, int, float]))
+    for bad, message in (((i < 0) | (i >= n) | (j < 0) | (j >= n),
+                          f"node index outside 0..{n - 1}"),
+                         (~((weight > 0) & (weight < math.inf)),  # NaN fails both
+                          "weight must be positive and finite"),
+                         (i == j, "self-loop")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ParseError(f"{path}: {message} in row {i[k]},{j[k]},{float(weight[k])!r}",
+                             line=line_of_row(path, k))
     # bincount adds repeated links in file order, as a running sum would
     cell = i.astype(np.intp) * n + j.astype(np.intp)
     w = np.bincount(cell, weights=weight, minlength=n * n).reshape(n, n)
     return DirectedNetwork.from_weight_matrix(w)
-
-
-def _edge_checks(i, j, weight, n):
-    """The checks of an edge list's columns, each as (mask of failing rows, message)."""
-    return (((i < 0) | (i >= n) | (j < 0) | (j >= n), f"node index outside 0..{n - 1}"),
-            (~((weight > 0) & (weight < math.inf)),  # NaN fails both
-             "weight must be positive and finite"),
-            (i == j, "self-loop"))

@@ -112,6 +112,9 @@ class TestReadNetworkRejects:
         "0,x,1",
         "2,2,1",          # a self-loop
         '"2",2,1',        # a self-loop only the row-by-row pass reads
+        "\x1c0,2,1",      # numpy reads 0 where int() refuses the field
+        "\U0002c6ca1,0,1",  # on which numpy may crash
+        pytest.param("0,1,9" + "0" * 131_100, id="a-weight-over-the-csv-field-limit"),
     ])
     def test_bad_row_is_parse_error_with_line(self, tmp_path, row):
         path = tmp_path / "e.csv"
@@ -527,14 +530,31 @@ class TestHardenedReaders:
         rc, msg = self.run_err(capsys, ["report", "--in", str(src), "--out", str(tmp_path / "o")])
         assert rc == 2 and f"line {line}:" in msg
 
-    @pytest.mark.parametrize("bulk", ['[1, 2]', '{"mean_tau": "x"}', '{"mean_tau": [0.1]}'])
+    @pytest.mark.parametrize("bulk", [
+        '[1, 2]', '{"mean_tau": "x"}', '{"mean_tau": [0.1]}', '{"mean_tau": true}',
+        pytest.param('{"mean_tau": %s}' % ("9" * 400), id="mean_tau-past-the-float-range")])
     def test_malformed_bulk_json_is_a_data_error(self, pipeline, tmp_path, capsys, bulk):
         src = tmp_path / "in"
         src.mkdir()
         (src / "spectra.csv").write_bytes((pipeline / "spec/spectra.csv").read_bytes())
         (src / "bulk.json").write_text(bulk)
-        rc, _ = self.run_err(capsys, ["report", "--in", str(src), "--out", str(tmp_path / "o")])
-        assert rc == 2
+        rc, msg = self.run_err(capsys, ["report", "--in", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 2 and str(src / "bulk.json") in msg
+
+    @pytest.mark.parametrize("kind", ["spectrum_scatter", "rho_curve", "tau_histogram"])
+    def test_a_header_only_artifact_has_nothing_to_plot(self, tmp_path, capsys, kind):
+        src = tmp_path / "in"
+        src.mkdir()
+        file, header, _, _ = cli._FIGURE_ARTIFACTS[kind]
+        (src / file).write_text(",".join(header) + "\n")
+        rc, msg = self.run_err(capsys, ["report", "--in", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 0 and f"{kind}: nothing to plot" in msg and "no known artifacts" not in msg
+
+    def test_a_directory_without_artifacts_is_said_so(self, tmp_path, capsys):
+        src = tmp_path / "in"
+        src.mkdir()
+        rc, msg = self.run_err(capsys, ["report", "--in", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 0 and f"report: no known artifacts found in {src}" in msg
 
     def test_report_reads_the_artifacts_the_program_writes(self, pipeline, tmp_path):
         # spectra without --rescale, and a scan whose delta_t 1 has only one-link windows

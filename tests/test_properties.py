@@ -6,9 +6,10 @@ row inserted anywhere must end in a ParseError or DataValidationError that
 names that row's line, and in CLI exit code 2. The bulk edge-list and
 transactions readers and the distinct-value CSV writer match their
 row-by-row and cell-by-cell references, the writer across chunks of rows
-too. A mutated config, model, report, node, edge-list, fitness or
-transactions file must end the CLI with exit code 0, 1, 2 or 3 and at most
-a one-line message, never a traceback. An integer config field refuses a
+too, and read_csv's numeric bulk pass accepts and rejects what its row
+loop does, with the same values. A mutated config, model, report, node,
+edge-list, fitness or transactions file must end the CLI with exit code
+0, 1, 2 or 3 and at most a one-line message, never a traceback. An integer config field refuses a
 number with a fraction and a bool with exit code 1.
 """
 
@@ -37,10 +38,12 @@ from oracles import (
 )
 
 from reconnet import DirectedNetwork, serialize
-from reconnet.cli import main
+from reconnet.cli import _FIGURE_ARTIFACTS, main
 from reconnet.errors import DataValidationError, ParseError, ReconError
 from reconnet.ingest import FitnessData, parse_transactions
 from reconnet.serialize import (
+    finite_float,
+    read_csv,
     read_fitness_csv,
     read_network,
     read_nodes,
@@ -489,7 +492,8 @@ def test_read_network_accepts_and_rejects_like_the_row_by_row_reader(content):
         assert _network_outcome(lambda p: read_network(p, 4), path) == want
 
 
-@pytest.mark.parametrize("content,accepted", [
+# edge lists in forms numpy and the csv module with int()/float() may read differently
+EDGE_FORMS = [
     # forms only the csv module and int()/float() read
     ("source,target,weight\r0,1,1\r2,3,1\r", True),
     ("source,target,weight\n0,1,1_0\n", True),
@@ -513,7 +517,10 @@ def test_read_network_accepts_and_rejects_like_the_row_by_row_reader(content):
     ("source,target,weight\n1.0,2,3\n", False),
     ("source,target,weight\n0,1e0,2\n", False),
     ("", False),
-])
+]
+
+
+@pytest.mark.parametrize("content,accepted", EDGE_FORMS)
 def test_read_network_on_the_forms_numpy_and_csv_read_differently(tmp_path, content, accepted):
     path = tmp_path / "edges.csv"
     path.write_bytes(content.encode("utf-8"))
@@ -525,6 +532,134 @@ def test_read_network_on_the_forms_numpy_and_csv_read_differently(tmp_path, cont
 special_floats = st.sampled_from([
     0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
     2.2250738585072009e-308, 1e-310, 0.1, 1 / 3, 1e16, 1.7976931348623157e308])
+
+
+# ---------------------------------------------------------------------------
+# read_csv's numeric bulk pass against its row loop
+# ---------------------------------------------------------------------------
+
+# the header and kinds of each artifact report reads that takes the bulk pass
+NUMERIC_ARTIFACTS = {file: (header, kinds)
+                     for file, header, kinds, _ in _FIGURE_ARTIFACTS.values()
+                     if all(kind in (int, float, finite_float) for kind in kinds)}
+# fields numpy may read unlike int() and float(), or not at all
+number_forms = st.sampled_from([
+    "-0", "-0.0", "+nan", "-nan", "NaN", "INF", "1.e5", "1e5", "1.0", "1e0", "0x10", "1_0",
+    " 7", "7\t", "\x1c1", "1\x1f", "\xa07", "7\x85", "\u30007", "\u0667", "\U0002c6ca1",
+    "9" * 19, "-" + "9" * 19, "9" * 25, "1e400", "-1e400", "1e-400", "", " "])
+
+
+def _number_field(kind):
+    good = (st.integers(-10**6, 10**6).map(str) if kind is int else
+            st.floats(allow_nan=kind is float, allow_infinity=kind is float).map(repr))
+    return st.one_of(good, good, good, good, good, number_forms, edge_field)  # mostly good
+
+
+@st.composite
+def numeric_files(draw, header, kinds):
+    """A file under ``header`` of rows of ``kinds`` and odd rows, under odd headers too."""
+    rows = draw(st.lists(st.tuples(*map(_number_field, kinds)).map(",".join), max_size=6))
+    for _ in range(draw(st.integers(0, 1))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd_edge_row))
+    name = ",".join(header)
+    rows.insert(0, draw(st.sampled_from([
+        name, name, name.upper(), f" {name}\t", f'"{header[0]}",{name.partition(",")[2]}',
+        f"{header[0]}\r,{name.partition(',')[2]}", name.rpartition(",")[0], ""])))
+    newlines = st.sampled_from(["\n", "\r\n", "\r"])
+    ends = [draw(newlines)] * len(rows) if draw(st.booleans()) else \
+        [draw(newlines) for _ in rows]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(row + end for row, end in zip(rows, ends))
+
+
+def _row_loop(kinds):
+    """``kinds`` wrapped so that read_csv reads every field through its row loop."""
+    return [lambda text, kind=kind: kind(text) for kind in kinds]
+
+
+def _csv_outcome(path, header, kinds):
+    """The error read_csv raises, or each column's dtype and values (its bytes, if numbers)."""
+    try:
+        columns = read_csv(path, header, kinds)
+    except ReconError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    arrays = map(np.asarray, columns)
+    return [(a.dtype.str, a.tolist() if a.dtype == object else a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(NUMERIC_ARTIFACTS)).flatmap(
+    lambda file: st.tuples(st.just(NUMERIC_ARTIFACTS[file]),
+                           numeric_files(*NUMERIC_ARTIFACTS[file]))))
+@example(((["i", "j", "tau"], [int, int, float]), "i,j,tau\n0,1,0.5\n\x1c2,1,0.5\n"))
+@example(((["threshold", "fpr", "tpr"], [float, finite_float, finite_float]),
+          "threshold,fpr,tpr\r\ninf,0,0\r\n0.5,nan,1\r\n"))
+def test_read_csv_in_bulk_accepts_and_rejects_like_its_row_loop(drawn):
+    (header, kinds), content = drawn
+    with _tmp() as tmp:
+        path = Path(tmp) / "artifact.csv"
+        path.write_bytes(content.encode("utf-8"))
+        assert _csv_outcome(path, header, kinds) == _csv_outcome(path, header, _row_loop(kinds))
+
+
+TAU, ROC = NUMERIC_ARTIFACTS["tau.csv"], NUMERIC_ARTIFACTS["roc.csv"]
+
+
+@pytest.mark.parametrize("header,kinds", [TAU, ROC], ids=["tau", "roc"])
+@pytest.mark.parametrize("content,accepted", EDGE_FORMS)
+def test_read_csv_in_bulk_on_the_forms_numpy_and_csv_read_differently(tmp_path, header, kinds,
+                                                                       content, accepted):
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(content.replace("source,target,weight", ",".join(header)).encode("utf-8"))
+    assert _csv_outcome(path, header, kinds) == _csv_outcome(path, header, _row_loop(kinds))
+
+
+@pytest.mark.parametrize("header,kinds,content,error", [
+    # a value finite_float refuses: the row loop's error and line
+    (*ROC, "threshold,fpr,tpr\ninf,0,0\n0.5,inf,1\n", (ParseError, "bad fpr 'inf'", 3)),
+    (*ROC, "threshold,fpr,tpr\r\ninf,0,0\r\n0.5,0.5,nan\r\n", (ParseError, "bad tpr 'nan'", 3)),
+    (*ROC, '"threshold",fpr,tpr\ninf,0,0\n1,1,1\n', None),  # a quoted header
+    (*TAU, "i,j,tau\n\n\r\n\n", None),  # a body of blank lines only
+    (*TAU, "i,j,tau\n  \n", (ParseError, "expected 3 fields, got 1", 2)),
+    # integer fields written as floats
+    (*TAU, "i,j,tau\n0,1,0.5\n1.0,2,0.5\n", (ParseError, "bad i '1.0'", 3)),
+    (*TAU, "i,j,tau\n0,1e0,0.5\n", (ParseError, "bad j '1e0'", 2)),
+    # a field over the csv module's limit, though numpy reads it
+    (*TAU, "i,j,tau\n0,1," + "1" + "0" * 131_100 + "\n", (ParseError, "field limit", 2)),
+    # numpy takes \x1c-\x1f for spaces, and may crash on a character past U+FFFF
+    (*TAU, "i,j,tau\n0,1,0.5\n\x1c2,1,0.5\n", (ParseError, "bad i '\\x1c2'", 3)),
+    (*TAU, "i,j,tau\n\U0002c6ca1,0,0.5\n", (ParseError, "bad i", 2)),
+])
+def test_read_csv_in_bulk_leaves_the_error_to_its_row_loop(tmp_path, header, kinds, content,
+                                                           error):
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(content.encode("utf-8"))
+    want = _csv_outcome(path, header, _row_loop(kinds))
+    assert _csv_outcome(path, header, kinds) == want
+    if error is None:
+        assert isinstance(want, list)
+    else:
+        kind, message, line = error
+        assert want[0] is kind and message in want[1] and want[2] == line
+
+
+@FUZZ
+@given(st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 4095),
+                          special_floats | st.floats()), min_size=1, max_size=30))
+def test_read_csv_reads_a_written_tau_file_in_bulk_to_the_bit(rows):
+    header, kinds = TAU
+    i, j, tau = (np.array(column) for column in zip(*rows))
+    with _tmp() as tmp:
+        path = Path(tmp) / "tau.csv"
+        write_csv(path, header, [i, j, tau])
+        bulk = read_csv(path, header, kinds)
+        assert all(isinstance(column, np.ndarray) for column in bulk)
+        # the file holds every value to the bit but a NaN's sign
+        tau = np.where(np.isnan(tau), np.nan, tau)
+        assert [c.tobytes() for c in bulk] == [c.astype(np.int64).tobytes() for c in (i, j)] + \
+            [tau.tobytes()]
+        assert _csv_outcome(path, header, kinds) == _csv_outcome(path, header, _row_loop(kinds))
 
 
 @st.composite

@@ -5,8 +5,9 @@ float parsing losslessly; JSON uses sorted keys and the shortest
 round-trip float repr. NaN and +-inf become null in JSON; in CSV they
 are "nan" and "inf"/"-inf".
 
-Every reader takes a path to a UTF-8 file. A malformed row is a
-ParseError with its line number, as the csv module counts lines.
+Every reader takes a path to a UTF-8 file and goes through ``read_csv``'s
+row loop, which alone reports an error (naming the file and the line, as
+the csv module counts lines), or ``_plain_blocks``, the bulk passes' one block loop.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import functools
-import io
 import itertools
 import json
 import math
@@ -167,10 +167,8 @@ def line_of_row(path, k: int) -> int | None:
     with open_text(path) as fh:
         reader = csv.reader(fh)
         next(reader)
-        for m, _ in enumerate(row for row in reader if row):
-            if m == k:
-                return reader.line_num
-    return None
+        row = next(itertools.islice(filter(None, reader), k, None), None)
+        return None if row is None else reader.line_num
 
 
 def read_json(path):
@@ -191,22 +189,20 @@ def finite_float(text: str) -> float:
 
 
 def read_csv(path, header, kinds) -> list:
-    """The columns of a CSV file whose first row is ``header``.
+    """The columns of a CSV file whose first row is ``header``; every error names ``path``.
 
-    Field k of every other nonempty row goes through ``kinds[k]`` (``int``,
-    ``float``, ``finite_float``, ``str``, ...). A different header, a line
-    the csv module cannot split, a row with another number of fields and a
-    field its kind rejects with ValueError are ParseErrors with the line
-    number. A kind may raise DataValidationError for a value it reads but
-    does not accept; that error gets the line number once the row's other
-    fields have been read, so a field that does not parse is reported
-    first. Every error names ``path``. A file of ``int``, ``float`` and
-    ``finite_float`` fields is read into arrays by ``_read_numeric`` first.
+    Field k of every other nonempty row goes through ``kinds[k]`` (``int``, ``float``,
+    ``finite_float``, ``str``, ...) once per distinct text of its column, unless the value
+    is None (a check, such as ``read_nodes``' index order). A different header, a line the
+    csv module cannot split, a row of another width, a field its kind rejects with
+    ValueError and a kind's own ParseError are ParseErrors with the line. A kind's
+    DataValidationError gets the line once the row's other fields have parsed. A file of
+    ``int``, ``float`` and ``finite_float`` fields is read by ``_read_numeric`` first.
     """
     if all(kind in (int, float, finite_float) for kind in kinds):
         with suppress(ValueError, UserWarning):  # a UnicodeDecodeError is a ValueError
             return _read_numeric(path, header, kinds)
-    columns = [[] for _ in header]
+    columns, distinct = [[] for _ in header], [{} for _ in header]
     with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -218,14 +214,17 @@ def read_csv(path, header, kinds) -> list:
                     raise ParseError(f"{path}: expected {len(header)} fields, got {len(row)}",
                                      line=reader.line_num)
                 invalid = None
-                for column, kind, name, field in zip(columns, kinds, header, row):
-                    try:
-                        column.append(kind(field))
-                    except ValueError:
-                        raise ParseError(f"{path}: bad {name} {field!r}",
-                                         line=reader.line_num) from None
-                    except DataValidationError as exc:
-                        invalid = invalid or exc
+                for column, kind, seen, name, field in zip(columns, kinds, distinct, header, row):
+                    value = seen.get(field)
+                    if value is None:
+                        try:
+                            value = seen[field] = kind(field)
+                        except (ValueError, ParseError) as exc:
+                            why = exc if isinstance(exc, ParseError) else f"bad {name} {field!r}"
+                            raise ParseError(f"{path}: {why}", line=reader.line_num) from None
+                        except DataValidationError as exc:
+                            invalid = invalid or exc
+                    column.append(value)
                 if invalid is not None:
                     raise DataValidationError(f"{path}: {invalid}", line=reader.line_num)
         except csv.Error as exc:  # a line the csv module cannot split
@@ -233,26 +232,47 @@ def read_csv(path, header, kinds) -> list:
     return columns
 
 
+_BLOCK_BYTES = 1 << 18  # bytes a bulk pass parses at a time, so no array of it outgrows its columns
+_FIELD_BYTES = 128  # the widest field a bulk pass takes, for the same reason
+# a quote or NUL, which the csv module splits unlike numpy, and \x1c-\x1f, which numpy
+# skips around a number as spaces where float() and int() refuse them
+_SCREENED = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _plain_blocks(fh):
+    """The rest of the binary file ``fh`` in blocks of whole lines, each with its widest field,
+    once every block has passed the screens; ValueError at a byte of ``_SCREENED``, a byte
+    that is not UTF-8 or a field over ``_FIELD_BYTES``, which numpy would cut short. A file
+    left to the row loop costs one pass over its bytes, not the blocks parsed before."""
+    body, widest = fh.tell(), []
+    for block in iter(lambda: fh.read(_BLOCK_BYTES) + fh.readline(), b""):
+        block.decode()  # a UnicodeDecodeError is a ValueError
+        if any(byte in block for byte in _SCREENED):
+            raise ValueError("a byte numpy reads unlike the row loop")
+        data = np.frombuffer(block, np.uint8)  # a field's bytes lie between two separators
+        ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+        widest.append(int(np.diff(ends, prepend=-1, append=len(block)).max()) - 1)
+        if widest[-1] > _FIELD_BYTES:
+            raise ValueError("a field wider than a bulk pass takes")
+    fh.seek(body)
+    for field_bytes in widest:
+        yield fh.read(_BLOCK_BYTES) + fh.readline(), field_bytes
+
+
 def _read_numeric(path, header, kinds) -> list[np.ndarray]:
     """``read_csv`` by numpy, which parses a number as ``int`` and ``float`` do; ValueError
     for a file numpy may read otherwise than the row loop."""
-    def blocks():  # of whole lines, split at \n: numpy refuses a lone \r inside a line
-        while block := fh.read(1 << 16) + fh.readline():
-            lines, limit = block.split("\n"), csv.field_size_limit()
-            # numpy may crash on a character past U+FFFF, and skips \x1c-\x1f as spaces
-            if (not block.isascii() or any(c in block for c in "\x1c\x1d\x1e\x1f")
-                    or len(block) > limit and max(map(len, lines)) > limit):  # a field too long
-                raise ValueError("text numpy may read unlike int, float and the csv module")
-            yield lines
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        # the csv module's header row: readline ends it where csv does, and a quote fails
-        if [h.strip().lower() for h in fh.readline().split(",")] != list(header):
-            raise ValueError("not the header")
+    with open(path, "rb") as fh:
+        if fh.readline().rstrip(b"\r\n").decode().split(",") != list(header):
+            raise ValueError("not the header as written")  # other forms are the row loop's
+        # lines split at \n: numpy refuses a lone \r inside a line. Text numpy parses as
+        # numbers is ASCII: it may crash on a character past U+FFFF
+        lines = (line for block, _ in _plain_blocks(fh)
+                 for line in block.decode("ascii").split("\n"))
         with warnings.catch_warnings(action="error", category=UserWarning):  # of no rows
-            columns = np.loadtxt(itertools.chain.from_iterable(blocks()), delimiter=",",
+            columns = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, unpack=True,
                                  dtype=[("", np.int64 if kind is int else np.float64)
-                                        for kind in kinds], comments=None, ndmin=1, unpack=True)
+                                        for kind in kinds])
     if not all(np.isfinite(c).all() for c, kind in zip(columns, kinds) if kind is finite_float):
         raise ValueError("a value finite_float refuses")
     return columns
@@ -284,7 +304,7 @@ def read_fitness_csv(path) -> tuple[FitnessData, list[str]]:
     return FitnessData(assets=np.array(assets), liabilities=np.array(liabilities)), labels
 
 
-_TRANSACTIONS_HEADER = ["date", "lender", "borrower", "amount"]
+_TRANSACTIONS_HEADER = ["date", "lender", "borrower", "amount", "maturity"]
 
 
 def write_transactions_csv(path, table: TransactionTable) -> None:
@@ -293,180 +313,117 @@ def write_transactions_csv(path, table: TransactionTable) -> None:
     Amounts are written through ``fmt``, and the maturity column is left
     empty. Each distinct date, bank name and amount is formatted once.
     """
-    write_csv(path, _TRANSACTIONS_HEADER + ["maturity"],
+    write_csv(path, _TRANSACTIONS_HEADER,
               [Coded([d.isoformat() for d in table.dates], table.day),
                Coded(table.labels, table.lender), Coded(table.labels, table.borrower),
                table.amount, Coded([""], np.broadcast_to(0, len(table.day)))])
 
 
+def _date(text: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(text.strip())
+    except ValueError:
+        raise ParseError(f"bad ISO-8601 date {text!r}") from None
+
+
+def _name(text: str) -> str:
+    if name := text.strip():
+        return name
+    raise ParseError("empty lender or borrower field")
+
+
+def _amount(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # NaN fails both
+        raise DataValidationError(f"amount must be positive and finite, got {value}")
+    return value
+
+
+def _coded(values) -> tuple[list, np.ndarray]:
+    """The distinct values, sorted, and each item's index among them."""
+    distinct = sorted(set(values))
+    index = {value: k for k, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+
+
 def read_transactions(path) -> TransactionTable:
-    """Read a transactions CSV (header date,lender,borrower,amount[,maturity]) into columns.
+    """The table of a transactions CSV, header date,lender,borrower,amount[,maturity].
 
-    A maturity column is accepted, and every row must have the field, but it is
-    not kept.
-
-    Raises ParseError with the offending line number on malformed rows and
-    on bytes that are not UTF-8, and DataValidationError on semantic
-    violations (an amount that is not positive and finite, self-loops).
-
-    Two paths read a file, to the same table. numpy reads a plain file in
-    bulk: the header as above, UTF-8 text with no quote or NUL, and rows
-    numpy parses that pass every check. Any other file is read by the csv
-    module, the only reader that reports an error: in one pass into column
-    lists checked as arrays; only a rejected file is read again, to find the
-    line of its first bad row.
+    A row has a maturity field when the header names it; it is not kept. A plain file is
+    read by ``_read_plain_transactions``, any other by ``read_csv``: its errors name ``path``
+    and the line, and a self-loop, the one check across fields, is a DataValidationError
+    once every row has parsed.
     """
     try:
-        return _read_plain_transactions(path)
+        (dates, day), (labels, names), amount = _read_plain_transactions(path)
     except ValueError:  # not plain; a UnicodeDecodeError is one
-        pass
-    columns = date_col, lender_col, borrower_col, amount_col = [], [], [], []
-    stop = None  # the error that ended the pass early, raised unless an earlier row is bad
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
+        kinds = [_date, _name, _name, _amount, str]
         try:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError("empty file, expected a header row", line=1) from None
-            header = [h.strip().lower() for h in header]
-            if header != _TRANSACTIONS_HEADER and header != _TRANSACTIONS_HEADER + ["maturity"]:
-                raise ParseError(
-                    f"bad header {header!r}, expected date,lender,borrower,amount[,maturity]",
-                    line=1)
-            width = len(header)
-            add_date, add_lender, add_borrower, add_amount = (c.append for c in columns)
-            for row in reader:
-                if len(row) == width:
-                    add_date(row[0])
-                    add_lender(row[1])
-                    add_borrower(row[2])
-                    add_amount(row[3])
-                elif row:
-                    stop = ParseError(f"expected {width} fields, got {len(row)}",
-                                      line=reader.line_num)
-                    break
-        except csv.Error as exc:
-            stop = ParseError(str(exc), line=reader.line_num)
-    n = len(date_col)
-
-    # every distinct field is converted once; a field that does not convert gets code -1
-    parsed = {}
-    for text in set(date_col):
-        try:
-            parsed[text] = dt.date.fromisoformat(text.strip())
-        except ValueError:
-            parsed[text] = None
-    dates = sorted({d for d in parsed.values() if d is not None})
-    date_code = {d: k for k, d in enumerate(dates)}
-    day_of = {text: -1 if d is None else date_code[d] for text, d in parsed.items()}
-    names = {text: text.strip() for text in set(lender_col).union(borrower_col)}
-    labels = sorted({name for name in names.values() if name})
-    label_code = {name: k for k, name in enumerate(labels)}
-    node_of = {text: label_code.get(name, -1) for text, name in names.items()}
-    day = np.fromiter(map(day_of.__getitem__, date_col), dtype=np.intp, count=n)
-    lender = np.fromiter(map(node_of.__getitem__, lender_col), dtype=np.intp, count=n)
-    borrower = np.fromiter(map(node_of.__getitem__, borrower_col), dtype=np.intp, count=n)
-    not_a_number = np.zeros(n, dtype=bool)
-    try:
-        amount = np.fromiter(map(float, amount_col), dtype=float, count=n)
-    except ValueError:
-        amount = np.ones(n)
-        for k, text in enumerate(amount_col):
-            try:
-                amount[k] = float(text)
-            except ValueError:
-                not_a_number[k] = True
-
-    bad = ((day < 0) | (lender < 0) | (borrower < 0) | not_a_number | (lender == borrower)
-           | ~((amount > 0) & (amount < math.inf)))  # NaN fails both comparisons
-    if bad.any():
-        k = int(np.argmax(bad))
-        line = line_of_row(path, k)
-        if day[k] < 0:
-            raise ParseError(f"bad ISO-8601 date {date_col[k]!r}", line=line)
-        if lender[k] < 0 or borrower[k] < 0:
-            raise ParseError("empty lender or borrower field", line=line)
-        if not_a_number[k]:
-            raise ParseError(f"bad amount {amount_col[k]!r}", line=line)
-        if not 0 < amount[k] < math.inf:  # NaN fails both comparisons
-            raise DataValidationError(
-                f"amount must be positive and finite, got {float(amount[k])}", line=line)
-        raise DataValidationError(f"self-loop transaction for {labels[lender[k]]!r}", line=line)
-    if stop is not None:
-        raise stop
+            date, lender, borrower, amount, _ = read_csv(path, _TRANSACTIONS_HEADER, kinds)
+        except ParseError as exc:  # a header without maturity, or an error of the header row
+            if exc.line != 1:
+                raise
+            date, lender, borrower, amount = read_csv(path, _TRANSACTIONS_HEADER[:4], kinds[:4])
+        (dates, day), (labels, names) = _coded(date), _coded(lender + borrower)
+    lender, borrower = np.split(names, 2)
+    if (lender == borrower).any():
+        k = int(np.argmax(lender == borrower))
+        raise DataValidationError(f"{path}: self-loop transaction for {labels[lender[k]]!r}",
+                                  line=line_of_row(path, k))
     return TransactionTable(dates=tuple(dates), day=day, labels=tuple(labels), lender=lender,
-                            borrower=borrower, amount=amount)
+                            borrower=borrower, amount=np.asarray(amount, dtype=float))
 
 
-_PLAIN_HEADERS = (b"date,lender,borrower,amount", b"date,lender,borrower,amount,maturity")
-_BLOCK_BYTES = 1 << 18  # so that no array of the bulk read outgrows the table's columns
-_FIELD_BYTES = 128  # the widest date or name field the bulk read holds, for the same reason
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so a word times it is a one-to-one map
 
 
-def _ids(column, ids, parse=str) -> np.ndarray:
-    """Each row's id in ``ids``, which numbers the parsed values of a column as first seen.
-
-    np.unique sorts one 8-byte key per row, mixed from the field's 8-byte
-    words, in a third of the time it takes to sort the fields; fields that
-    differ under one key raise ValueError.
-    """
+def _distinct(column) -> tuple[np.ndarray, np.ndarray]:
+    """A column's distinct fields and each row's index among them, found by np.unique of one
+    key per row mixed from the field's 8-byte words, in a third of the time it takes to sort
+    the fields; ValueError for fields that differ under one key."""
     words = np.ascontiguousarray(column).view(np.uint64).reshape(len(column), -1)
     keys, inverse = np.unique(functools.reduce(lambda key, word: key * _MIX ^ word, words.T),
                               return_inverse=True)
-    values = np.empty(len(keys), dtype=column.dtype)
-    values[inverse] = column
-    if (values.view(np.uint64).reshape(len(keys), -1)[inverse] != words).any():
+    fields = np.empty(len(keys), dtype=column.dtype)
+    fields[inverse] = column
+    # a key and every word of a field but its last fix the last, so only those are compared
+    if (fields.view(np.uint64).reshape(len(keys), -1)[inverse, :-1] != words[:, :-1]).any():
         raise ValueError("fields that differ under one key")
-    return np.array([ids.setdefault(parse(v.decode().strip()), len(ids)) for v in values.tolist()],
-                    dtype=np.intp)[inverse]
+    return fields, inverse
 
 
-def _read_plain_transactions(path) -> TransactionTable:
-    """``read_transactions`` of a plain file, a block of lines at a time; ValueError otherwise."""
-    date_ids, name_ids, blocks, field_bytes = {}, {}, [], []
+def _file_codes(blocks, parse) -> tuple[list, np.ndarray]:
+    """The sorted distinct values of a column read as ``_distinct`` blocks, and each row's
+    index among them: each distinct field of the file is decoded and parsed once."""
+    fields, rows = zip(*blocks)
+    distinct, inverse = _distinct(np.concatenate(fields))
+    values, codes = _coded([parse(field.decode().strip()) for field in distinct.tolist()])
+    starts = np.cumsum([0] + [len(f) for f in fields])  # of each block's fields, in order
+    return values, np.concatenate([codes[inverse[start + r]] for start, r in zip(starts, rows)])
+
+
+def _read_plain_transactions(path) -> tuple[tuple, tuple, np.ndarray]:
+    """The ``_file_codes`` of the dates and of the lenders then borrowers of a plain file, and
+    its amounts, read a block of lines at a time; ValueError for any other file."""
+    blocks = []
     with open(path, "rb") as fh:
-        header = fh.readline().rstrip(b"\r\n")
-        if header not in _PLAIN_HEADERS:
+        header = fh.readline().rstrip(b"\r\n").decode().split(",")
+        if header not in (_TRANSACTIONS_HEADER, _TRANSACTIONS_HEADER[:4]):
             raise ValueError("not a plain header")
-        width = header.count(b",") + 1
-        body = fh.tell()
-        # every block is screened before any is parsed: a file left to the row reader costs
-        # one pass over its bytes, not the blocks parsed before
-        for block in iter(lambda: fh.read(_BLOCK_BYTES) + fh.readline(), b""):
-            if b'"' in block or b"\0" in block:
-                raise ValueError("a quote or a NUL, which the csv module reads unlike numpy")
-            block.decode()
-            # numpy cuts a field longer than its dtype short silently; a
-            # field is shorter than its line by a comma per other field
-            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-            field_bytes.append(np.diff(ends, prepend=-1, append=len(block)).max() - width)
-            if field_bytes[-1] > _FIELD_BYTES:
-                raise ValueError("a line that may hold a field wider than numpy takes")
-        fh.seek(body)
-        for longest in field_bytes:
-            block = fh.read(_BLOCK_BYTES) + fh.readline()
+        for block, field_bytes in _plain_blocks(fh):
             if block.strip(b"\r\n"):  # numpy warns on a block of no rows
-                text = f"S{-(-longest // 8) * 8}"  # whole 8-byte words
-                fields = [("date", text), ("lender", text), ("borrower", text), ("amount", "f8"),
-                          ("maturity", "S1")]  # only counted: a row without it still fails
-                rows = np.loadtxt(io.BytesIO(block), dtype=fields[:width], delimiter=",",
-                                  comments=None, ndmin=1, encoding="latin-1")
-                blocks.append((_ids(rows["date"], date_ids, dt.date.fromisoformat),
-                               _ids(rows["lender"], name_ids), _ids(rows["borrower"], name_ids),
-                               rows["amount"].copy()))
-    # a file of no rows has no blocks to unpack: ValueError
-    day, lender, borrower, amount = (np.concatenate(column) for column in zip(*blocks))
-    del blocks  # the read's memory peaks at twice the table's columns
-    if ("" in name_ids or (lender == borrower).any()
-            or not ((amount > 0) & (amount < math.inf)).all()):  # NaN fails both
-        raise ValueError("an empty name, a self-loop or an amount not positive and finite")
-    dates, labels = sorted(date_ids), sorted(name_ids)
-    position = np.argsort([name_ids[name] for name in labels])  # of each name's id
-    return TransactionTable(dates=tuple(dates), day=np.argsort([date_ids[d] for d in dates])[day],
-                            labels=tuple(labels), lender=position[lender],
-                            borrower=position[borrower], amount=amount)
+                text = ("", f"S{-(-field_bytes // 8) * 8}")  # whole 8-byte words
+                # latin-1 keeps a field's bytes, lines are read fastest; maturity is only counted
+                date, lender, borrower, amount, *_ = np.loadtxt(
+                    block.decode("latin-1").split("\n"), delimiter=",", comments=None, ndmin=1,
+                    unpack=True, dtype=[text, text, text, ("", "f8"), ("", "S1")][:len(header)])
+                blocks.append((_distinct(date), _distinct(lender), _distinct(borrower),
+                               amount.copy()))
+    dates, lenders, borrowers, amount = zip(*blocks)  # a file of no rows has none: ValueError
+    names, amount = _file_codes(lenders + borrowers, str), np.concatenate(amount)
+    if "" in names[0] or not ((amount > 0) & (amount < math.inf)).all():  # NaN fails both
+        raise ValueError("an empty name or an amount not positive and finite")
+    return _file_codes(dates, dt.date.fromisoformat), names, amount
 
 
 # ---------------------------------------------------------------------------

@@ -328,47 +328,56 @@ def csv_reader(stream, path=None):
                          line=reader.line_num) from None
 
 
+# One trigger per screen of serialize's bulk passes, each a numeric field, and whether the
+# row loop accepts it: a quote, a NUL, each of \x1c-\x1f (numpy skips them as spaces), a
+# byte that is not UTF-8 (to be encoded with errors="surrogateescape"), a field over
+# serialize._FIELD_BYTES and a character past U+FFFF. A file holding one is read by the
+# row loop, as the row-by-row oracles read it.
+SCREENED_FIELDS = [('"1"', True), ("1\x00", False), ("\x1c1", False), ("\x1d1", False),
+                   ("\x1e1", False), ("\x1f1", False), ("1\udcff", False),
+                   ("0" * 128 + "1", True), ("\U0002c6ca1", False)]
+
+
 def parse_transactions_row_by_row(path):
     """Transactions CSV to records, checking one row at a time.
 
     The reference for ``read_transactions``: the same files accepted, and
     the first bad row rejected with the same exception, message and line.
+    A self-loop is looked for once every row has parsed.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, expected a header row", line=1) from None
-        header = [h.strip().lower() for h in header]
+    with open_text(path) as fh, csv_reader(fh, path) as reader:
         expected = ["date", "lender", "borrower", "amount"]
-        if header != expected and header != expected + ["maturity"]:
-            raise ParseError(
-                f"bad header {header!r}, expected date,lender,borrower,amount[,maturity]", line=1
-            )
-        records = []
+        header = [h.strip().lower() for h in next(reader, [])]
+        if header not in (expected, expected + ["maturity"]):
+            raise ParseError(f"bad header in {path}, expected {','.join(expected)}", line=1)
+        rows = []
         for row in reader:
             line = reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
+                raise ParseError(f"{path}: expected {len(header)} fields, got {len(row)}",
+                                 line=line)
             try:
                 date = dt.date.fromisoformat(row[0].strip())
             except ValueError:
-                raise ParseError(f"bad ISO-8601 date {row[0]!r}", line=line) from None
+                raise ParseError(f"{path}: bad ISO-8601 date {row[0]!r}", line=line) from None
             lender = row[1].strip()
             borrower = row[2].strip()
             if not lender or not borrower:
-                raise ParseError("empty lender or borrower field", line=line)
+                raise ParseError(f"{path}: empty lender or borrower field", line=line)
             try:
                 amount = float(row[3])
             except ValueError:
-                raise ParseError(f"bad amount {row[3]!r}", line=line) from None
-            try:
-                records.append(TransactionRecord(date, lender, borrower, amount))
-            except DataValidationError as exc:
-                raise DataValidationError(str(exc), line=line) from None
-    return records
+                raise ParseError(f"{path}: bad amount {row[3]!r}", line=line) from None
+            if not 0 < amount < math.inf:  # NaN fails both comparisons
+                raise DataValidationError(
+                    f"{path}: amount must be positive and finite, got {amount}", line=line)
+            rows.append((line, date, lender, borrower, amount))
+    for line, _, lender, borrower, _ in rows:
+        if lender == borrower:
+            raise DataValidationError(f"{path}: self-loop transaction for {lender!r}", line=line)
+    return [TransactionRecord(*row[1:]) for row in rows]
 
 
 def read_network_row_by_row(path, n):
@@ -380,7 +389,7 @@ def read_network_row_by_row(path, n):
     """
     src, dst, weights = [], [], []
     header = ["source", "target", "weight"]
-    with open(path, "r", encoding="utf-8", newline="") as fh, csv_reader(fh, path) as reader:
+    with open_text(path) as fh, csv_reader(fh, path) as reader:
         first = next(reader, None)
         if first is None or [h.strip().lower() for h in first] != header:
             raise ParseError(f"bad header in {path}, expected source,target,weight", line=1)

@@ -1,6 +1,7 @@
 import datetime as dt
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    SCREENED_FIELDS,
     TransactionRecord,
     aggregate_record_loop,
     assert_same_table,
@@ -136,8 +138,8 @@ ROW = "2007-03-01,B1,B2,5\n"
 class TestBulkRead:
     """numpy reads a plain file in bulk; any other file goes to the row reader.
 
-    Either way the table is the row-by-row parser's, and an error keeps its
-    type, message and line.
+    Either way the table, or the error with its type, message and line, is
+    the row-by-row parser's.
     """
 
     @staticmethod
@@ -149,6 +151,9 @@ class TestBulkRead:
             try:
                 table = read_transactions(path)
             except (ParseError, DataValidationError) as exc:
+                with pytest.raises(type(exc)) as want:
+                    parse_transactions_row_by_row(path)
+                assert (str(want.value), want.value.line) == (str(exc), exc.line)
                 return path, (type(exc), str(exc), exc.line), by_row.called
         assert_same_table(table, table_of(parse_transactions_row_by_row(path)))
         return path, table, by_row.called
@@ -167,33 +172,40 @@ class TestBulkRead:
         (H5 + "2007-03-01,B1,B2,5,ON\n", True),  # the maturity field is only counted
         (H4 + "2007-03-01,B1,B2,1_000\n", False),  # float() reads what numpy does not
         (H4, False),  # no rows
-        (H4 + "2007-03-01,B1," + "B" * 115 + ",5\n", True),  # a line of 131 bytes
-        (H4 + "2007-03-01,B1," + "B" * 116 + ",5\n", False),  # may hold a field of 129 bytes
+        (H4 + "2007-03-01,B1," + "B" * 128 + ",5\n", True),  # a field of 128 bytes
+        (H4 + "2007-03-01,B1," + "B" * 129 + ",5\n", False),
         (" Date ,LENDER,borrower,Amount\n" + ROW, False),  # numpy takes a lower-case header only
+        # every screen of the bulk passes, in the amount field
+        *((H4 + ROW + f"2007-03-02,B2,B1,{field}\n", False) for field, _ in SCREENED_FIELDS),
     ])
     def test_a_file_the_row_reader_must_read_is_left_to_it(self, tmp_path, content, bulk):
-        _, table, by_row = self.read(tmp_path, content.encode("utf-8"))
-        assert isinstance(table, TransactionTable) and by_row != bulk
+        _, _, by_row = self.read(tmp_path, content.encode("utf-8", "surrogateescape"))
+        assert by_row != bulk
 
     @pytest.mark.parametrize("content,error", [
         (H4 + ROW + "2007-03-02,\u00a0,B1,6\n",
-         (ParseError, "line 3: empty lender or borrower field", 3)),
+         (ParseError, "line 3: {path}: empty lender or borrower field", 3)),
         (H4 + ROW + "2001-01,B1,B2,5\n",  # numpy's datetime64 reads it as 2001-01-01
-         (ParseError, "line 3: bad ISO-8601 date '2001-01'", 3)),
-        (H5 + "2007-03-01,B1,B2,5,ON\n" + ROW, (ParseError, "line 3: expected 5 fields, got 4", 3)),
+         (ParseError, "line 3: {path}: bad ISO-8601 date '2001-01'", 3)),
+        (H5 + "2007-03-01,B1,B2,5,ON\n" + ROW,
+         (ParseError, "line 3: {path}: expected 5 fields, got 4", 3)),
         (H4 + ROW + "2007-03-02,B2,B1,-6\n",
-         (DataValidationError, "line 3: amount must be positive and finite, got -6.0", 3)),
+         (DataValidationError, "line 3: {path}: amount must be positive and finite, got -6.0", 3)),
         (H4 + ROW + "2007-03-02,B2,B1,nan\n",
-         (DataValidationError, "line 3: amount must be positive and finite, got nan", 3)),
+         (DataValidationError, "line 3: {path}: amount must be positive and finite, got nan", 3)),
         (H4 + ROW + "2007-03-02,B2, B2 ,6\n",
-         (DataValidationError, "line 3: self-loop transaction for 'B2'", 3)),
-        (H4 + ROW + "  \n", (ParseError, "line 3: expected 4 fields, got 1", 3)),
+         (DataValidationError, "line 3: {path}: self-loop transaction for 'B2'", 3)),
+        (H4 + ROW + "  \n", (ParseError, "line 3: {path}: expected 4 fields, got 1", 3)),
         (H4 + ROW + "2007-03-02,B1," + "B" * (1 << 17) + "C,6\n",
-         (ParseError, "line 3: field larger than field limit (131072)", 3)),
+         (ParseError, "line 3: {path}: field larger than field limit (131072)", 3)),
+        # numpy skips \x1c as a space, where float() refuses it
+        (H4 + "2007-01-02,A,B,\x1c5.0\n2007-01-03,B,A,2\n",
+         (ParseError, "line 2: {path}: bad amount '\\x1c5.0'", 2)),
     ])
     def test_only_the_row_reader_reports_an_error(self, tmp_path, content, error):
-        _, outcome, by_row = self.read(tmp_path, content.encode("utf-8"))
-        assert outcome == error and by_row
+        path, outcome, by_row = self.read(tmp_path, content.encode("utf-8"))
+        kind, message, line = error
+        assert outcome == (kind, message.format(path=path), line) and by_row
 
     @pytest.mark.parametrize("content", [
         (H4 + ROW).encode() + b"2007-03-02,B\xff,B1,6\n",
@@ -209,6 +221,19 @@ class TestBulkRead:
         with mock.patch.object(serialize, "_MIX", np.uint64(0)):
             _, table, by_row = self.read(tmp_path, (H4 + ROW + "2007-03-02,B2,B1,6\n").encode())
         assert table.labels == ("B1", "B2") and by_row
+
+    def test_each_distinct_date_and_name_is_parsed_once_per_file(self, tmp_path):
+        content = (H4 + "".join(f"2007-03-0{1 + k % 3},B{k % 4},C{k % 5},{k + 1}\n"
+                                for k in range(200))).encode()
+        date, name = mock.Mock(wraps=dt.date.fromisoformat), mock.Mock(wraps=str)
+        # blocks of about three lines, each date and name met in many of them
+        with mock.patch.object(serialize, "_BLOCK_BYTES", 64), \
+                mock.patch.object(serialize, "dt", SimpleNamespace(date=SimpleNamespace(
+                    fromisoformat=date))), \
+                mock.patch.object(serialize, "str", name, create=True):
+            _, table, by_row = self.read(tmp_path, content)
+        assert not by_row and len(table.dates) == 3 and len(table.labels) == 9
+        assert (date.call_count, name.call_count) == (3, 9)
 
     @pytest.mark.filterwarnings("error")  # numpy warns on a block of blank lines
     @pytest.mark.parametrize("long", [0, 150, 299])  # the row with a 40-byte lender
@@ -506,7 +531,8 @@ class TestSynthTransactions:
             TransactionRecord(dt.date(2010, 1, 1), "A", "B", 0.0)
         with pytest.raises(DataValidationError) as err:
             parse("date,lender,borrower,amount\n2010-01-01,A,B,0\n")
-        assert str(err.value) == f"line 2: {want.value}"
+        assert str(err.value).startswith("line 2: ")
+        assert str(err.value).endswith(f"transactions.csv: {want.value}")
 
     @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
     def test_amount_sigma_must_be_nonnegative_and_finite(self, sigma):

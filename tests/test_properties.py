@@ -26,6 +26,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    SCREENED_FIELDS,
     TransactionRecord,
     assert_same_table,
     parse_transactions_row_by_row,
@@ -520,13 +521,20 @@ EDGE_FORMS = [
 ]
 
 
-@pytest.mark.parametrize("content,accepted", EDGE_FORMS)
+# every screen of the bulk passes, in the source field: the row loop reads these files
+SCREENED_EDGE_FORMS = [(f"source,target,weight\n0,1,1\n{field},2,1\n", accepted)
+                       for field, accepted in SCREENED_FIELDS]
+
+
+@pytest.mark.parametrize("content,accepted", EDGE_FORMS + SCREENED_EDGE_FORMS)
 def test_read_network_on_the_forms_numpy_and_csv_read_differently(tmp_path, content, accepted):
     path = tmp_path / "edges.csv"
-    path.write_bytes(content.encode("utf-8"))
+    path.write_bytes(content.encode("utf-8", "surrogateescape"))
     want = _network_outcome(lambda p: read_network_row_by_row(p, 4), path)
     assert isinstance(want[0], bytes) == accepted
-    assert _network_outcome(lambda p: read_network(p, 4), path) == want
+    with mock.patch.object(serialize, "open_text", wraps=serialize.open_text) as by_row:
+        assert _network_outcome(lambda p: read_network(p, 4), path) == want
+    assert by_row.called or (content, accepted) not in SCREENED_EDGE_FORMS
 
 
 special_floats = st.sampled_from([
@@ -642,6 +650,16 @@ def test_read_csv_in_bulk_leaves_the_error_to_its_row_loop(tmp_path, header, kin
     else:
         kind, message, line = error
         assert want[0] is kind and message in want[1] and want[2] == line
+
+
+def test_read_csv_calls_a_kind_once_per_distinct_text_of_its_column(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("node,x\nB1,1\nB2,1\nB1,2\nB1, 1\n")
+    node, x = mock.Mock(wraps=str.strip), mock.Mock(wraps=float)  # kinds of the row loop
+    assert read_csv(path, ["node", "x"], [node, x]) == [["B1", "B2", "B1", "B1"],
+                                                        [1.0, 1.0, 2.0, 1.0]]
+    assert [call.args for call in node.call_args_list] == [("B1",), ("B2",)]
+    assert [call.args for call in x.call_args_list] == [("1",), ("2",), (" 1",)]
 
 
 @FUZZ

@@ -23,7 +23,7 @@ import warnings
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,17 +192,16 @@ def read_csv(path, header, kinds) -> list:
     """The columns of a CSV file whose first row is ``header``; every error names ``path``.
 
     Field k of every other nonempty row goes through ``kinds[k]`` (``int``, ``float``,
-    ``finite_float``, ``str``, ...) once per distinct text of its column, unless the value
-    is None (a check, such as ``read_nodes``' index order). A different header, a line the
-    csv module cannot split, a row of another width, a field its kind rejects with
-    ValueError and a kind's own ParseError are ParseErrors with the line. A kind's
-    DataValidationError gets the line once the row's other fields have parsed. A file of
-    ``int``, ``float`` and ``finite_float`` fields is read by ``_read_numeric`` first.
+    ``finite_float``, ``str``, ...). A different header, a line the csv module cannot
+    split, a row of another width, a field its kind rejects with ValueError and a kind's
+    own ParseError are ParseErrors with the line. A kind's DataValidationError gets the
+    line once the row's other fields have parsed. A file of ``int``, ``float`` and
+    ``finite_float`` fields is read by ``_read_numeric`` first.
     """
     if all(kind in (int, float, finite_float) for kind in kinds):
         with suppress(ValueError, UserWarning):  # a UnicodeDecodeError is a ValueError
             return _read_numeric(path, header, kinds)
-    columns, distinct = [[] for _ in header], [{} for _ in header]
+    columns = [[] for _ in header]
     with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -214,17 +213,14 @@ def read_csv(path, header, kinds) -> list:
                     raise ParseError(f"{path}: expected {len(header)} fields, got {len(row)}",
                                      line=reader.line_num)
                 invalid = None
-                for column, kind, seen, name, field in zip(columns, kinds, distinct, header, row):
-                    value = seen.get(field)
-                    if value is None:
-                        try:
-                            value = seen[field] = kind(field)
-                        except (ValueError, ParseError) as exc:
-                            why = exc if isinstance(exc, ParseError) else f"bad {name} {field!r}"
-                            raise ParseError(f"{path}: {why}", line=reader.line_num) from None
-                        except DataValidationError as exc:
-                            invalid = invalid or exc
-                    column.append(value)
+                for column, kind, name, field in zip(columns, kinds, header, row):
+                    try:
+                        column.append(kind(field))
+                    except (ValueError, ParseError) as exc:
+                        why = exc if isinstance(exc, ParseError) else f"bad {name} {field!r}"
+                        raise ParseError(f"{path}: {why}", line=reader.line_num) from None
+                    except DataValidationError as exc:
+                        invalid = invalid or exc
                 if invalid is not None:
                     raise DataValidationError(f"{path}: {invalid}", line=reader.line_num)
         except csv.Error as exc:  # a line the csv module cannot split
@@ -239,11 +235,15 @@ _FIELD_BYTES = 128  # the widest field a bulk pass takes, for the same reason
 _SCREENED = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _plain_blocks(fh):
-    """The rest of the binary file ``fh`` in blocks of whole lines, each with its widest field,
-    once every block has passed the screens; ValueError at a byte of ``_SCREENED``, a byte
-    that is not UTF-8 or a field over ``_FIELD_BYTES``, which numpy would cut short. A file
-    left to the row loop costs one pass over its bytes, not the blocks parsed before."""
+def _plain_blocks(fh, headers) -> tuple[list, Iterator[tuple[bytes, int]]]:
+    """The header of the binary file ``fh``, one of ``headers`` as written, and the rest of the
+    file in blocks of whole lines, each with its widest field, once every block has passed the
+    screens; ValueError for another header, at a byte of ``_SCREENED``, a byte that is not
+    UTF-8 or a field over ``_FIELD_BYTES``, which numpy would cut short. A file left to the
+    row loop costs one pass over its bytes, not the blocks parsed before."""
+    header = fh.readline().rstrip(b"\r\n").decode().split(",")
+    if header not in headers:
+        raise ValueError("not a header as written")  # other forms are the row loop's
     body, widest = fh.tell(), []
     for block in iter(lambda: fh.read(_BLOCK_BYTES) + fh.readline(), b""):
         block.decode()  # a UnicodeDecodeError is a ValueError
@@ -255,20 +255,17 @@ def _plain_blocks(fh):
         if widest[-1] > _FIELD_BYTES:
             raise ValueError("a field wider than a bulk pass takes")
     fh.seek(body)
-    for field_bytes in widest:
-        yield fh.read(_BLOCK_BYTES) + fh.readline(), field_bytes
+    return header, ((fh.read(_BLOCK_BYTES) + fh.readline(), field_bytes) for field_bytes in widest)
 
 
 def _read_numeric(path, header, kinds) -> list[np.ndarray]:
     """``read_csv`` by numpy, which parses a number as ``int`` and ``float`` do; ValueError
     for a file numpy may read otherwise than the row loop."""
     with open(path, "rb") as fh:
-        if fh.readline().rstrip(b"\r\n").decode().split(",") != list(header):
-            raise ValueError("not the header as written")  # other forms are the row loop's
+        _, blocks = _plain_blocks(fh, [list(header)])
         # lines split at \n: numpy refuses a lone \r inside a line. Text numpy parses as
         # numbers is ASCII: it may crash on a character past U+FFFF
-        lines = (line for block, _ in _plain_blocks(fh)
-                 for line in block.decode("ascii").split("\n"))
+        lines = (line for block, _ in blocks for line in block.decode("ascii").split("\n"))
         with warnings.catch_warnings(action="error", category=UserWarning):  # of no rows
             columns = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, unpack=True,
                                  dtype=[("", np.int64 if kind is int else np.float64)
@@ -357,7 +354,8 @@ def read_transactions(path) -> TransactionTable:
     try:
         (dates, day), (labels, names), amount = _read_plain_transactions(path)
     except ValueError:  # not plain; a UnicodeDecodeError is one
-        kinds = [_date, _name, _name, _amount, str]
+        name = functools.cache(_name)  # dates and names repeat: each text is parsed once
+        kinds = [functools.cache(_date), name, name, _amount, str]
         try:
             date, lender, borrower, amount, _ = read_csv(path, _TRANSACTIONS_HEADER, kinds)
         except ParseError as exc:  # a header without maturity, or an error of the header row
@@ -407,10 +405,8 @@ def _read_plain_transactions(path) -> tuple[tuple, tuple, np.ndarray]:
     its amounts, read a block of lines at a time; ValueError for any other file."""
     blocks = []
     with open(path, "rb") as fh:
-        header = fh.readline().rstrip(b"\r\n").decode().split(",")
-        if header not in (_TRANSACTIONS_HEADER, _TRANSACTIONS_HEADER[:4]):
-            raise ValueError("not a plain header")
-        for block, field_bytes in _plain_blocks(fh):
+        header, plain = _plain_blocks(fh, [_TRANSACTIONS_HEADER, _TRANSACTIONS_HEADER[:4]])
+        for block, field_bytes in plain:
             if block.strip(b"\r\n"):  # numpy warns on a block of no rows
                 text = ("", f"S{-(-field_bytes // 8) * 8}")  # whole 8-byte words
                 # latin-1 keeps a field's bytes, lines are read fastest; maturity is only counted

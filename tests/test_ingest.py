@@ -158,29 +158,31 @@ class TestBulkRead:
         assert_same_table(table, table_of(parse_transactions_row_by_row(path)))
         return path, table, by_row.called
 
-    @pytest.mark.parametrize("content,bulk", [
-        (H4 + "2007-03-01," + "B" * 16 + ",B2,5\n", True),
-        (H4 + "2007-03-01,Caisse régionale de crédit agricole mutuel,B2,5\n", True),
-        (H4 + "  2007-03-01    ,B1,B2,5\n" + ROW, True),  # a date of 16 bytes
-        (H4 + '2007-03-01,"B,1",B2,5\n', False),
-        (H4 + '2007-03-01,"B1",B2,5\n', False),  # numpy would keep the quotes
-        (H4 + "2007-03-01,B\x001,B2,5\n", False),
-        (H4 + "2007-03-01,B1,B2,5\r2007-03-02,B2,B1,6\r", False),  # numpy refuses a lone \r
-        (H4 + "2007-03-01,B1,B2,5\r\r\n2007-03-02,B2,B1,6\r\n", False),
-        (H4 + "2007-03-01,\u00a0B1,B2\u2028,5\n2007-03-02,B2,B1 ,6\n", True),  # strip() both
-        (H4 + "20070301,B1,B2,5\r\n\r\n2007-03-02,B2,B1,6\r\n", True),
-        (H5 + "2007-03-01,B1,B2,5,ON\n", True),  # the maturity field is only counted
-        (H4 + "2007-03-01,B1,B2,1_000\n", False),  # float() reads what numpy does not
-        (H4, False),  # no rows
-        (H4 + "2007-03-01,B1," + "B" * 128 + ",5\n", True),  # a field of 128 bytes
-        (H4 + "2007-03-01,B1," + "B" * 129 + ",5\n", False),
-        (" Date ,LENDER,borrower,Amount\n" + ROW, False),  # numpy takes a lower-case header only
+    @pytest.mark.parametrize("content,bulk,accepted", [
+        (H4 + "2007-03-01," + "B" * 16 + ",B2,5\n", True, True),
+        (H4 + "2007-03-01,Caisse régionale de crédit agricole mutuel,B2,5\n", True, True),
+        (H4 + "  2007-03-01    ,B1,B2,5\n" + ROW, True, True),  # a date of 16 bytes
+        (H4 + '2007-03-01,"B,1",B2,5\n', False, True),
+        (H4 + '2007-03-01,"B1",B2,5\n', False, True),  # numpy would keep the quotes
+        (H4 + "2007-03-01,B\x001,B2,5\n", False, True),
+        (H4 + "2007-03-01,B1,B2,5\r2007-03-02,B2,B1,6\r", False, True),  # numpy refuses a lone \r
+        (H4 + "2007-03-01,B1,B2,5\r\r\n2007-03-02,B2,B1,6\r\n", False, True),
+        (H4 + "2007-03-01,\u00a0B1,B2\u2028,5\n2007-03-02,B2,B1 ,6\n", True, True),  # strip() both
+        (H4 + "20070301,B1,B2,5\r\n\r\n2007-03-02,B2,B1,6\r\n", True, True),
+        (H5 + "2007-03-01,B1,B2,5,ON\n", True, True),  # the maturity field is only counted
+        (H4 + "2007-03-01,B1,B2,1_000\n", False, True),  # float() reads what numpy does not
+        (H4, False, True),  # no rows
+        (H4 + "2007-03-01,B1," + "B" * 128 + ",5\n", True, True),  # a field of 128 bytes
+        (H4 + "2007-03-01,B1," + "B" * 129 + ",5\n", False, True),
+        (" Date ,LENDER,borrower,Amount\n" + ROW, False, True),  # numpy takes a lower-case header only
         # every screen of the bulk passes, in the amount field
-        *((H4 + ROW + f"2007-03-02,B2,B1,{field}\n", False) for field, _ in SCREENED_FIELDS),
+        *((H4 + ROW + f"2007-03-02,B2,B1,{field}\n", False, accepted)
+          for field, accepted in SCREENED_FIELDS),
     ])
-    def test_a_file_the_row_reader_must_read_is_left_to_it(self, tmp_path, content, bulk):
-        _, _, by_row = self.read(tmp_path, content.encode("utf-8", "surrogateescape"))
-        assert by_row != bulk
+    def test_a_file_the_row_reader_must_read_is_left_to_it(self, tmp_path, content, bulk,
+                                                           accepted):
+        _, outcome, by_row = self.read(tmp_path, content.encode("utf-8", "surrogateescape"))
+        assert isinstance(outcome, TransactionTable) == accepted and by_row != bulk
 
     @pytest.mark.parametrize("content,error", [
         (H4 + ROW + "2007-03-02,\u00a0,B1,6\n",
@@ -222,18 +224,22 @@ class TestBulkRead:
             _, table, by_row = self.read(tmp_path, (H4 + ROW + "2007-03-02,B2,B1,6\n").encode())
         assert table.labels == ("B1", "B2") and by_row
 
-    def test_each_distinct_date_and_name_is_parsed_once_per_file(self, tmp_path):
-        content = (H4 + "".join(f"2007-03-0{1 + k % 3},B{k % 4},C{k % 5},{k + 1}\n"
-                                for k in range(200))).encode()
+    @pytest.mark.parametrize("quoted", [False, True])  # a quoted name sends it to the row loop
+    def test_each_distinct_date_and_name_is_parsed_once_per_file(self, tmp_path, quoted):
+        rows = [f"2007-03-0{1 + k % 3},B{k % 4},C{k % 5},{k + 1}\n" for k in range(200)]
+        if quoted:  # the csv module reads "B3" as B3, a text met before
+            rows[-1] = rows[-1].replace("B3", '"B3"')
         date, name = mock.Mock(wraps=dt.date.fromisoformat), mock.Mock(wraps=str)
+        row_name = mock.Mock(wraps=serialize._name)  # the row loop's kind of a name
         # blocks of about three lines, each date and name met in many of them
         with mock.patch.object(serialize, "_BLOCK_BYTES", 64), \
                 mock.patch.object(serialize, "dt", SimpleNamespace(date=SimpleNamespace(
                     fromisoformat=date))), \
-                mock.patch.object(serialize, "str", name, create=True):
-            _, table, by_row = self.read(tmp_path, content)
-        assert not by_row and len(table.dates) == 3 and len(table.labels) == 9
-        assert (date.call_count, name.call_count) == (3, 9)
+                mock.patch.object(serialize, "str", name, create=True), \
+                mock.patch.object(serialize, "_name", row_name):
+            _, table, by_row = self.read(tmp_path, (H4 + "".join(rows)).encode())
+        assert by_row == quoted and len(table.dates) == 3 and len(table.labels) == 9
+        assert (date.call_count, (row_name if quoted else name).call_count) == (3, 9)
 
     @pytest.mark.filterwarnings("error")  # numpy warns on a block of blank lines
     @pytest.mark.parametrize("long", [0, 150, 299])  # the row with a 40-byte lender

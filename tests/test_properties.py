@@ -652,16 +652,6 @@ def test_read_csv_in_bulk_leaves_the_error_to_its_row_loop(tmp_path, header, kin
         assert want[0] is kind and message in want[1] and want[2] == line
 
 
-def test_read_csv_calls_a_kind_once_per_distinct_text_of_its_column(tmp_path):
-    path = tmp_path / "a.csv"
-    path.write_text("node,x\nB1,1\nB2,1\nB1,2\nB1, 1\n")
-    node, x = mock.Mock(wraps=str.strip), mock.Mock(wraps=float)  # kinds of the row loop
-    assert read_csv(path, ["node", "x"], [node, x]) == [["B1", "B2", "B1", "B1"],
-                                                        [1.0, 1.0, 2.0, 1.0]]
-    assert [call.args for call in node.call_args_list] == [("B1",), ("B2",)]
-    assert [call.args for call in x.call_args_list] == [("1",), ("2",), (" 1",)]
-
-
 @FUZZ
 @given(st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 4095),
                           special_floats | st.floats()), min_size=1, max_size=30))

@@ -347,14 +347,14 @@ def read_transactions(path) -> TransactionTable:
     """The table of a transactions CSV, header date,lender,borrower,amount[,maturity].
 
     A row has a maturity field when the header names it; it is not kept. A plain file is
-    read by ``_read_plain_transactions``, any other by ``read_csv``: its errors name ``path``
-    and the line, and a self-loop, the one check across fields, is a DataValidationError
-    once every row has parsed.
+    read by ``_read_plain_transactions``, any other by ``read_csv``, which parses each distinct
+    date and name once: its errors name ``path`` and the line, and a self-loop, the one check
+    across fields, is a DataValidationError once every row has parsed.
     """
     try:
         (dates, day), (labels, names), amount = _read_plain_transactions(path)
     except ValueError:  # not plain; a UnicodeDecodeError is one
-        name = functools.cache(_name)  # dates and names repeat: each text is parsed once
+        name = functools.cache(_name)  # dates and names repeat over many rows
         kinds = [functools.cache(_date), name, name, _amount, str]
         try:
             date, lender, borrower, amount, _ = read_csv(path, _TRANSACTIONS_HEADER, kinds)
@@ -397,7 +397,9 @@ def _file_codes(blocks, parse) -> tuple[list, np.ndarray]:
     distinct, inverse = _distinct(np.concatenate(fields))
     values, codes = _coded([parse(field.decode().strip()) for field in distinct.tolist()])
     starts = np.cumsum([0] + [len(f) for f in fields])  # of each block's fields, in order
-    return values, np.concatenate([codes[inverse[start + r]] for start, r in zip(starts, rows)])
+    for start, r in zip(starts, rows):  # in place, so the rows are held once, then concatenated
+        r[:] = codes[inverse[start + r]]
+    return values, np.concatenate(rows)
 
 
 def _read_plain_transactions(path) -> tuple[tuple, tuple, np.ndarray]:
